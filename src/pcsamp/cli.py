@@ -45,7 +45,7 @@ def _exact_field(raw, where: str) -> Fraction:
         raise ScenarioError(f"{where}: floats are not exact; write rationals as strings like \"1/4\"")
     try:
         return as_rational(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
@@ -361,14 +361,25 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _verify_seed(args) -> int:
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get("PCSAMP_SEED", str(DEFAULT_SEED))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ScenarioError(f"PCSAMP_SEED must be an integer, got {raw!r}") from None
+
+
 def cmd_verify(args) -> int:
     spec, _ = load_scenario(args.scenario)
     if args.grid < 2:
         raise ScenarioError("--grid must be at least 2")
     if args.trials < 1:
         raise ScenarioError("--trials must be at least 1")
+    seed = _verify_seed(args)
     results = verify_scenario(spec, resolution=args.grid)
-    sweep = exhaustive_consistency_sweep(args.trials, seed=args.seed)
+    sweep = exhaustive_consistency_sweep(args.trials, seed=seed)
     rows = [[r.name, "pass" if r.passed else "FAIL", r.detail] for r in results]
     rows.append(
         [
@@ -473,11 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.add_argument("--grid", type=int, default=50, help="oracle grid points per unit interval")
     sub.add_argument("--trials", type=int, default=25, help="random signals in the sweep")
-    sub.add_argument(
-        "--seed", type=int,
-        default=int(os.environ.get("PCSAMP_SEED", DEFAULT_SEED)),
-        help="sweep seed (falls back to PCSAMP_SEED)",
-    )
+    sub.add_argument("--seed", type=int, help="sweep seed (falls back to PCSAMP_SEED)")
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("demo", help="built-in worked demonstrations")

@@ -2,9 +2,9 @@
 
 Two independent routes to the per-region sample counts are provided:
 
-* :func:`count_direct` literally places sample points and counts them
-  region by region with exact comparisons (the slow, obviously correct
-  route);
+* :func:`count_direct` counts the samples in each region's half-open
+  span by exact ceilings of its endpoints relative to the grid offset,
+  without the carry arithmetic of the closed form;
 * :func:`cumulative_count` evaluates the closed-form count of samples
   over any consecutive run of regions as a function of the offset in the
   run's first region.
@@ -12,17 +12,19 @@ Two independent routes to the per-region sample counts are provided:
 :func:`enumerate_atlas` combines the closed form with the threshold
 structure of the offset axis to list every achievable count pattern
 together with the sub-interval of offsets that produces it.
+
+Internally positions are integers on the signal's 1/L lattice
+(:attr:`SignalSpec.lattice`); Fractions appear only in arguments and
+results.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .signal_core import (
-    Fraction as _F,
     GenericityViolation,
     RationalLike,
     SignalSpec,
@@ -69,34 +71,39 @@ class PatternAtlas:
         return self.cells[0].pattern.m
 
 
-def _check_delta(delta: Fraction) -> Fraction:
-    if not (0 <= delta < 1):
+def _check_delta(delta: Fraction) -> tuple[int, int]:
+    """Numerator and denominator of a grid offset checked to lie in [0, 1)."""
+    p, q = delta.numerator, delta.denominator
+    if not 0 <= p < q:
         raise ValueError(f"grid offset must lie in [0, 1), got {delta}")
-    return delta
+    return p, q
 
 
 def count_direct(spec: SignalSpec, delta1: RationalLike) -> SamplingPattern:
-    """Count samples per region by placing the grid and comparing exactly.
+    """Count samples per region directly from the region spans.
 
     Sample points sit at delta1 + k (k = 0, 1, 2, ...) in units of the grid
     interval; a sample belongs to region i when it falls in
-    [P_{i-1}, P_i) for the region's half-open span.  This is the reference
-    oracle the closed-form counting is checked against.
+    [P_{i-1}, P_i) for the region's half-open span.  The samples below P
+    number ceil(P - delta1), so region i holds
+    ceil(P_i - delta1) - ceil(P_{i-1} - delta1) of them, computed by exact
+    integer floor division.  This is the reference the closed-form
+    counting is checked against: it never uses the carries kappa or the
+    thresholds.
     """
-    delta1 = _check_delta(as_rational(delta1))
-    points = spec.breakpoints
-    counts = [0] * spec.m
-    region = 0
-    k = 0
-    while True:
-        sample = delta1 + k
-        if sample >= points[-1]:
-            break
-        while sample >= points[region + 1]:
-            region += 1
-        counts[region] += 1
-        k += 1
-    return SamplingPattern(tuple(counts))
+    p, q = _check_delta(as_rational(delta1))
+    L, _, breakpoints = spec.lattice
+    # ceil(B/L - p/q) == -((p*L - B*q) // (L*q)) for B = L * P
+    below = [-((p * L - b * q) // (L * q)) for b in breakpoints]
+    return SamplingPattern(tuple(hi - lo for lo, hi in zip(below, below[1:])))
+
+
+def _run_f_sum(spec: SignalSpec, i: int, span: int) -> int:
+    """L * (f_i + ... + f_{i+span}) for a 1-based region run, bounds checked."""
+    f_prefix = spec.lattice.f_prefix
+    if i < 1 or span < 0 or i + span >= len(f_prefix):
+        raise IndexError(f"region run i={i}, K={span} outside 1..{spec.m}")
+    return f_prefix[i + span] - f_prefix[i - 1]
 
 
 def kappa_d(spec: SignalSpec, i: int, span: int) -> tuple[int, int]:
@@ -106,10 +113,7 @@ def kappa_d(spec: SignalSpec, i: int, span: int) -> tuple[int, int]:
     summed integer parts minus kappa.  The cumulative sample count over
     the run is always d or d - 1.
     """
-    if i < 1 or span < 0 or i + span > spec.m:
-        raise IndexError(f"region run i={i}, K={span} outside 1..{spec.m}")
-    f_sum = spec.f_prefix[i + span] - spec.f_prefix[i - 1]
-    kappa = math.floor(f_sum)
+    kappa = _run_f_sum(spec, i, span) // spec.lattice.L
     d = spec.n_prefix[i + span] - spec.n_prefix[i - 1] - kappa
     return kappa, d
 
@@ -122,10 +126,13 @@ def cumulative_count(spec: SignalSpec, i: int, span: int, delta_i: RationalLike)
     1 + kappa - sum(f), and drops by one at and beyond it (ties take the
     lower branch, matching the half-open placement rule).
     """
-    delta_i = _check_delta(as_rational(delta_i))
-    kappa, d = kappa_d(spec, i, span)
-    threshold = 1 + kappa - (spec.f_prefix[i + span] - spec.f_prefix[i - 1])
-    return d if delta_i < threshold else d - 1
+    p, q = _check_delta(as_rational(delta_i))
+    L = spec.lattice.L
+    f_sum = _run_f_sum(spec, i, span)
+    kappa = f_sum // L
+    d = spec.n_prefix[i + span] - spec.n_prefix[i - 1] - kappa
+    # p/q < (L * (1 + kappa) - f_sum) / L, cross-multiplied
+    return d if p * L < (L * (1 + kappa) - f_sum) * q else d - 1
 
 
 def delta_chain(spec: SignalSpec, delta1: RationalLike) -> list[Fraction]:
@@ -134,7 +141,8 @@ def delta_chain(spec: SignalSpec, delta1: RationalLike) -> list[Fraction]:
     Each region hands the next one the offset (delta_i + f_i) mod 1: the
     fractional parts accumulate while the integer parts drop out.
     """
-    delta = _check_delta(as_rational(delta1))
+    delta = as_rational(delta1)
+    _check_delta(delta)
     offsets = [delta]
     for fi in spec.f[:-1]:
         offsets.append((offsets[-1] + fi) % 1)
@@ -152,20 +160,17 @@ def enumerate_atlas(spec: SignalSpec) -> PatternAtlas:
     signal; a collision is reported defensively.
     """
     m = spec.m
-    prefix_f = spec.f_prefix
-    thresholds = []
+    L, prefix_f = spec.lattice.L, spec.lattice.f_prefix
+    thresholds = []  # L * threshold
     nominal = []  # nominal cumulative counts over regions 1..k
     for k in range(1, m + 1):
-        kappa = math.floor(prefix_f[k])
-        thresholds.append(1 + kappa - prefix_f[k])
+        kappa = prefix_f[k] // L
+        thresholds.append(L * (1 + kappa) - prefix_f[k])
         nominal.append(spec.n_prefix[k] - kappa)
-    if len(set(thresholds)) != m:
-        raise GenericityViolation(1, m - 1, prefix_f[m])
-    for theta in thresholds:
-        if not (0 < theta < 1):
-            raise GenericityViolation(1, m - 1, prefix_f[m])
+    if len(set(thresholds)) != m or not all(0 < theta < L for theta in thresholds):
+        raise GenericityViolation(1, m - 1, Fraction(prefix_f[m], L))
 
-    edges = [_F(0)] + sorted(thresholds) + [_F(1)]
+    edges = [0] + sorted(thresholds) + [L]
     cells = []
     for lo, hi in zip(edges, edges[1:]):
         cumulative = [0]
@@ -173,6 +178,8 @@ def enumerate_atlas(spec: SignalSpec) -> PatternAtlas:
             dropped = thresholds[k - 1] <= lo
             cumulative.append(nominal[k - 1] - (1 if dropped else 0))
         eta = tuple(cumulative[k] - cumulative[k - 1] for k in range(1, m + 1))
-        cells.append(AtlasCell(delta_lo=lo, delta_hi=hi, pattern=SamplingPattern(eta)))
+        cells.append(
+            AtlasCell(delta_lo=Fraction(lo, L), delta_hi=Fraction(hi, L), pattern=SamplingPattern(eta))
+        )
     assert len({c.pattern for c in cells}) == m + 1, "atlas cells must carry distinct patterns"
     return PatternAtlas(cells=tuple(cells))

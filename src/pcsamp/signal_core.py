@@ -2,8 +2,11 @@
 
 All positions and lengths are kept in units of the sampling interval, so
 every quantity is a `fractions.Fraction` and every comparison is exact.
-The physical interval only matters when results are rendered back to
-scenario units, which is the command-line layer's job.
+Hot paths work on the signal's lattice instead: positions scaled by L,
+the lcm of the fractional parts' denominators, are plain integers (see
+:attr:`SignalSpec.lattice`).  The physical interval only matters when
+results are rendered back to scenario units, which is the command-line
+layer's job.
 
 Conventions used throughout the package:
 
@@ -17,6 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,6 +75,26 @@ class GenericityViolation(SpecViolation):
         super().__init__(
             f"(i={i},K={span}): fractional parts f[{i}..{i + span}] sum to the integer {total}"
         )
+
+
+def lattice_prefix(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """Common denominator L of ``values`` and their prefix sums on the 1/L lattice.
+
+    Returns (L, (L*0, L*v_1, L*(v_1+v_2), ...)) with every entry an int.
+    """
+    L = math.lcm(*(v.denominator for v in values))
+    pts = [0]
+    for v in values:
+        pts.append(pts[-1] + v.numerator * (L // v.denominator))
+    return L, tuple(pts)
+
+
+class Lattice(NamedTuple):
+    """A signal's positions as integers over the common denominator L."""
+
+    L: int
+    f_prefix: tuple[int, ...]
+    breakpoints: tuple[int, ...]
 
 
 class Region(NamedTuple):
@@ -128,12 +152,12 @@ class SignalSpec:
         return tuple(Fraction(r.n) - r.f for r in self.regions)
 
     @cached_property
-    def f_prefix(self) -> tuple[Fraction, ...]:
-        """Prefix sums of the fractional parts: f_1 + ... + f_k for k = 0..m."""
-        pts = [Fraction(0)]
-        for fi in self.f:
-            pts.append(pts[-1] + fi)
-        return tuple(pts)
+    def lattice(self) -> Lattice:
+        """L with L * (f_1 + ... + f_k) and L * P_k for k = 0..m, all as ints."""
+        L, f_prefix = lattice_prefix(self.f)
+        return Lattice(
+            L, f_prefix, tuple(L * nk - fk for nk, fk in zip(self.n_prefix, f_prefix))
+        )
 
     @cached_property
     def n_prefix(self) -> tuple[int, ...]:
@@ -146,28 +170,31 @@ class SignalSpec:
     @cached_property
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Discontinuity positions 0 = P_0 < P_1 < ... < P_m in units of T."""
-        pts = [Fraction(0)]
-        for length in self.lengths:
-            pts.append(pts[-1] + length)
-        return tuple(pts)
+        lat = self.lattice
+        return tuple(Fraction(p, lat.L) for p in lat.breakpoints)
 
 
 def find_genericity_violation(fractions: Sequence[Fraction]) -> Optional[tuple[int, int, Fraction]]:
     """Scan all consecutive runs of fractional parts for an integer sum.
 
-    Returns (i, K, total) for the first offending run f[i..i+K] (1-based i),
-    or None when every run sums to a non-integer.  O(m^2) via prefix sums.
+    Returns (i, K, total) for the first offending run f[i..i+K] (smallest
+    1-based i, then smallest K), or None when every run sums to a
+    non-integer.  On the 1/L lattice a run sums to an integer exactly when
+    its two bounding prefix sums agree mod L, so one right-to-left pass
+    remembering the nearest later index of each residue finds it in O(m).
     """
-    prefix = [Fraction(0)]
-    for fi in fractions:
-        prefix.append(prefix[-1] + fi)
-    m = len(fractions)
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            total = prefix[j] - prefix[i - 1]
-            if total.denominator == 1:
-                return i, j - i, total
-    return None
+    L, prefix = lattice_prefix(fractions)
+    nearest: dict[int, int] = {}
+    hit = None
+    for start in range(len(prefix) - 1, -1, -1):
+        residue = prefix[start] % L
+        if residue in nearest:
+            hit = start, nearest[residue]
+        nearest[residue] = start
+    if hit is None:
+        return None
+    start, end = hit
+    return start + 1, end - start - 1, Fraction(prefix[end] - prefix[start], L)
 
 
 def validate_spec(spec: SignalSpec) -> SignalSpec:

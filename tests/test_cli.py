@@ -61,6 +61,16 @@ def test_validate_rejects_float_rationals(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
 
 
+def test_validate_zero_denominator_exit2(tmp_path, capsys):
+    bad = dict(RUNNING, regions=[{"g": "4", "n": 2, "f": "1/0"}, {"g": "2", "n": 3, "f": "1/2"}])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ScenarioError region 1 f:")
+    assert "Traceback" not in err
+
+
 def test_patterns_table(running_file, capsys):
     assert main(["patterns", running_file]) == 0
     out = capsys.readouterr().out
@@ -202,6 +212,14 @@ def test_verify_seed_env_fallback(running_file, capsys, monkeypatch):
                  "--format", "json"]) == 0
     explicit = json.loads(capsys.readouterr().out)
     assert with_env == explicit
+
+
+def test_bad_seed_env_only_affects_verify(running_file, capsys, monkeypatch):
+    monkeypatch.setenv("PCSAMP_SEED", "abc")
+    assert main(["validate", running_file]) == 0
+    assert main(["verify", running_file, "--grid", "12", "--trials", "3"]) == 2
+    assert "PCSAMP_SEED must be an integer" in capsys.readouterr().err
+    assert main(["verify", running_file, "--grid", "12", "--trials", "3", "--seed", "5"]) == 0
 
 
 def test_demo_example6(capsys):

@@ -33,6 +33,15 @@ def test_count_direct_rejects_offsets_outside_unit(running_spec):
         count_direct(running_spec, Fraction(-1, 4))
 
 
+def test_count_direct_huge_region_is_immediate():
+    spec = validate_spec(SignalSpec.from_columns(g=[4, 2], n=[10**9, 3], f=["1/4", "1/2"]))
+    # samples 0.1 .. 10**9 - 0.9 lie below P_1 = 10**9 - 1/4; 10**9 + 0.1 .. +2.1 below P_2
+    assert count_direct(spec, Fraction(1, 10)).eta == (10**9, 3)
+    # 10**9 - 0.2 >= P_1 moves one sample out of region 1; 10**9 + 2.8 >= P_2 drops out
+    assert count_direct(spec, Fraction(4, 5)).eta == (10**9 - 1, 3)
+    assert count_direct(spec, Fraction(4, 5)) == enumerate_atlas(spec).cells[-1].pattern
+
+
 def test_kappa_d_examples(running_spec):
     assert kappa_d(running_spec, 1, 1) == (0, 5)   # 1/4 + 1/2 < 1
     assert kappa_d(running_spec, 1, 0) == (0, 2)

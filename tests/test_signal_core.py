@@ -13,6 +13,7 @@ from pcsamp import (
     SignalSpec,
     as_rational,
     evaluate,
+    find_genericity_violation,
     translate,
     truth_function,
     validate_spec,
@@ -32,6 +33,36 @@ def test_integer_fraction_sum_is_rejected():
     assert err.value.i == 1
     assert err.value.K == 1
     assert "(i=1,K=1)" in str(err.value)
+
+
+def test_genericity_mixed_denominators():
+    assert find_genericity_violation([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]) == (1, 2, 1)
+    assert find_genericity_violation([Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)]) == (2, 1, 1)
+    assert find_genericity_violation([Fraction(1, 3), Fraction(1, 2), Fraction(1, 5)]) is None
+    assert find_genericity_violation([]) is None
+
+
+def _first_integer_run(fractions):
+    for i in range(1, len(fractions) + 1):
+        for j in range(i, len(fractions) + 1):
+            total = sum(fractions[i - 1:j], Fraction(0))
+            if total.denominator == 1:
+                return i, j - i, total
+    return None
+
+
+def test_genericity_matches_brute_force():
+    rng = random.Random(41)
+    hits = 0
+    for _ in range(400):
+        m = rng.randint(1, 12)
+        # small mixed denominators make integer-sum runs common
+        denominators = [rng.choice((2, 3, 4, 5, 6, 97)) for _ in range(m)]
+        fractions = [Fraction(rng.randint(1, q - 1), q) for q in denominators]
+        expected = _first_integer_run(fractions)
+        hits += expected is not None
+        assert find_genericity_violation(fractions) == expected
+    assert 100 < hits < 390
 
 
 def test_running_signal_validates(running_spec):
