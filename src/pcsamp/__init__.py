@@ -17,14 +17,12 @@ from .signal_core import (
     AmplitudeViolation,
     GenericityViolation,
     PiecewiseFunction,
-    Rational,
     Region,
     RegionViolation,
     SignalSpec,
     SpecViolation,
     Translation,
     as_rational,
-    evaluate,
     find_genericity_violation,
     translate,
     truth_function,

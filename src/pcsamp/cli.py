@@ -49,19 +49,24 @@ def _exact_field(raw, where: str) -> Fraction:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, bytes that are not UTF-8, over-long integers, over-deep nesting
+        raise ScenarioError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_scenario(path: str) -> tuple[SignalSpec, Union[str, tuple[tuple[int, ...], ...]]]:
     """Parse and validate a scenario file.
 
     Returns the validated signal plus either the keyword "all" or the
     explicit observation vectors.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
+    data = _read_json(path, "scenario")
     if not isinstance(data, dict) or "regions" not in data:
         raise ScenarioError("scenario must be an object with a \"regions\" list")
 
@@ -115,24 +120,21 @@ def load_observations_file(path: str, m: int) -> tuple[tuple[int, ...], ...]:
         try:
             with open(path, "r", encoding="utf-8", newline="") as handle:
                 rows = list(csv.reader(handle))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise ScenarioError(f"cannot read observations {path}: {exc}") from exc
         if not rows:
             raise ScenarioError(f"observations {path} is empty")
         header = rows[0]
-        if "eta_1" in header:
-            cols = [header.index(f"eta_{j}") for j in range(1, m + 1)]
-            data = [[int(row[c]) for c in cols] for row in rows[1:]]
-        else:
-            data = [[int(x) for x in row] for row in rows]
+        try:
+            if "eta_1" in header:
+                cols = [header.index(f"eta_{j}") for j in range(1, m + 1)]
+                data = [[int(row[c]) for c in cols] for row in rows[1:]]
+            else:
+                data = [[int(x) for x in row] for row in rows]
+        except (ValueError, IndexError) as exc:
+            raise ScenarioError(f"observations {path} is not an integer table: {exc}") from exc
         return _as_vectors(data, m, f"observations {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read observations {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"observations {path} is not valid JSON: {exc}") from exc
+    data = _read_json(path, "observations")
     if isinstance(data, dict):
         data = data.get("observations", data.get("cells"))
     return _as_vectors(data, m, f"observations {path}")
@@ -274,7 +276,7 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _estimate_rows(spec: SignalSpec, est: Estimate) -> tuple[list[str], list[list]]:
+def _estimate_rows(est: Estimate) -> tuple[list[str], list[list]]:
     headers = ["cell_lo", "cell_hi", "value", "provenance"]
     rows = [[c.lo, c.hi, c.value, c.tag] for c in est.cells]
     return headers, rows
@@ -350,7 +352,7 @@ def cmd_estimate(args) -> int:
             args.float,
         )
         return 0
-    headers, rows = _estimate_rows(spec, est)
+    headers, rows = _estimate_rows(est)
     if args.format == "table" and spec.T != 1:
         headers = headers[:2] + ["x_lo", "x_hi"] + headers[2:]
         rows = [[r[0], r[1], r[0] * spec.T, r[1] * spec.T, r[2], r[3]] for r in rows]
@@ -439,9 +441,8 @@ def cmd_demo(args) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, scenario: bool = True) -> None:
-    if scenario:
-        sub.add_argument("scenario", help="scenario JSON file")
+def _add_common(sub) -> None:
+    sub.add_argument("scenario", help="scenario JSON file")
     sub.add_argument("--format", choices=("table", "csv", "json"), default="table")
     sub.add_argument("--float", action="store_true",
                      help="render rationals as 12-significant-digit decimals")

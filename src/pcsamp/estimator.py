@@ -103,23 +103,19 @@ class ErrorReport:
     closed_form: Optional[Fraction]
     oracle_worst: Fraction
     agrees: bool
-    per_reference: Optional[dict[int, Fraction]] = None
 
 
 def _build_cells(model: UncertaintyModel, amplitudes: Sequence[Fraction]) -> tuple[EstimateCell, ...]:
     m, l, G = model.m, model.l, model.G
-    ch = model.chains
-    plus_starts = {c.anchor for c in ch.plus}
-    plus_ends = {c.anchor + c.length for c in ch.plus}
-    minus_starts = {c.anchor - c.length for c in ch.minus}
-    minus_ends = {c.anchor for c in ch.minus}
-    independent = model.Ucomp | ch.free | {l}
+    chains = model.chains.plus + model.chains.minus
+    independent = model.Ucomp | model.chains.free | {l}
 
     cells: list[EstimateCell] = []
 
-    # spans where the signal value is forced
-    left_ok = independent | plus_ends | minus_ends
-    right_ok = independent | plus_starts | minus_starts
+    # spans where the signal value is forced: region i's left end i-1 is
+    # independent or ends a chain, its right end i independent or starts one
+    left_ok = independent | {c.members[-1] for c in chains}
+    right_ok = independent | {c.members[0] for c in chains}
     for i in range(1, m + 1):
         if (i - 1) in left_ok and i in right_ok:
             lo, hi = Fraction(G[i - 1][1]), Fraction(G[i][0])
@@ -134,7 +130,7 @@ def _build_cells(model: UncertaintyModel, amplitudes: Sequence[Fraction]) -> tup
             )
 
     # midpoint cells over isolated uncertainty intervals (width one or two)
-    for i in sorted(model.Ucomp | ch.free):
+    for i in sorted(model.Ucomp | model.chains.free):
         lo, hi = G[i]
         value = (amp(amplitudes, i) + amp(amplitudes, i + 1)) / 2
         cells.append(
@@ -155,18 +151,13 @@ def _build_cells(model: UncertaintyModel, amplitudes: Sequence[Fraction]) -> tup
             lo=Fraction(lo), hi=Fraction(lo + 1), value=value, tag=CHAIN_INTERIOR, indices=idx
         )
 
-    for c in ch.plus:
-        t, span_lo = c.anchor, G[c.anchor][0]
-        cells.append(boundary(t, span_lo))
-        for k in range(2, c.b + 1):
-            cells.append(interior(span_lo + k - 1, (t + k - 2, t + k - 1, t + k)))
-        cells.append(boundary(t + c.length, G[t + c.length][1] - 1))
-    for c in ch.minus:
-        t, span_hi = c.anchor, G[c.anchor][1]
-        cells.append(boundary(t - c.length, G[t - c.length][0]))
-        for k in range(2, c.b + 1):
-            cells.append(interior(span_hi - k, (t - k + 1, t - k + 2, t - k + 3)))
-        cells.append(boundary(t, span_hi - 1))
+    for c in chains:
+        first, last = c.members[0], c.members[-1]
+        span_lo = G[first][0]
+        cells.append(boundary(first, span_lo))
+        for k in range(1, c.b):
+            cells.append(interior(span_lo + k, (first + k - 1, first + k, first + k + 1)))
+        cells.append(boundary(last, G[last][1] - 1))
 
     cells.sort(key=lambda cell: (cell.lo, cell.hi))
     span_lo, span_hi = Fraction(G[0][0]), Fraction(G[m][1])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .sampler import PatternAtlas, SamplingPattern
@@ -71,11 +72,13 @@ class ObservationSet:
 class Chain(object):
     """One maximal coupled run of width-two discontinuities.
 
-    ``anchor`` is the run's defining index (leftmost member for rightward
-    chains, rightmost member for leftward ones), ``length`` the number of
-    always-one-sample regions it spans, ``members`` the discontinuity
-    indices in ascending order, and ``b`` the interior-cell bound: the
-    chain's span holds unit cells 1 .. b+1, of which 2 .. b are interior.
+    A chain lies wholly on one side of the reference, and its rule is the
+    same on either side, reflected: ``anchor`` is the member nearest the
+    reference (the leftmost member right of it, the rightmost member left
+    of it), ``length`` the number of always-one-sample regions it spans,
+    ``members`` the discontinuity indices in ascending order, and ``b``
+    the interior-cell bound: the chain's span holds unit cells 1 .. b+1,
+    of which 2 .. b are interior.
     """
 
     anchor: int
@@ -93,13 +96,6 @@ class ChainStructure:
     @property
     def empty(self) -> bool:
         return not self.plus and not self.minus
-
-    @property
-    def member_indices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.plus + self.minus:
-            out.update(c.members)
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -123,9 +119,6 @@ class UncertaintyModel:
     @property
     def m(self) -> int:
         return len(self.C) - 1
-
-    def interval(self, i: int) -> tuple[int, int]:
-        return self.G[i]
 
     def width(self, i: int) -> int:
         lo, hi = self.G[i]
@@ -165,52 +158,42 @@ def chain_analysis(
 ) -> ChainStructure:
     """Group width-two discontinuities into coupled runs.
 
-    A rightward chain starts at an index t >= l+1 where t and t+1 are both
-    width two, some observation put more than one sample in region t, and
-    every observation put exactly one sample in region t+1; it extends
-    over the maximal run of always-one-sample regions.  Leftward chains
-    are the mirror image.  Whatever of U remains outside every chain is
-    returned as ``free``.
+    Regions a+1 .. b (a < b) that every observation fills with exactly one
+    sample form a maximal run with members a .. b.  A run that lies wholly
+    on one side of the reference (a > l or b < l) is a chain when its two
+    members nearest the reference are both width two: (a, a+1) on the
+    right, (b-1, b) on the left.  The rule is the same on either side,
+    reflected; a chain whose other members are not all width two is
+    inconsistent.  Whatever of U remains outside every chain is returned
+    as ``free``.
     """
-    m = obs.m
-    all_one = [False] + [all(p.eta[r - 1] == 1 for p in obs.patterns) for r in range(1, m + 1)]
+    all_one = [all(p.eta[r] == 1 for p in obs.patterns) for r in range(obs.m)]
+    runs: list[tuple[int, int]] = []
+    a = 0
+    for one, group in groupby(all_one):
+        b = a + len(list(group))
+        if one and (a > l or b < l):
+            runs.append((a, b))
+        a = b
+    # right side first, each side outward from the reference
+    runs.sort(key=lambda run: (run[0] < l, abs(run[0] - l)))
 
     plus: list[Chain] = []
-    claimed: set[int] = set()
-    for t in range(l + 1, m):
-        if t in claimed:
-            continue
-        if t in U and (t + 1) in U and not all_one[t] and all_one[t + 1]:
-            lam = 1
-            while t + lam + 1 <= m and all_one[t + lam + 1]:
-                lam += 1
-            members = tuple(range(t, t + lam + 1))
-            if not set(members) <= U:
-                raise InconsistentObservations(
-                    f"coupled run {members} crosses a width-one discontinuity"
-                )
-            b = (G[t + lam][1] - G[t][0]) - 1
-            assert b == lam + 1, "chain span must hold exactly length+2 unit cells"
-            plus.append(Chain(anchor=t, length=lam, members=members, b=b))
-            claimed.update(members)
-
     minus: list[Chain] = []
-    for t in range(l - 1, 0, -1):
-        if t in claimed:
+    claimed: set[int] = set()
+    for a, b in runs:
+        anchor, near, side = (a, a + 1, plus) if a > l else (b, b - 1, minus)
+        if anchor not in U or near not in U:
             continue
-        if t in U and (t - 1) in U and not all_one[t + 1] and all_one[t]:
-            lam = 1
-            while t - lam >= 1 and all_one[t - lam]:
-                lam += 1
-            members = tuple(range(t - lam, t + 1))
-            if not set(members) <= U:
-                raise InconsistentObservations(
-                    f"coupled run {members} crosses a width-one discontinuity"
-                )
-            b = (G[t][1] - G[t - lam][0]) - 1
-            assert b == lam + 1, "chain span must hold exactly length+2 unit cells"
-            minus.append(Chain(anchor=t, length=lam, members=members, b=b))
-            claimed.update(members)
+        members = tuple(range(a, b + 1))
+        if not set(members) <= U:
+            raise InconsistentObservations(
+                f"coupled run {members} crosses a width-one discontinuity"
+            )
+        span = (G[b][1] - G[a][0]) - 1
+        assert span == b - a + 1, "chain span must hold exactly length+2 unit cells"
+        side.append(Chain(anchor=anchor, length=b - a, members=members, b=span))
+        claimed.update(members)
 
     free = frozenset(U - claimed)
     return ChainStructure(plus=tuple(plus), minus=tuple(minus), free=free)

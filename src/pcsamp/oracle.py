@@ -72,9 +72,6 @@ class FeasibleBox:
     def m(self) -> int:
         return len(self.G) - 1
 
-    def interval(self, i: int) -> tuple[int, int]:
-        return self.G[i]
-
 
 def feasible_box(model: UncertaintyModel) -> FeasibleBox:
     """Search geometry implied by an uncertainty model."""
@@ -156,19 +153,6 @@ def energy_between(a: PiecewiseFunction, b: PiecewiseFunction) -> Fraction:
 
 def _fn_of(est: Union[Estimate, PiecewiseFunction]) -> PiecewiseFunction:
     return est.fn if isinstance(est, Estimate) else est
-
-
-def _integral_sq_const(fn: PiecewiseFunction, c: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
-    """Exact integral of (c - fn)^2 over [lo, hi]."""
-    if lo >= hi:
-        return Fraction(0)
-    pts = [lo] + [x for x in fn.breakpoints if lo < x < hi] + [hi]
-    total = Fraction(0)
-    for p, q in zip(pts, pts[1:]):
-        diff = c - fn.evaluate((p + q) / 2)
-        if diff:
-            total += diff * diff * (q - p)
-    return total
 
 
 def _cumulative_sq(fn: PiecewiseFunction, c: Fraction, anchors: Sequence[Fraction]) -> dict[Fraction, Fraction]:
@@ -292,7 +276,7 @@ def worst_case_energy(
     outcomes = tuple(_zone_extremes(fn, g, box, z, resolution) for z in box.zones)
     const = Fraction(0)
     for lo, hi, region in _known_spans(box):
-        const += _integral_sq_const(fn, amp(g, region), lo, hi)
+        const += _cumulative_sq(fn, amp(g, region), (lo, hi))[hi]
 
     covered = sum((Fraction(z.hi - z.lo) for z in box.zones), Fraction(0))
     covered += sum((hi - lo for lo, hi, _ in _known_spans(box)), Fraction(0))
@@ -363,8 +347,8 @@ def perturbation_minimax_check(
                 value = base.const + zone_totals - base.zones[zone_idx].max_energy + redo.max_energy
             else:
                 region = next(r for lo, hi, r in spans if lo <= cell_lo and cell_hi <= hi)
-                old = _integral_sq_const(est.fn, amp(g, region), cell_lo, cell_hi)
-                new = _integral_sq_const(fn2, amp(g, region), cell_lo, cell_hi)
+                old = _cumulative_sq(est.fn, amp(g, region), (cell_lo, cell_hi))[cell_hi]
+                new = _cumulative_sq(fn2, amp(g, region), (cell_lo, cell_hi))[cell_hi]
                 value = base.const - old + new + zone_totals
             probes.append(
                 PerturbationProbe(

@@ -27,8 +27,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[int, str, Fraction]
 
 
@@ -277,10 +275,6 @@ class PiecewiseFunction:
 
     __call__ = evaluate
 
-    @property
-    def support(self) -> tuple[Fraction, Fraction]:
-        return self.breakpoints[0], self.breakpoints[-1]
-
     def with_value(self, lo: RationalLike, hi: RationalLike, value: RationalLike) -> "PiecewiseFunction":
         """A copy of this function forced to ``value`` on [lo, hi)."""
         lo, hi, value = as_rational(lo), as_rational(hi), as_rational(value)
@@ -301,11 +295,6 @@ class PiecewiseFunction:
         if not vals:
             raise ValueError("override produced an identically zero function")
         return PiecewiseFunction(tuple(pts), tuple(vals))
-
-
-def evaluate(fn: PiecewiseFunction, t: RationalLike) -> Fraction:
-    """Value of ``fn`` at ``t`` under the half-open interval convention."""
-    return fn.evaluate(t)
 
 
 def truth_function(spec: SignalSpec, l: int) -> PiecewiseFunction:

@@ -1,10 +1,13 @@
 """Command-line surface: formats, exit codes, round trips."""
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcsamp.cli import main
 
@@ -240,3 +243,58 @@ def test_physical_units_scale(tmp_path, capsys):
     assert first["x_hi"] == "1/2"
     assert payload["closed_form_energy"] == "2"
     assert payload["closed_form_energy_physical"] == "1"
+
+
+@pytest.mark.parametrize(
+    "command, name, content",
+    [
+        ("infer", "obs.csv", b"eta_1,eta_2\n2,x\n"),                    # non-integer cell
+        ("infer", "obs.csv", b"eta_1,eta_3\n2,3\n"),                    # no eta_2 column
+        ("infer", "obs.csv", b"eta_1,eta_2\n2,3\n2\n"),                 # short row
+        ("infer", "obs.json", b"[[2, 3], [2, \xff]]"),                  # not UTF-8
+        ("infer", "obs.json", b"[[2, " + b"9" * 5000 + b"]]"),          # over-long integer
+        ("infer", "obs.json", b"[" * 100000),                          # over-deep nesting
+        ("validate", "scenario.json", json.dumps(RUNNING).encode() + b"\xff"),  # not UTF-8
+    ],
+    ids=["csv-cell", "csv-column", "csv-row", "json-utf8", "json-digits", "json-depth", "scenario-utf8"],
+)
+def test_unreadable_input_exit2(running_file, tmp_path, capsys, command, name, content):
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    if command == "validate":
+        argv = ["validate", str(bad)]
+    else:
+        argv = [command, running_file, "--ref", "0", "--observations", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ScenarioError ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def running_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("property")
+    (path / "running.json").write_text(json.dumps(RUNNING))
+    return path
+
+
+# two-column count tables; some rows are achievable patterns of RUNNING
+_ROWS = st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=2), min_size=1, max_size=3)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    content=st.one_of(
+        st.binary(max_size=64),
+        _ROWS.map(lambda rows: json.dumps(rows).encode()),
+        _ROWS.map(lambda rows: "\n".join(",".join(map(str, r)) for r in rows).encode()),
+    ),
+    suffix=st.sampled_from([".csv", ".json"]),
+)
+def test_any_observations_file_exits_cleanly(running_dir, content, suffix):
+    """Any bytes, or small count tables as JSON or CSV, give exit 0, 2 or 3."""
+    obs = running_dir / f"obs{suffix}"
+    obs.write_bytes(content)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["infer", str(running_dir / "running.json"), "--ref", "0",
+                     "--observations", str(obs)])
+    assert code in (0, 2, 3)

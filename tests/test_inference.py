@@ -5,12 +5,14 @@ import random
 import pytest
 
 from pcsamp import (
+    Chain,
     InconsistentObservations,
     ObservationSet,
     SignalSpec,
     chain_analysis,
     cumulative_values,
     enumerate_atlas,
+    estimate_partial,
     infer_model,
     random_spec,
     translate,
@@ -189,3 +191,70 @@ def test_mirrored_observations_mirror_the_model():
             for i in range(m + 1):
                 assert a.G[i] == (-b.G[m - i][1], -b.G[m - i][0])
             assert {m - i for i in a.U} == set(b.U)
+
+
+def _reflect_chain(c, m):
+    return Chain(anchor=m - c.anchor, length=c.length, members=tuple(m - i for i in reversed(c.members)), b=c.b)
+
+
+def _chain_shaped_cases(seed, count):
+    """Signals with n in {2, 3}, each seen through one atlas pattern or an
+    adjacent pair, with the reference at either end, plus their mirrors."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        spec = random_spec(rng, m_range=(2, 8), n_range=(2, 3))
+        m = spec.m
+        mirror_g = tuple(reversed(spec.g))
+        patterns = list(enumerate_atlas(spec).patterns)
+        subsets = [[p] for p in patterns] + [list(pair) for pair in zip(patterns, patterns[1:])]
+        for subset in subsets:
+            obs = ObservationSet.of(subset, spec.g)
+            mirrored_obs = ObservationSet.of([tuple(reversed(p.eta)) for p in subset], mirror_g)
+            for l in (0, m):
+                yield spec, mirror_g, obs, mirrored_obs, l
+
+
+def test_chains_reflect_between_sides():
+    seen = 0
+    for spec, _, obs, mirrored_obs, l in _chain_shaped_cases(53, 40):
+        m = spec.m
+        a = infer_model(obs, l).chains
+        b = infer_model(mirrored_obs, m - l).chains
+        assert b.plus == tuple(_reflect_chain(c, m) for c in a.minus)
+        assert b.minus == tuple(_reflect_chain(c, m) for c in a.plus)
+        assert b.free == {m - i for i in a.free}
+        seen += len(a.plus) + len(a.minus)
+    assert seen > 100
+
+
+def test_partial_estimates_reflect_between_sides():
+    def outcome(model, g, reflect):
+        try:
+            cells = estimate_partial(model, g).cells
+        except Exception as exc:
+            return type(exc)
+        m = model.m
+        if reflect:
+            return [
+                (-c.hi, -c.lo, c.value, c.tag, tuple(sorted(m + 1 - j for j in c.indices)))
+                for c in reversed(cells)
+            ]
+        return [(c.lo, c.hi, c.value, c.tag, c.indices) for c in cells]
+
+    for spec, mirror_g, obs, mirrored_obs, l in _chain_shaped_cases(59, 25):
+        a = outcome(infer_model(obs, l), spec.g, reflect=False)
+        b = outcome(infer_model(mirrored_obs, spec.m - l), mirror_g, reflect=True)
+        assert a == b
+
+
+def test_chain_with_a_width_one_member_is_inconsistent():
+    # regions 2 and 3 always hold one sample: members 1, 2, 3 right of l = 0
+    right = ObservationSet.of([(3, 1, 1)], [4, 2, 1])
+    G = ((0, 0), (2, 4), (3, 5), (4, 6))
+    with pytest.raises(InconsistentObservations, match=r"\(1, 2, 3\)"):
+        chain_analysis(right, 0, frozenset({1, 2}), G)
+    # the mirror image: members 0, 1, 2 left of l = 3
+    left = ObservationSet.of([(1, 1, 3)], [1, 2, 4])
+    G = ((-6, -4), (-5, -3), (-4, -2), (0, 0))
+    with pytest.raises(InconsistentObservations, match=r"\(0, 1, 2\)"):
+        chain_analysis(left, 3, frozenset({1, 2}), G)

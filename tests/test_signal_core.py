@@ -12,7 +12,6 @@ from pcsamp import (
     RegionViolation,
     SignalSpec,
     as_rational,
-    evaluate,
     find_genericity_violation,
     translate,
     truth_function,
@@ -105,10 +104,10 @@ def test_reference_zero_spans_total_length(running_spec):
 
 def test_evaluate_half_open_convention(running_spec):
     fn = truth_function(running_spec, 0)
-    assert evaluate(fn, 0) == 4          # left endpoint included
-    assert evaluate(fn, Fraction(17, 4)) == 0   # right endpoint excluded
+    assert fn.evaluate(0) == 4          # left endpoint included
+    assert fn.evaluate(Fraction(17, 4)) == 0   # right endpoint excluded
     fn1 = truth_function(running_spec, 1)
-    assert evaluate(fn1, -1) == 4        # D_0 = -7/4 < -1 < 0 lies in region 1
+    assert fn1.evaluate(-1) == 4        # D_0 = -7/4 < -1 < 0 lies in region 1
 
 
 def test_translations_are_shifts(running_spec):
