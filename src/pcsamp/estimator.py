@@ -14,8 +14,10 @@ units of amplitude squared times one grid step.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .inference import UncertaintyModel
@@ -60,6 +62,9 @@ class EstimateCell:
 class Estimate:
     """A piecewise constant estimate on integer grid cells.
 
+    ``cells`` are sorted by (lo, hi) and tile ``span``; a degenerate known
+    cell (lo == hi) only fixes the value at its single point.
+
     ``fn`` is the measure-level function (half-open cells) used for
     integration; ``value_at`` additionally honors closed known spans so
     grid-point queries reproduce the forced signal values exactly.
@@ -70,21 +75,25 @@ class Estimate:
     fn: PiecewiseFunction
     span: tuple[int, int]
 
+    @cached_property
+    def _cell_los(self) -> tuple[Fraction, ...]:
+        return tuple(cell.lo for cell in self.cells)
+
     def value_at(self, t: RationalLike) -> Fraction:
         t = as_rational(t)
-        for cell in self.cells:
+        cells, los = self.cells, self._cell_los
+        j = bisect_left(los, t)   # cells[:j] start left of t
+        if j and t < cells[j - 1].hi:
+            return cells[j - 1].value
+        # t is a cell bound or outside the span: a known cell owning it wins
+        for cell in cells[max(j - 1, 0):bisect_right(los, t)]:
             if cell.tag == KNOWN and (
-                (cell.lo < t < cell.hi)
-                or (t == cell.lo and cell.closed_lo)
-                or (t == cell.hi and cell.closed_hi)
+                (t == cell.lo and cell.closed_lo) or (t == cell.hi and cell.closed_hi)
             ):
                 return cell.value
         lo, hi = self.span
         if t <= lo or t >= hi:
             return Fraction(0)
-        for cell in self.cells:
-            if cell.lo < t < cell.hi:
-                return cell.value
         # t sits on a boundary between two open cells; fall back to the
         # half-open convention (the energy does not depend on this point).
         return self.fn.evaluate(t)

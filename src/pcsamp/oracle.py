@@ -10,11 +10,23 @@ The feasible set treats uncertainty intervals as an independent box,
 except inside coupled runs where an always-one-sample region forces the
 spacing of consecutive discontinuities into [1, 2) grid steps.  Joint
 constraints beyond that are intentionally out of scope.
+
+The search runs on integers.  Inside a zone every position is an integer
+over N, the lcm of the grid resolution R and the denominators of the
+estimate's breakpoints there, and every integral of (c - estimate)^2 is an
+integer over N * D^2, D the common denominator of the amplitudes and the
+estimate's values; Fractions are built only for the results.  A coupled
+step takes a maximum over a window that only moves forward, so it costs
+O(R) per member pair.  :func:`energy_between` integrates with Fractions
+and stays the independent cross-check.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -44,10 +56,6 @@ from .signal_core import (
 
 class EmptyFeasibleSet(ValueError):
     """No discontinuity placement satisfies the spacing constraints."""
-
-
-SPACING_LO = Fraction(1)   # coupled runs: 1 <= D_{i+1} - D_i < 2
-SPACING_HI = Fraction(2)
 
 
 @dataclass(frozen=True)
@@ -155,25 +163,103 @@ def _fn_of(est: Union[Estimate, PiecewiseFunction]) -> PiecewiseFunction:
     return est.fn if isinstance(est, Estimate) else est
 
 
-def _cumulative_sq(fn: PiecewiseFunction, c: Fraction, anchors: Sequence[Fraction]) -> dict[Fraction, Fraction]:
-    """Map each anchor point to the integral of (c - fn)^2 from the first anchor."""
-    lo, hi = anchors[0], anchors[-1]
-    walk = sorted(set(anchors) | {x for x in fn.breakpoints if lo < x < hi})
-    wanted = set(anchors)
-    cum: dict[Fraction, Fraction] = {lo: Fraction(0)}
-    total = Fraction(0)
-    for p, q in zip(walk, walk[1:]):
-        diff = c - fn.evaluate((p + q) / 2)
-        if diff:
-            total += diff * diff * (q - p)
-        if q in wanted:
-            cum[q] = total
-    return cum
+def _scaled_cumulatives(
+    fn: PiecewiseFunction,
+    amplitudes: Sequence[Fraction],
+    lo: int,
+    hi: int,
+    resolution: int,
+) -> tuple[int, dict[Fraction, list[int]]]:
+    """Integrals of (c - fn)^2 from ``lo`` to every grid point, per amplitude c.
+
+    The grid points are lo + k/resolution for k = 0..(hi-lo)*resolution.
+    Positions are integers over N, the lcm of ``resolution`` and the
+    denominators of fn's breakpoints inside (lo, hi); values are integers
+    over D, the lcm of the denominators of the amplitudes and of fn's
+    values on [lo, hi].  So every integral is an integer over
+    scale = N * D^2, which is returned with the lists.
+    """
+    bps = fn.breakpoints
+    first, last = bisect_right(bps, lo), bisect_left(bps, hi)
+    inner = bps[first:last]
+    vals = [fn.values[j] if 0 <= j < len(fn.values) else Fraction(0) for j in range(first - 1, last)]
+    N = math.lcm(resolution, *(x.denominator for x in inner))
+    D = math.lcm(*(v.denominator for v in (*amplitudes, *vals)))
+    step = N // resolution
+    x0 = lo * N
+    cuts = [x0, *(x.numerator * (N // x.denominator) for x in inner), hi * N]
+    scaled_vals = [v.numerator * (D // v.denominator) for v in vals]
+    out: dict[Fraction, list[int]] = {}
+    for c in set(amplitudes):
+        ic = c.numerator * (D // c.denominator)
+        cum: list[int] = []
+        base = 0
+        for a, b, v in zip(cuts, cuts[1:], scaled_vals):
+            rate = (ic - v) ** 2
+            start = x0 - (x0 - a) // step * step   # first grid point at or after a
+            cum.extend([base + rate * (x - a) for x in range(start, b, step)])
+            base += rate * (b - a)
+        cum.append(base)
+        out[c] = cum
+    return N * D * D, out
 
 
-def _interior_grid(interval: tuple[int, int], resolution: int) -> list[Fraction]:
-    lo, hi = interval
-    return [Fraction(lo) + Fraction(k, resolution) for k in range(1, (hi - lo) * resolution)]
+def _span_energy(fn: PiecewiseFunction, c: Fraction, lo: int, hi: int) -> Fraction:
+    """Integral of (c - fn)^2 over [lo, hi]."""
+    scale, cums = _scaled_cumulatives(fn, (c,), lo, hi, 1)
+    return Fraction(cums[c][-1], scale)
+
+
+def _window_step(
+    hi_prev: list[Optional[int]],
+    lo_prev: list[Optional[int]],
+    ps: range,
+    qs: range,
+    cum: list[int],
+    resolution: int,
+) -> tuple[list[Optional[int]], list[Optional[int]], list[Optional[int]]]:
+    """One coupled step of the sweep, over grid indices of the zone.
+
+    For every q in ``qs`` returns the largest and the smallest
+    prev[p] + cum[q] - cum[p] over the reached p in ``ps`` (entries that
+    are not None) with resolution <= q - p < 2 * resolution, and the p that
+    gives the largest (the earliest one on ties); None where no p is in
+    reach.  The window only moves forward, so a monotone deque of
+    (p, prev[p] - cum[p]) per side finds each extreme in amortized O(1).
+    """
+    r = resolution
+    hi_next: list[Optional[int]] = []
+    lo_next: list[Optional[int]] = []
+    back: list[Optional[int]] = []
+    hi_dq: deque[tuple[int, int]] = deque()   # keys non-increasing front to back
+    lo_dq: deque[tuple[int, int]] = deque()   # keys non-decreasing front to back
+    j = 0
+    for q in qs:
+        while j < len(ps) and ps[j] <= q - r:
+            if hi_prev[j] is not None:
+                p = ps[j]
+                key = hi_prev[j] - cum[p]
+                while hi_dq and hi_dq[-1][1] < key:
+                    hi_dq.pop()
+                hi_dq.append((p, key))
+                key = lo_prev[j] - cum[p]
+                while lo_dq and lo_dq[-1][1] > key:
+                    lo_dq.pop()
+                lo_dq.append((p, key))
+            j += 1
+        while hi_dq and hi_dq[0][0] <= q - 2 * r:
+            hi_dq.popleft()
+        while lo_dq and lo_dq[0][0] <= q - 2 * r:
+            lo_dq.popleft()
+        if hi_dq:
+            hi_next.append(hi_dq[0][1] + cum[q])
+            lo_next.append(lo_dq[0][1] + cum[q])
+            back.append(hi_dq[0][0])
+        else:
+            hi_next.append(None)
+            lo_next.append(None)
+            back.append(None)
+    return hi_next, lo_next, back
 
 
 def _zone_extremes(
@@ -188,68 +274,67 @@ def _zone_extremes(
     Within a zone the truth takes the run of amplitudes bounded by the
     member discontinuities, so the energy decomposes over consecutive
     member pairs and a forward sweep maximizes (and minimizes) it exactly
-    on the rational grid; coupled zones respect the [1, 2) spacing.
+    on the rational grid.  Grid points are indices k of zone.lo + k/R
+    (R = ``resolution``) and the cumulative energies are integers over
+    N * D^2 (see :func:`_scaled_cumulatives`), so the sweep compares ints.
+    A coupled step keeps the spacing in [1, 2), that is R <= q - p < 2R,
+    and takes a windowed maximum: O(R) per member pair instead of O(R^2).
+    The earliest grid point wins ties, and only the argmax is rebuilt as
+    Fractions, from one back-pointer list per member.
     """
-    members = zone.members
+    members, r = zone.members, resolution
     first = members[0]
+    assert all(
+        zone.lo <= box.G[i][0] and box.G[i][1] <= zone.hi for i in members
+    ), "zone members must lie inside the zone"
     amps = [amp(amplitudes, first + j) for j in range(len(members) + 1)]
-    grids = [_interior_grid(box.G[i], resolution) for i in members]
-    lo, hi = Fraction(zone.lo), Fraction(zone.hi)
-    anchors = sorted(set().union(*grids) | {lo, hi})
-    cums = {c: _cumulative_sq(fn, c, anchors) for c in set(amps)}
+    scale, cums = _scaled_cumulatives(fn, amps, zone.lo, zone.hi, r)
+    grids = [range((box.G[i][0] - zone.lo) * r + 1, (box.G[i][1] - zone.lo) * r) for i in members]
 
-    def seg(c: Fraction, a: Fraction, b: Fraction) -> Fraction:
-        return cums[c][b] - cums[c][a]
-
-    # state per grid point of the current member: best/worst total so far
-    # for the energy left of that member, plus the witness path
-    hi_state = {p: (seg(amps[0], lo, p), (p,)) for p in grids[0]}
-    lo_state = {p: (seg(amps[0], lo, p), (p,)) for p in grids[0]}
+    # per grid point of the current member: largest and smallest energy left
+    # of that member, or None when no feasible placement reaches the point
+    cum = cums[amps[0]]
+    hi_state: list[Optional[int]] = [cum[p] for p in grids[0]]
+    lo_state = list(hi_state)
+    backs = []
     for k in range(1, len(members)):
         assert zone.coupled, "multi-member zones are always coupled runs"
-        nxt_hi: dict[Fraction, tuple[Fraction, tuple[Fraction, ...]]] = {}
-        nxt_lo: dict[Fraction, tuple[Fraction, tuple[Fraction, ...]]] = {}
-        for q in grids[k]:
-            for p in grids[k - 1]:
-                if not (SPACING_LO <= q - p < SPACING_HI):
-                    continue
-                step = seg(amps[k], p, q)
-                v, path = hi_state[p]
-                cand = v + step
-                if q not in nxt_hi or cand > nxt_hi[q][0]:
-                    nxt_hi[q] = (cand, path + (q,))
-                v, path = lo_state[p]
-                cand = v + step
-                if q not in nxt_lo or cand < nxt_lo[q][0]:
-                    nxt_lo[q] = (cand, path + (q,))
-        if not nxt_hi:
+        hi_state, lo_state, back = _window_step(
+            hi_state, lo_state, grids[k - 1], grids[k], cums[amps[k]], r
+        )
+        if all(p is None for p in back):
             raise EmptyFeasibleSet(
                 f"no grid placement satisfies the spacing constraints in zone {members}"
             )
-        hi_state, lo_state = nxt_hi, nxt_lo
+        backs.append(back)
 
-    best: Optional[tuple[Fraction, tuple[Fraction, ...]]] = None
-    worst: Optional[Fraction] = None
-    for p, (v, path) in hi_state.items():
-        total = v + seg(amps[-1], p, hi)
-        if best is None or total > best[0]:
-            best = (total, path)
-    for p, (v, _) in lo_state.items():
-        total = v + seg(amps[-1], p, hi)
-        if worst is None or total < worst:
-            worst = total
+    cum = cums[amps[-1]]
+    best: Optional[tuple[int, int]] = None
+    worst: Optional[int] = None
+    for q, v, w in zip(grids[-1], hi_state, lo_state):
+        if v is None:
+            continue
+        tail = cum[-1] - cum[q]
+        if best is None or v + tail > best[0]:
+            best = (v + tail, q)
+        if worst is None or w + tail < worst:
+            worst = w + tail
     assert best is not None and worst is not None
+    path = [best[1]]
+    for back, grid in zip(reversed(backs), reversed(grids[1:])):
+        path.append(back[path[-1] - grid.start])
     return ZoneOutcome(
         members=members, lo=zone.lo, hi=zone.hi,
-        max_energy=best[0], min_energy=worst, argmax=best[1],
+        max_energy=Fraction(best[0], scale), min_energy=Fraction(worst, scale),
+        argmax=tuple(Fraction(zone.lo * r + q, r) for q in reversed(path)),
     )
 
 
-def _known_spans(box: FeasibleBox) -> list[tuple[Fraction, Fraction, int]]:
+def _known_spans(box: FeasibleBox) -> list[tuple[int, int, int]]:
     """Positive-length stretches where the truth value is forced: (lo, hi, region)."""
     spans = []
     for i in range(1, box.m + 1):
-        lo, hi = Fraction(box.G[i - 1][1]), Fraction(box.G[i][0])
+        lo, hi = box.G[i - 1][1], box.G[i][0]
         if lo < hi:
             spans.append((lo, hi, i))
     return spans
@@ -267,19 +352,21 @@ def worst_case_energy(
     strictly inside each uncertainty interval, so every evaluation is
     exact; the total decomposes into forced spans (placement independent)
     plus one term per zone, searched independently (jointly inside
-    coupled runs).
+    coupled runs).  Both parts use one integer integrator: positions are
+    integers over the zone's lattice N, the lcm of ``resolution`` and the
+    denominators of the estimate's breakpoints inside it, and Fractions
+    are built only for the results.  A zone of k members costs
+    O(k * R) grid steps at R = ``resolution``.
     """
     if resolution < 2:
         raise ValueError("need at least 2 grid points per unit interval")
     fn = _fn_of(est)
     g = tuple(amplitudes)
     outcomes = tuple(_zone_extremes(fn, g, box, z, resolution) for z in box.zones)
-    const = Fraction(0)
-    for lo, hi, region in _known_spans(box):
-        const += _cumulative_sq(fn, amp(g, region), (lo, hi))[hi]
+    spans = _known_spans(box)
+    const = sum((_span_energy(fn, amp(g, region), lo, hi) for lo, hi, region in spans), Fraction(0))
 
-    covered = sum((Fraction(z.hi - z.lo) for z in box.zones), Fraction(0))
-    covered += sum((hi - lo for lo, hi, _ in _known_spans(box)), Fraction(0))
+    covered = sum(z.hi - z.lo for z in box.zones) + sum(hi - lo for lo, hi, _ in spans)
     assert covered == box.G[box.m][1] - box.G[0][0], "zones and forced spans must tile the span"
 
     witness: dict[int, Fraction] = {box.l: Fraction(0)}
@@ -347,8 +434,8 @@ def perturbation_minimax_check(
                 value = base.const + zone_totals - base.zones[zone_idx].max_energy + redo.max_energy
             else:
                 region = next(r for lo, hi, r in spans if lo <= cell_lo and cell_hi <= hi)
-                old = _cumulative_sq(est.fn, amp(g, region), (cell_lo, cell_hi))[cell_hi]
-                new = _cumulative_sq(fn2, amp(g, region), (cell_lo, cell_hi))[cell_hi]
+                old = _span_energy(est.fn, amp(g, region), n - 1, n)
+                new = _span_energy(fn2, amp(g, region), n - 1, n)
                 value = base.const - old + new + zone_totals
             probes.append(
                 PerturbationProbe(

@@ -210,3 +210,46 @@ def test_estimate_mirror_symmetry():
 def test_grid_cell_constants(running_spec):
     est = estimate_full(_full_model(running_spec, 0), running_spec.g)
     assert est.gammas == {1: 4, 2: 3, 3: 2, 4: 2, 5: 1}
+
+
+def _value_at_reference(est, t):
+    # the definition by two scans: known cells own their closed ends, then
+    # any open cell, then the half-open convention at open-cell bounds
+    for cell in est.cells:
+        if cell.tag == "known" and (
+            (cell.lo < t < cell.hi)
+            or (t == cell.lo and cell.closed_lo)
+            or (t == cell.hi and cell.closed_hi)
+        ):
+            return cell.value
+    lo, hi = est.span
+    if t <= lo or t >= hi:
+        return Fraction(0)
+    for cell in est.cells:
+        if cell.lo < t < cell.hi:
+            return cell.value
+    return est.fn.evaluate(t)
+
+
+def test_value_at_matches_reference_definition():
+    rng = random.Random(17)
+    estimates = []
+    while len(estimates) < 150:
+        spec = random_spec(rng, m_range=(1, 6), n_range=(2, 3))
+        patterns = enumerate_atlas(spec).patterns
+        k = rng.randrange(len(patterns))
+        observed = [patterns[k]] if rng.random() < 0.5 else list(patterns[k:k + 2])
+        try:
+            model = infer_model(ObservationSet.of(observed, spec.g), rng.randint(0, spec.m))
+            estimates.append(estimate_partial(model, spec.g))
+        except AssertionError:   # the known inverted forced-span defect
+            continue
+    degenerate = 0
+    for est in estimates:
+        degenerate += any(c.lo == c.hi for c in est.cells)
+        lo, hi = est.span
+        points = [Fraction(j, 2) for j in range(2 * lo - 3, 2 * hi + 4)]
+        points += [Fraction(rng.randint(6 * lo - 6, 6 * hi + 6), 6) for _ in range(10)]
+        for t in points:
+            assert est.value_at(t) == _value_at_reference(est, t), (est.cells, t)
+    assert degenerate > 0

@@ -271,3 +271,115 @@ def test_verify_scenario_green(running_spec):
     names = {r.name for r in results}
     assert "minimax-worst-case-equality" in names
     assert "width-two-energy-equality" in names
+
+
+def _brute_force_chain(fn, g, box, resolution):
+    """Energies of every feasible grid placement of a box with one coupled zone.
+
+    Returns {placement: energy}; every discontinuity outside the zone is the
+    reference at 0.
+    """
+    (zone,) = box.zones
+    grids = [
+        [box.G[i][0] + Fraction(k, resolution) for k in range(1, (box.G[i][1] - box.G[i][0]) * resolution)]
+        for i in zone.members
+    ]
+    placements = [()]
+    for grid in grids:
+        placements = [
+            path + (q,) for path in placements for q in grid if not path or 1 <= q - path[-1] < 2
+        ]
+    energies = {}
+    for path in placements:
+        positions = {box.l: Fraction(0), **dict(zip(zone.members, path))}
+        placed = PiecewiseFunction(tuple(positions[i] for i in range(box.m + 1)), g)
+        energies[path] = energy_between(placed, fn)
+    return energies
+
+
+_CHAIN_CASES = (
+    ([(3, 1)], (4, 2), 0),          # right chain, members (1, 2)
+    ([(1, 3)], (2, 5), 2),          # left chain, members (0, 1)
+    ([(3, 1, 1)], (4, 2, 1), 0),    # right chain, members (1, 2, 3)
+    ([(1, 1, 3)], (1, 3, -2), 3),   # left chain, members (0, 1, 2)
+)
+
+
+def _check_against_brute_force(fn, g, box, resolution):
+    energies = _brute_force_chain(fn, g, box, resolution)
+    wc = worst_case_energy(fn, g, box, resolution)
+    (zone,) = wc.zones
+    assert wc.const + zone.max_energy == wc.value == max(energies.values())
+    assert wc.const + zone.min_energy == min(energies.values())
+    # the witness is the best placement whose last member sits earliest,
+    # then the one before it, and so on
+    best = [path for path, energy in energies.items() if energy == wc.value]
+    assert zone.argmax == min(best, key=lambda path: path[::-1])
+    for a, b in zip(zone.argmax, zone.argmax[1:]):
+        assert 1 <= b - a < 2
+
+
+@pytest.mark.parametrize("observed, g, l", _CHAIN_CASES)
+def test_chain_sweep_matches_brute_force(observed, g, l):
+    g = tuple(map(Fraction, g))
+    model = infer_model(ObservationSet.of(observed, g), l)
+    box = feasible_box(model)
+    assert len(box.zones) == 1 and box.zones[0].coupled
+    est = estimate_partial(model, g)
+    for resolution in range(3, 9):
+        _check_against_brute_force(est.fn, g, box, resolution)
+
+
+@pytest.mark.parametrize("g", [(1, 3), (1, -1)])
+def test_chain_sweep_window_ends_and_ties(g):
+    # fn = 0: with g = (1, 3) the energy is p - 1 + 9 (q - p) + const, best
+    # just inside the open end of the spacing window; with g = (1, -1) it is
+    # q - 1 + const, so every p in the window ties and the earliest wins
+    box = FeasibleBox(
+        l=0, G=((0, 0), (1, 3), (2, 4)), zones=(Zone(members=(1, 2), lo=1, hi=4, coupled=True),)
+    )
+    fn = PiecewiseFunction((Fraction(0), Fraction(4)), (Fraction(0),))
+    for resolution in range(3, 9):
+        _check_against_brute_force(fn, tuple(map(Fraction, g)), box, resolution)
+
+
+def test_chain_sweep_skips_unreachable_points():
+    # member 2's points above 4 cannot follow member 1 within a gap below 2,
+    # but some of them could precede member 3: they must not be used
+    box = FeasibleBox(
+        l=0,
+        G=((0, 0), (1, 2), (2, 5), (5, 7)),
+        zones=(Zone(members=(1, 2, 3), lo=1, hi=7, coupled=True),),
+    )
+    fn = PiecewiseFunction((Fraction(0), Fraction(7)), (Fraction(1),))
+    for resolution in range(4, 9):   # at 3, member 3 is out of reach
+        _check_against_brute_force(fn, (Fraction(2), Fraction(1), Fraction(3)), box, resolution)
+
+
+def test_chain_sweep_off_lattice_breakpoint():
+    # a breakpoint at 7/3 inside the zone puts the lattice at N = 12 or 15
+    g = (Fraction(4), Fraction(2))
+    model = infer_model(ObservationSet.of([(3, 1)], g), 0)
+    box = feasible_box(model)
+    assert box.zones[0].lo < Fraction(7, 3) < box.zones[0].hi
+    fn = estimate_partial(model, g).fn.with_value(Fraction(7, 3), Fraction(13, 4), Fraction(5, 3))
+    assert Fraction(7, 3) in fn.breakpoints
+    for resolution in (4, 5):
+        _check_against_brute_force(fn, g, box, resolution)
+
+
+def test_empty_feasible_set_on_the_second_step():
+    # members 1 -> 2 can keep a [1, 2) gap, members 2 -> 3 cannot
+    fn = PiecewiseFunction((Fraction(0), Fraction(7)), (Fraction(1),))
+    g = (Fraction(2), Fraction(1), Fraction(3))
+    first_step = FeasibleBox(
+        l=0, G=((0, 0), (1, 2), (2, 3)), zones=(Zone(members=(1, 2), lo=1, hi=3, coupled=True),)
+    )
+    assert worst_case_energy(fn, g[:2], first_step, 4).zones[0].argmax
+    box = FeasibleBox(
+        l=0,
+        G=((0, 0), (1, 2), (2, 3), (6, 7)),
+        zones=(Zone(members=(1, 2, 3), lo=1, hi=7, coupled=True),),
+    )
+    with pytest.raises(EmptyFeasibleSet):
+        worst_case_energy(fn, g, box, 4)
