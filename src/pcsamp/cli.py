@@ -490,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("demo", help="built-in worked demonstrations")
     sub.add_argument("name", help="demo name (example6)")
-    sub.add_argument("--format", choices=("table",), default="table")
-    sub.add_argument("--float", action="store_true")
     sub.set_defaults(func=cmd_demo)
 
     return parser

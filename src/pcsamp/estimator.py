@@ -138,21 +138,15 @@ def _build_cells(model: UncertaintyModel, amplitudes: Sequence[Fraction]) -> tup
                 )
             )
 
+    def midpoint(i: int, lo: int, hi: int) -> EstimateCell:
+        value = (amp(amplitudes, i) + amp(amplitudes, i + 1)) / 2
+        return EstimateCell(lo=Fraction(lo), hi=Fraction(hi), value=value, tag=MIDPOINT, indices=(i, i + 1))
+
     # midpoint cells over isolated uncertainty intervals (width one or two)
     for i in sorted(model.Ucomp | model.chains.free):
-        lo, hi = G[i]
-        value = (amp(amplitudes, i) + amp(amplitudes, i + 1)) / 2
-        cells.append(
-            EstimateCell(lo=Fraction(lo), hi=Fraction(hi), value=value, tag=MIDPOINT, indices=(i, i + 1))
-        )
+        cells.append(midpoint(i, *G[i]))
 
     # coupled runs: midpoint boundary cells plus Chebyshev-center interiors
-    def boundary(i: int, lo: int) -> EstimateCell:
-        value = (amp(amplitudes, i) + amp(amplitudes, i + 1)) / 2
-        return EstimateCell(
-            lo=Fraction(lo), hi=Fraction(lo + 1), value=value, tag=MIDPOINT, indices=(i, i + 1)
-        )
-
     def interior(lo: int, idx: tuple[int, int, int]) -> EstimateCell:
         triple = [amp(amplitudes, j) for j in idx]
         value = (min(triple) + max(triple)) / 2
@@ -163,10 +157,10 @@ def _build_cells(model: UncertaintyModel, amplitudes: Sequence[Fraction]) -> tup
     for c in chains:
         first, last = c.members[0], c.members[-1]
         span_lo = G[first][0]
-        cells.append(boundary(first, span_lo))
+        cells.append(midpoint(first, span_lo, span_lo + 1))
         for k in range(1, c.b):
             cells.append(interior(span_lo + k, (first + k - 1, first + k, first + k + 1)))
-        cells.append(boundary(last, G[last][1] - 1))
+        cells.append(midpoint(last, G[last][1] - 1, G[last][1]))
 
     cells.sort(key=lambda cell: (cell.lo, cell.hi))
     span_lo, span_hi = Fraction(G[0][0]), Fraction(G[m][1])

@@ -43,7 +43,7 @@ from .estimator import (
     estimate_partial,
 )
 from .inference import ObservationSet, UncertaintyModel, infer_model
-from .sampler import count_direct, cumulative_count, delta_chain, enumerate_atlas
+from .sampler import PatternAtlas, count_direct, cumulative_count, delta_chain, enumerate_atlas
 from .signal_core import (
     PiecewiseFunction,
     SignalSpec,
@@ -376,22 +376,22 @@ def worst_case_energy(
     return WorstCase(value=value, witness=witness, const=const, zones=outcomes)
 
 
-def _auto_deltas(est: Estimate, amplitudes: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
+def _auto_deltas(est: Estimate, g: tuple[Fraction, ...], n: int) -> tuple[Fraction, ...]:
     """Probe magnitudes for unit cell (n-1, n), scaled to the local jump."""
-    g = tuple(amplitudes)
-    for cell in est.cells:
-        if cell.lo <= n - 1 and n <= cell.hi:
-            if cell.tag == MIDPOINT:
-                gap = abs(amp(g, cell.indices[0]) - amp(g, cell.indices[1]))
-            elif cell.tag == CHAIN_INTERIOR:
-                triple = [amp(g, j) for j in cell.indices]
-                gap = max(triple) - min(triple)
-            else:
-                i = cell.indices[0]
-                gap = max(abs(amp(g, i) - amp(g, i - 1)), abs(amp(g, i) - amp(g, i + 1)))
-            assert gap != 0
-            return (gap / 10, -gap / 10, gap / 2, -gap / 2)
-    raise ValueError(f"unit cell ({n - 1}, {n}) lies outside the estimate span")
+    k = bisect_right(est.cells, n - 1, key=lambda cell: cell.lo)   # cells[:k] start at or left of n-1
+    if not k or est.cells[k - 1].hi < n:
+        raise ValueError(f"unit cell ({n - 1}, {n}) lies outside the estimate span")
+    cell = est.cells[k - 1]
+    if cell.tag == MIDPOINT:
+        gap = abs(amp(g, cell.indices[0]) - amp(g, cell.indices[1]))
+    elif cell.tag == CHAIN_INTERIOR:
+        triple = [amp(g, j) for j in cell.indices]
+        gap = max(triple) - min(triple)
+    else:
+        i = cell.indices[0]
+        gap = max(abs(amp(g, i) - amp(g, i - 1)), abs(amp(g, i) - amp(g, i + 1)))
+    assert gap != 0
+    return (gap / 10, -gap / 10, gap / 2, -gap / 2)
 
 
 def perturbation_minimax_check(
@@ -407,42 +407,38 @@ def perturbation_minimax_check(
     Every adjustable unit cell gets its value shifted by each probe delta
     (by default four deltas scaled to the governing amplitude jump) and
     the worst case is recomputed; only the affected zone or forced span
-    needs re-searching.  A worst case that decreases is recorded as a
-    violation, not raised.
+    needs re-searching.  The probes walk the box's zones, and its forced
+    spans with ``include_known``, in order; these tile the span.  A worst
+    case that decreases is recorded as a violation, not raised.
     """
     g = tuple(amplitudes)
     base = worst_case_energy(est, g, box, resolution)
-    gammas = est.gammas
-    spans = _known_spans(box)
-    zone_totals = sum((o.max_energy for o in base.zones), Fraction(0))
+    pieces = [(z.lo, z.hi, z, outcome) for z, outcome in zip(box.zones, base.zones)]
+    if include_known:
+        pieces += [(lo, hi, region, None) for lo, hi, region in _known_spans(box)]
 
     probes: list[PerturbationProbe] = []
-    for n in sorted(gammas):
-        cell_lo, cell_hi = Fraction(n - 1), Fraction(n)
-        zone_idx = next(
-            (j for j, z in enumerate(box.zones) if z.lo <= cell_lo and cell_hi <= z.hi), None
-        )
-        if zone_idx is None and not include_known:
-            continue
-        cell_deltas = tuple(deltas) if deltas is not None else _auto_deltas(est, g, n)
-        for delta in cell_deltas:
-            if delta == 0:
-                continue
-            fn2 = est.fn.with_value(cell_lo, cell_hi, gammas[n] + delta)
-            if zone_idx is not None:
-                redo = _zone_extremes(fn2, g, box, box.zones[zone_idx], resolution)
-                value = base.const + zone_totals - base.zones[zone_idx].max_energy + redo.max_energy
-            else:
-                region = next(r for lo, hi, r in spans if lo <= cell_lo and cell_hi <= hi)
-                old = _span_energy(est.fn, amp(g, region), n - 1, n)
-                new = _span_energy(fn2, amp(g, region), n - 1, n)
-                value = base.const - old + new + zone_totals
-            probes.append(
-                PerturbationProbe(
-                    cell=n, delta=delta, worst=value,
-                    ok=value >= base.value, strict=value > base.value,
+    for lo, hi, where, outcome in sorted(pieces, key=lambda piece: piece[0]):
+        for n in range(lo + 1, hi + 1):
+            gamma = est.fn.evaluate(Fraction(2 * n - 1, 2))
+            if outcome is None:   # a forced span: only this unit cell's integral changes
+                c = amp(g, where)
+                rest = base.value - _span_energy(est.fn, c, n - 1, n)
+            for delta in tuple(deltas) if deltas is not None else _auto_deltas(est, g, n):
+                if delta == 0:
+                    continue
+                if outcome is None:
+                    value = rest + (c - gamma - delta) ** 2
+                else:
+                    fn2 = est.fn.with_value(n - 1, n, gamma + delta)
+                    redo = _zone_extremes(fn2, g, box, where, resolution)
+                    value = base.value - outcome.max_energy + redo.max_energy
+                probes.append(
+                    PerturbationProbe(
+                        cell=n, delta=delta, worst=value,
+                        ok=value >= base.value, strict=value > base.value,
+                    )
                 )
-            )
     return PerturbationReport(baseline=base.value, probes=tuple(probes))
 
 
@@ -466,12 +462,14 @@ def minimax_report(
 # random signals and consistency sweeps
 # ---------------------------------------------------------------------------
 
+F_DENOMINATOR = 97   # random_spec draws fractional parts k/F_DENOMINATOR
+AMP_BOUND = 6        # and integer amplitudes in [-AMP_BOUND, AMP_BOUND]
+
+
 def random_spec(
     rng: random.Random,
     m_range: tuple[int, int] = (1, 8),
     n_range: tuple[int, int] = (2, 5),
-    f_denominator: int = 97,
-    amp_bound: int = 6,
 ) -> SignalSpec:
     """A random valid signal with prime-denominator fractional parts.
 
@@ -482,14 +480,14 @@ def random_spec(
     """
     m = rng.randint(*m_range)
     while True:
-        f = [Fraction(rng.randint(1, f_denominator - 1), f_denominator) for _ in range(m)]
+        f = [Fraction(rng.randint(1, F_DENOMINATOR - 1), F_DENOMINATOR) for _ in range(m)]
         if find_genericity_violation(f) is None:
             break
     n = [rng.randint(*n_range) for _ in range(m)]
     g: list[Fraction] = []
     for i in range(m):
         while True:
-            cand = Fraction(rng.randint(-amp_bound, amp_bound))
+            cand = Fraction(rng.randint(-AMP_BOUND, AMP_BOUND))
             if cand == 0 and (i == 0 or i == m - 1):
                 continue
             if g and cand == g[-1]:
@@ -499,14 +497,26 @@ def random_spec(
     return validate_spec(SignalSpec.from_columns(g=g, n=n, f=f))
 
 
-def check_pattern_counts(spec: SignalSpec, delta_denominator: int = 60) -> Optional[str]:
+# per reference l, the full atlas's model and its full estimate; the estimate
+# is None where the model leaves width-two indices, which check_round_trip
+# reports.  `| None`, not Optional: typing caches Optional[Estimate], and the
+# cache would keep every freshly re-imported copy of the package alive.
+_FullSet = list[tuple[UncertaintyModel, Estimate | None]]
+
+
+def _full_set(spec: SignalSpec, atlas: PatternAtlas) -> _FullSet:
+    obs = ObservationSet.from_atlas(atlas, spec.g)
+    models = [infer_model(obs, l) for l in range(spec.m + 1)]
+    return [(model, None if model.U else estimate_full(model, spec.g)) for model in models]
+
+
+def check_pattern_counts(spec: SignalSpec, atlas: PatternAtlas, delta_denominator: int) -> Optional[str]:
     """Direct counting versus the closed form on a dense exact offset grid.
 
     Returns a description of the first mismatch, or None.  Checks every
     region run (i, K) at every offset, plus the per-region count bounds
     and the atlas cell patterns at their midpoints.
     """
-    atlas = enumerate_atlas(spec)
     if len(set(atlas.patterns)) != spec.m + 1:
         return f"atlas carries {len(set(atlas.patterns))} patterns, expected {spec.m + 1}"
     if atlas.cells[0].delta_lo != 0 or atlas.cells[-1].delta_hi != 1:
@@ -541,14 +551,11 @@ def check_pattern_counts(spec: SignalSpec, delta_denominator: int = 60) -> Optio
     return None
 
 
-def check_round_trip(spec: SignalSpec) -> Optional[str]:
+def check_round_trip(spec: SignalSpec, full: _FullSet) -> Optional[str]:
     """Full-atlas inference must pin every discontinuity to a width-one
     interval strictly containing the truth, and the resulting estimate
     must reproduce the truth at every integer grid point."""
-    atlas = enumerate_atlas(spec)
-    obs = ObservationSet.from_atlas(atlas, spec.g)
-    for l in range(spec.m + 1):
-        model = infer_model(obs, l)
+    for l, (model, est) in enumerate(full):
         if model.U:
             return f"l={l}: full atlas left width-two indices {sorted(model.U)}"
         truth_positions = translate(spec, l).D
@@ -560,7 +567,6 @@ def check_round_trip(spec: SignalSpec) -> Optional[str]:
                 return f"l={l}: truth D_{i}={truth_positions[i]} outside ({lo}, {hi})"
             if hi - lo != 1:
                 return f"l={l}: interval width {hi - lo} != 1 for i={i}"
-        est = estimate_full(model, spec.g)
         truth = truth_function(spec, l)
         for grid_point in range(model.G[0][0] - 1, model.G[spec.m][1] + 2):
             if est.value_at(grid_point) != truth.evaluate(grid_point):
@@ -571,13 +577,9 @@ def check_round_trip(spec: SignalSpec) -> Optional[str]:
     return None
 
 
-def check_reference_law(spec: SignalSpec) -> Optional[str]:
+def check_reference_law(spec: SignalSpec, full: _FullSet) -> Optional[str]:
     """The energy-minimizing reference must be the largest amplitude jump."""
-    atlas = enumerate_atlas(spec)
-    obs = ObservationSet.from_atlas(atlas, spec.g)
-    energies = {}
-    for l in range(spec.m + 1):
-        energies[l] = closed_form_energy(infer_model(obs, l), spec.g)
+    energies = {l: closed_form_energy(model, spec.g) for l, (model, _) in enumerate(full)}
     arg = min(range(spec.m + 1), key=lambda l: (energies[l], l))
     law = best_reference(spec.g)
     if arg != law:
@@ -597,7 +599,6 @@ class SweepSummary:
 def exhaustive_consistency_sweep(
     trials: int,
     seed: int = 0,
-    m_range: tuple[int, int] = (1, 8),
     delta_denominator: int = 60,
 ) -> SweepSummary:
     """Random-signal property sweep over counting, inference, and references.
@@ -611,11 +612,13 @@ def exhaustive_consistency_sweep(
     passed = failed = 0
     first: Optional[str] = None
     for trial in range(trials):
-        spec = random_spec(rng, m_range=m_range)
+        spec = random_spec(rng)
+        atlas = enumerate_atlas(spec)
+        full = _full_set(spec, atlas)
         failure = (
-            check_pattern_counts(spec, delta_denominator)
-            or check_round_trip(spec)
-            or check_reference_law(spec)
+            check_pattern_counts(spec, atlas, delta_denominator)
+            or check_round_trip(spec, full)
+            or check_reference_law(spec, full)
         )
         if failure is None:
             passed += 1
@@ -637,35 +640,29 @@ class CheckResult:
     detail: str
 
 
-def _check_minimax(spec: SignalSpec, resolution: int) -> tuple[Optional[str], str]:
-    atlas = enumerate_atlas(spec)
-    obs = ObservationSet.from_atlas(atlas, spec.g)
-    for l in range(spec.m + 1):
-        model = infer_model(obs, l)
-        est = estimate_full(model, spec.g)
+def _check_minimax(spec: SignalSpec, full: _FullSet, resolution: int) -> Optional[str]:
+    for l, (model, est) in enumerate(full):
+        if est is None:
+            return f"l={l}: no full estimate, width-two indices {sorted(model.U)}"
         box = feasible_box(model)
         closed = closed_form_energy(model, spec.g)
         worst = worst_case_energy(est, spec.g, box, resolution)
         if worst.value != closed:
-            return f"l={l}: oracle worst {worst.value} != closed form {closed}", ""
+            return f"l={l}: oracle worst {worst.value} != closed form {closed}"
         for outcome in worst.zones:
             if outcome.max_energy != outcome.min_energy:
-                return (
-                    f"l={l}: energy varies with placement in zone {outcome.members}", "",
-                )
+                return f"l={l}: energy varies with placement in zone {outcome.members}"
         report = perturbation_minimax_check(est, spec.g, box, resolution=resolution)
         if not report.passed or not report.all_strict:
             bad = next(p for p in report.probes if not (p.ok and p.strict))
             return (
                 f"l={l}: perturbing cell ({bad.cell - 1},{bad.cell}) by {bad.delta} "
-                f"moved the worst case to {bad.worst} (baseline {report.baseline})",
-                "",
+                f"moved the worst case to {bad.worst} (baseline {report.baseline})"
             )
-    return None, f"all {spec.m + 1} references, placement independent, perturbations strict"
+    return None
 
 
-def _check_width2_energy(spec: SignalSpec, resolution: int) -> tuple[Optional[str], str]:
-    atlas = enumerate_atlas(spec)
+def _check_width2_energy(spec: SignalSpec, atlas: PatternAtlas, resolution: int) -> tuple[Optional[str], str]:
     checked = 0
     for k in range(spec.m):
         obs = ObservationSet.of(
@@ -689,30 +686,16 @@ def _check_width2_energy(spec: SignalSpec, resolution: int) -> tuple[Optional[st
 def verify_scenario(spec: SignalSpec, resolution: int = 50, delta_denominator: int = 120) -> list[CheckResult]:
     """Run the full per-signal property suite and report each check."""
     spec = validate_spec(spec)
-    results: list[CheckResult] = []
-
-    failure = check_pattern_counts(spec, delta_denominator)
-    results.append(
-        CheckResult(
-            "pattern-atlas-and-count-equivalence",
-            failure is None,
-            failure or f"{spec.m + 1} cells, {delta_denominator} exact offsets, every region run",
-        )
+    atlas = enumerate_atlas(spec)
+    full = _full_set(spec, atlas)
+    table = (   # (name, failure or None, detail when passed), run in this order
+        ("pattern-atlas-and-count-equivalence", check_pattern_counts(spec, atlas, delta_denominator),
+         f"{spec.m + 1} cells, {delta_denominator} exact offsets, every region run"),
+        ("full-set-round-trip-and-grid-agreement", check_round_trip(spec, full),
+         "width-one intervals contain the truth; grid points reproduced"),
+        ("best-reference-law", check_reference_law(spec, full), "argmin energy = largest jump"),
+        ("minimax-worst-case-equality", _check_minimax(spec, full, resolution),
+         f"all {spec.m + 1} references, placement independent, perturbations strict"),
+        ("width-two-energy-equality", *_check_width2_energy(spec, atlas, resolution)),
     )
-    failure = check_round_trip(spec)
-    results.append(
-        CheckResult(
-            "full-set-round-trip-and-grid-agreement",
-            failure is None,
-            failure or "width-one intervals contain the truth; grid points reproduced",
-        )
-    )
-    failure = check_reference_law(spec)
-    results.append(
-        CheckResult("best-reference-law", failure is None, failure or "argmin energy = largest jump")
-    )
-    failure, detail = _check_minimax(spec, resolution)
-    results.append(CheckResult("minimax-worst-case-equality", failure is None, failure or detail))
-    failure, detail = _check_width2_energy(spec, resolution)
-    results.append(CheckResult("width-two-energy-equality", failure is None, failure or detail))
-    return results
+    return [CheckResult(name, failure is None, failure or detail) for name, failure, detail in table]
