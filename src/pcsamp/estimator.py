@@ -14,6 +14,7 @@ units of amplitude squared times one grid step.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -211,18 +212,24 @@ def closed_form_energy(
 
     Width-one intervals contribute ((g_i - g_{i+1}) / 2)^2 each and
     width-two intervals outside chains contribute twice that.  With chains
-    present there is no closed form and None is returned.
+    present there is no closed form and None is returned.  The jumps are
+    summed as integers over D, the amplitudes' common denominator, and one
+    Fraction is built at the end.
     """
     g = tuple(as_rational(a) for a in amplitudes)
+    if len(g) != model.m:
+        raise ValueError(f"expected {model.m} amplitudes, got {len(g)}")
     if not model.chains.empty:
         return None
+    D = math.lcm(*(a.denominator for a in g))
+    scaled = [0, *(a.numerator * (D // a.denominator) for a in g), 0]   # D * g_i, zero padded
 
-    def term(i: int) -> Fraction:
-        return ((amp(g, i) - amp(g, i + 1)) / 2) ** 2
+    def jump_sq(i: int) -> int:
+        return (scaled[i] - scaled[i + 1]) ** 2
 
-    ones = sum((term(i) for i in model.Ucomp), Fraction(0))
-    twos = sum((term(i) for i in model.U), Fraction(0))
-    return ones + 2 * twos
+    ones = sum(jump_sq(i) for i in model.Ucomp)
+    twos = sum(jump_sq(i) for i in model.U)
+    return Fraction(ones + 2 * twos, 4 * D * D)
 
 
 def best_reference(amplitudes: Sequence[RationalLike]) -> int:

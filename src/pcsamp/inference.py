@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from functools import cached_property
+from itertools import accumulate, groupby
+from operator import sub
 from typing import Iterable, Sequence
 
 from .sampler import PatternAtlas, SamplingPattern
@@ -66,6 +68,11 @@ class ObservationSet:
     @property
     def m(self) -> int:
         return len(self.amplitudes)
+
+    @cached_property
+    def _prefix_counts(self) -> tuple[tuple[int, ...], ...]:
+        """Entry [i][p]: samples of pattern p in regions 1..i (row 0 is zeros)."""
+        return tuple(zip(*(accumulate(p.eta, initial=0) for p in self.patterns)))
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,9 @@ def cumulative_values(obs: ObservationSet, l: int, i: int) -> set[int]:
 
     For i > l this is eta_{l+1} + ... + eta_i, for i < l it is
     eta_{i+1} + ... + eta_l.  Consistent observations yield one value or
-    two consecutive values; anything else is rejected.
+    two consecutive values; anything else is rejected.  Each value is a
+    difference of two rows of ``obs._prefix_counts``, so a call costs one
+    step per observed pattern.
     """
     m = obs.m
     if not (0 <= i <= m and 0 <= l <= m):
@@ -141,7 +150,8 @@ def cumulative_values(obs: ObservationSet, l: int, i: int) -> set[int]:
         lo_r, hi_r = l + 1, i
     else:
         lo_r, hi_r = i + 1, l
-    vals = {sum(p.eta[lo_r - 1 : hi_r]) for p in obs.patterns}
+    prefix = obs._prefix_counts
+    vals = set(map(sub, prefix[hi_r], prefix[lo_r - 1]))
     if len(vals) > 2 or (len(vals) == 2 and max(vals) - min(vals) != 1):
         raise InconsistentObservations(
             f"cumulative counts over regions {lo_r}..{hi_r} take values {sorted(vals)}; "

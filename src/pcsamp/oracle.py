@@ -163,6 +163,14 @@ def _fn_of(est: Union[Estimate, PiecewiseFunction]) -> PiecewiseFunction:
     return est.fn if isinstance(est, Estimate) else est
 
 
+def _pieces(fn: PiecewiseFunction, lo: int, hi: int) -> tuple[tuple[Fraction, ...], list[Fraction]]:
+    """fn's breakpoints inside (lo, hi) and its value on each piece of [lo, hi] they cut."""
+    bps = fn.breakpoints
+    first, last = bisect_right(bps, lo), bisect_left(bps, hi)
+    vals = [fn.values[j] if 0 <= j < len(fn.values) else Fraction(0) for j in range(first - 1, last)]
+    return bps[first:last], vals
+
+
 def _scaled_cumulatives(
     fn: PiecewiseFunction,
     amplitudes: Sequence[Fraction],
@@ -179,10 +187,7 @@ def _scaled_cumulatives(
     values on [lo, hi].  So every integral is an integer over
     scale = N * D^2, which is returned with the lists.
     """
-    bps = fn.breakpoints
-    first, last = bisect_right(bps, lo), bisect_left(bps, hi)
-    inner = bps[first:last]
-    vals = [fn.values[j] if 0 <= j < len(fn.values) else Fraction(0) for j in range(first - 1, last)]
+    inner, vals = _pieces(fn, lo, hi)
     N = math.lcm(resolution, *(x.denominator for x in inner))
     D = math.lcm(*(v.denominator for v in (*amplitudes, *vals)))
     step = N // resolution
@@ -205,9 +210,10 @@ def _scaled_cumulatives(
 
 
 def _span_energy(fn: PiecewiseFunction, c: Fraction, lo: int, hi: int) -> Fraction:
-    """Integral of (c - fn)^2 over [lo, hi]."""
-    scale, cums = _scaled_cumulatives(fn, (c,), lo, hi, 1)
-    return Fraction(cums[c][-1], scale)
+    """Integral of (c - fn)^2 over [lo, hi], one term per piece of fn."""
+    inner, vals = _pieces(fn, lo, hi)
+    cuts = (lo, *inner, hi)
+    return sum(((c - v) ** 2 * (b - a) for a, b, v in zip(cuts, cuts[1:], vals)), Fraction(0))
 
 
 def _window_step(
@@ -352,11 +358,12 @@ def worst_case_energy(
     strictly inside each uncertainty interval, so every evaluation is
     exact; the total decomposes into forced spans (placement independent)
     plus one term per zone, searched independently (jointly inside
-    coupled runs).  Both parts use one integer integrator: positions are
+    coupled runs).  Zones use the integer integrator: positions are
     integers over the zone's lattice N, the lcm of ``resolution`` and the
     denominators of the estimate's breakpoints inside it, and Fractions
     are built only for the results.  A zone of k members costs
-    O(k * R) grid steps at R = ``resolution``.
+    O(k * R) grid steps at R = ``resolution``.  A forced span costs one
+    term per piece of the estimate on it, however long the span.
     """
     if resolution < 2:
         raise ValueError("need at least 2 grid points per unit interval")
@@ -551,10 +558,34 @@ def check_pattern_counts(spec: SignalSpec, atlas: PatternAtlas, delta_denominato
     return None
 
 
+def _probe_points(lo: int, hi: int, cuts) -> list[int]:
+    """Integers of [lo, hi] that meet every stretch between ``cuts``.
+
+    In ascending order: each integer cut (and lo and hi), and the smallest
+    integer strictly inside each open stretch between consecutive cuts, if
+    any.  Two functions constant between the cuts agree at every integer of
+    [lo, hi] exactly when they agree at these, and the first integer where
+    they differ is among them.
+    """
+    pts = sorted({lo, hi, *(c for c in cuts if lo < c < hi)})
+    out = []
+    for a, b in zip(pts, pts[1:]):
+        below = math.floor(a)
+        if a == below:
+            out.append(below)
+        if below + 1 < b:
+            out.append(below + 1)
+    out.append(hi)
+    return out
+
+
 def check_round_trip(spec: SignalSpec, full: _FullSet) -> Optional[str]:
     """Full-atlas inference must pin every discontinuity to a width-one
     interval strictly containing the truth, and the resulting estimate
-    must reproduce the truth at every integer grid point."""
+    must reproduce the truth at every integer grid point.  Both are
+    constant between the estimate's cell bounds and the truth's
+    breakpoints, so the grid points are checked at :func:`_probe_points`:
+    O(m) of them, however long the regions."""
     for l, (model, est) in enumerate(full):
         if model.U:
             return f"l={l}: full atlas left width-two indices {sorted(model.U)}"
@@ -568,7 +599,8 @@ def check_round_trip(spec: SignalSpec, full: _FullSet) -> Optional[str]:
             if hi - lo != 1:
                 return f"l={l}: interval width {hi - lo} != 1 for i={i}"
         truth = truth_function(spec, l)
-        for grid_point in range(model.G[0][0] - 1, model.G[spec.m][1] + 2):
+        cuts = [*(c.lo for c in est.cells), *(c.hi for c in est.cells), *truth.breakpoints]
+        for grid_point in _probe_points(model.G[0][0] - 1, model.G[spec.m][1] + 1, cuts):
             if est.value_at(grid_point) != truth.evaluate(grid_point):
                 return (
                     f"l={l}: estimate({grid_point}) = {est.value_at(grid_point)} "
@@ -580,6 +612,9 @@ def check_round_trip(spec: SignalSpec, full: _FullSet) -> Optional[str]:
 def check_reference_law(spec: SignalSpec, full: _FullSet) -> Optional[str]:
     """The energy-minimizing reference must be the largest amplitude jump."""
     energies = {l: closed_form_energy(model, spec.g) for l, (model, _) in enumerate(full)}
+    missing = [l for l, energy in energies.items() if energy is None]
+    if missing:
+        return f"no closed-form energy for references {missing}"
     arg = min(range(spec.m + 1), key=lambda l: (energies[l], l))
     law = best_reference(spec.g)
     if arg != law:

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +131,18 @@ def test_estimate_sweep(running_file, capsys):
     assert "argmin l = 0" in out
     assert "largest-jump reference l = 0" in out
     assert "agree" in out
+
+
+def test_sweep_on_partial_observations(capsys):
+    chain = Path(__file__).resolve().parents[1] / "scenarios" / "chain.json"
+    assert main(["estimate", str(chain), "--sweep", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["energies"] == [
+        {"l": 0, "energy": "unavailable"},   # the chain lies right of l = 0
+        {"l": 1, "energy": "10"},
+        {"l": 2, "energy": "10"},
+    ]
+    assert (payload["argmin"], payload["best_reference"], payload["agrees"]) == (1, 0, False)
 
 
 def test_sweep_ref_alias(running_file, capsys):

@@ -10,6 +10,7 @@ from pcsamp import (
     PartialObservations,
     SignalSpec,
     absolute_error_bound,
+    amp,
     best_reference,
     closed_form_energy,
     energy_between,
@@ -124,6 +125,40 @@ def test_closed_form_width_two(example6_spec):
     model = infer_model(obs, 0)
     # one width-one interval (jump 1) plus two width-two intervals (jumps 2 and 1)
     assert closed_form_energy(model, example6_spec.g) == Fraction(1, 4) + 2 * (1 + Fraction(1, 4))
+
+
+def _closed_form_reference(model, g):
+    """The closed form summed term by term in Fractions."""
+    if not model.chains.empty:
+        return None
+
+    def term(i):
+        return ((amp(g, i) - amp(g, i + 1)) / 2) ** 2
+
+    return sum((term(i) for i in model.Ucomp), Fraction(0)) + 2 * sum((term(i) for i in model.U), Fraction(0))
+
+
+def test_closed_form_matches_fraction_sum():
+    rng = random.Random(29)
+    kinds = {"full": 0, "pair": 0, "chains": 0}
+    for _ in range(150):
+        spec = random_spec(rng, m_range=(1, 7), n_range=(2, 4))
+        patterns = enumerate_atlas(spec).patterns
+        g = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(spec.m)]
+        k = rng.randrange(spec.m)
+        for kind, observed in (("full", patterns), ("pair", patterns[k:k + 2])):
+            obs = ObservationSet.of(observed, g)
+            for l in range(spec.m + 1):
+                model = infer_model(obs, l)
+                expected = _closed_form_reference(model, g)
+                assert closed_form_energy(model, g) == expected, (g, observed, l)
+                kinds["chains" if expected is None else kind] += 1
+    assert all(count > 50 for count in kinds.values()), kinds
+
+
+def test_closed_form_needs_one_amplitude_per_region(running_spec):
+    with pytest.raises(ValueError, match="expected 2 amplitudes, got 1"):
+        closed_form_energy(_full_model(running_spec, 0), [4])
 
 
 def test_closed_form_unavailable_with_chains():

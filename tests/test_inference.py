@@ -41,6 +41,41 @@ def test_cumulative_values_rejects_spread():
         cumulative_values(obs, 0, 1)
 
 
+def test_cumulative_values_match_slice_sums():
+    """Prefix-count differences against the slice-sum definition, on random
+    small count tables, consistent or not, for every (l, i)."""
+    rng = random.Random(23)
+    returned = raised = 0
+    for _ in range(400):
+        m = rng.randint(1, 6)
+        n = [rng.randint(2, 4) for _ in range(m)]
+        loose = rng.random() < 0.3   # counts anywhere in 1..5, mostly inconsistent
+        table = [
+            [rng.randint(1, 5) if loose else rng.choice((k - 1, k)) for k in n]
+            for _ in range(rng.randint(1, 6))
+        ]
+        obs = ObservationSet.of(table, [1] * m)
+        for l in range(m + 1):
+            for i in range(m + 1):
+                if i == l:
+                    continue
+                lo_r, hi_r = (l + 1, i) if i > l else (i + 1, l)
+                vals = {sum(p.eta[lo_r - 1:hi_r]) for p in obs.patterns}
+                if len(vals) > 2 or max(vals) - min(vals) > 1:
+                    message = (
+                        f"cumulative counts over regions {lo_r}..{hi_r} take values {sorted(vals)}; "
+                        "a single signal allows only one value or two consecutive ones"
+                    )
+                    with pytest.raises(InconsistentObservations) as info:
+                        cumulative_values(obs, l, i)
+                    assert str(info.value) == message
+                    raised += 1
+                else:
+                    assert cumulative_values(obs, l, i) == vals
+                    returned += 1
+    assert returned > 1000 and raised > 1000
+
+
 def test_infer_full_atlas_running(running_spec):
     model = infer_model(_full_obs(running_spec), 0)
     assert model.C == (0, 2, 5)

@@ -12,6 +12,7 @@ from pcsamp import (
     FeasibleBox,
     ObservationSet,
     PiecewiseFunction,
+    SignalSpec,
     Zone,
     closed_form_energy,
     energy_between,
@@ -505,6 +506,10 @@ def _first_pattern_lost(real):
     return lambda obs, l: real(ObservationSet.of(obs.patterns[1:], obs.amplitudes), l)
 
 
+def _one_pattern_kept(real):
+    return lambda obs, l: real(ObservationSet.of(obs.patterns[:1], obs.amplitudes), l)
+
+
 @pytest.mark.parametrize(
     "name, patch, changed, sweep",
     [
@@ -542,6 +547,16 @@ def _first_pattern_lost(real):
             },
             (0, 3, 0, "l=0: full atlas left width-two indices [3]"),
         ),
+        (
+            "infer_model", _one_pattern_kept,   # l = 2 sees a chain, so it has no closed form
+            {
+                "full-set-round-trip-and-grid-agreement":
+                    (False, "l=0: full atlas left width-two indices [1, 2]"),
+                "best-reference-law": (False, "no closed-form energy for references [2]"),
+                "minimax-worst-case-equality": (False, "l=0: no full estimate, width-two indices [1, 2]"),
+            },
+            (0, 3, 0, "l=0: full atlas left width-two indices [1, 2, 3]"),
+        ),
     ],
 )
 def test_failing_checks_report_their_messages(running_spec, monkeypatch, name, patch, changed, sweep):
@@ -555,3 +570,44 @@ def test_failing_checks_report_their_messages(running_spec, monkeypatch, name, p
     summary = exhaustive_consistency_sweep(3, seed=1, delta_denominator=8)
     assert (summary.passed, summary.failed) == (passed, failed)
     assert summary.first_failure == f"trial {trial}: {message} (spec g={spec.g} n={spec.n} f={spec.f})"
+
+
+def test_verify_cost_does_not_grow_with_region_length():
+    spec = validate_spec(SignalSpec.from_columns(g=[4, 2], n=[2, 10**9], f=["1/4", "1/2"]))
+    results = verify_scenario(spec, resolution=4, delta_denominator=8)
+    assert len(results) == 5 and all(r.passed for r in results), results
+
+
+def _first_grid_mismatch(spec, full, truth_of):
+    """The round trip's grid comparison at every integer grid point."""
+    for l, (model, est) in enumerate(full):
+        truth = truth_of(spec, l)
+        for t in range(model.G[0][0] - 1, model.G[spec.m][1] + 2):
+            if est.value_at(t) != truth.evaluate(t):
+                return f"l={l}: estimate({t}) = {est.value_at(t)} != truth {truth.evaluate(t)}"
+    return None
+
+
+def test_round_trip_probes_find_the_first_grid_mismatch(monkeypatch):
+    rng = random.Random(31)
+    outcomes = {"match": 0, "mismatch": 0}
+    for _ in range(60):
+        spec = random_spec(rng, m_range=(1, 5), n_range=(2, 6))
+        full = oracle._full_set(spec, enumerate_atlas(spec))
+        for _ in range(4):
+            k, shift = rng.randrange(spec.m), Fraction(rng.randint(-25, 25), rng.choice((1, 3, 10)))
+            if rng.random() < 0.4:   # one amplitude changed
+                def wrong(s, l, k=k, shift=shift):
+                    fn = truth_function(s, l)
+                    return PiecewiseFunction(fn.breakpoints, tuple(v + shift * (j == k) for j, v in enumerate(fn.values)))
+            else:   # every discontinuity moved, often by less than its distance to the grid
+                scale = rng.choice((4, 10**4))
+                def wrong(s, l, shift=shift, scale=scale):
+                    fn = truth_function(s, l)
+                    return PiecewiseFunction(tuple(b + shift / scale for b in fn.breakpoints), fn.values)
+            expected = _first_grid_mismatch(spec, full, wrong)
+            monkeypatch.setattr(oracle, "truth_function", wrong)
+            assert oracle.check_round_trip(spec, full) == expected
+            monkeypatch.undo()
+            outcomes["match" if expected is None else "mismatch"] += 1
+    assert min(outcomes.values()) > 40, outcomes
