@@ -41,17 +41,19 @@ from .sampler import (
 from .inference import (
     Chain,
     ChainStructure,
+    FeasibleBox,
     InconsistentObservations,
     ObservationSet,
     UncertaintyModel,
+    Zone,
     chain_analysis,
     cumulative_values,
+    feasible_box,
     infer_model,
 )
 from .estimator import (
     Estimate,
     EstimateCell,
-    ErrorReport,
     PartialObservations,
     absolute_error_bound,
     amp,
@@ -63,15 +65,11 @@ from .estimator import (
 from .oracle import (
     CheckResult,
     EmptyFeasibleSet,
-    FeasibleBox,
     PerturbationReport,
     SweepSummary,
     WorstCase,
-    Zone,
     energy_between,
     exhaustive_consistency_sweep,
-    feasible_box,
-    minimax_report,
     perturbation_minimax_check,
     random_spec,
     verify_scenario,

@@ -1,6 +1,8 @@
 """Minimax estimates of a translated signal from pattern-set knowledge.
 
-Between uncertainty intervals the signal value is forced, so the estimate
+The estimate fills the model's feasible box
+(:func:`pcsamp.inference.feasible_box`), the one tiling of the estimate
+span.  On a forced span the signal value is known, so the estimate
 copies it.  Inside an isolated uncertainty interval the worst-case energy
 is minimized by the midpoint of the two amplitudes meeting there.  Inside
 a coupled run the interval contents interact: the run's boundary cells
@@ -21,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .inference import UncertaintyModel
+from .inference import UncertaintyModel, feasible_box
 from .signal_core import PiecewiseFunction, RationalLike, as_rational
 
 KNOWN = "known"
@@ -106,48 +108,23 @@ class Estimate:
         return {n: self.fn.evaluate(Fraction(2 * n - 1, 2)) for n in range(lo + 1, hi + 1)}
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Closed-form energy versus the brute-force worst case for one estimate."""
-
-    closed_form: Optional[Fraction]
-    oracle_worst: Fraction
-    agrees: bool
-
-
 def _build_cells(model: UncertaintyModel, amplitudes: Sequence[Fraction]) -> tuple[EstimateCell, ...]:
-    m, l, G = model.m, model.l, model.G
-    chains = model.chains.plus + model.chains.minus
-    independent = model.Ucomp | model.chains.free | {l}
+    box = feasible_box(model)
 
-    cells: list[EstimateCell] = []
-
-    # spans where the signal value is forced: region i's left end i-1 is
-    # independent or ends a chain, its right end i independent or starts one
-    left_ok = independent | {c.members[-1] for c in chains}
-    right_ok = independent | {c.members[0] for c in chains}
-    for i in range(1, m + 1):
-        if (i - 1) in left_ok and i in right_ok:
-            lo, hi = Fraction(G[i - 1][1]), Fraction(G[i][0])
-            assert lo <= hi, f"forced span for region {i} is inverted"
-            # a degenerate span is kept as a point cell: it contributes no
-            # measure but still fixes the value at that single grid point
-            cells.append(
-                EstimateCell(
-                    lo=lo, hi=hi, value=amp(amplitudes, i), tag=KNOWN, indices=(i,),
-                    closed_lo=True, closed_hi=(i != l),
-                )
-            )
+    # a degenerate span is kept as a point cell: it contributes no measure
+    # but still fixes the value at that single grid point
+    cells = [
+        EstimateCell(
+            lo=Fraction(lo), hi=Fraction(hi), value=amp(amplitudes, i), tag=KNOWN, indices=(i,),
+            closed_lo=True, closed_hi=(i != model.l),
+        )
+        for lo, hi, i in box.spans
+    ]
 
     def midpoint(i: int, lo: int, hi: int) -> EstimateCell:
         value = (amp(amplitudes, i) + amp(amplitudes, i + 1)) / 2
         return EstimateCell(lo=Fraction(lo), hi=Fraction(hi), value=value, tag=MIDPOINT, indices=(i, i + 1))
 
-    # midpoint cells over isolated uncertainty intervals (width one or two)
-    for i in sorted(model.Ucomp | model.chains.free):
-        cells.append(midpoint(i, *G[i]))
-
-    # coupled runs: midpoint boundary cells plus Chebyshev-center interiors
     def interior(lo: int, idx: tuple[int, int, int]) -> EstimateCell:
         triple = [amp(amplitudes, j) for j in idx]
         value = (min(triple) + max(triple)) / 2
@@ -155,21 +132,20 @@ def _build_cells(model: UncertaintyModel, amplitudes: Sequence[Fraction]) -> tup
             lo=Fraction(lo), hi=Fraction(lo + 1), value=value, tag=CHAIN_INTERIOR, indices=idx
         )
 
-    for c in chains:
-        first, last = c.members[0], c.members[-1]
-        span_lo = G[first][0]
-        cells.append(midpoint(first, span_lo, span_lo + 1))
-        for k in range(1, c.b):
-            cells.append(interior(span_lo + k, (first + k - 1, first + k, first + k + 1)))
-        cells.append(midpoint(last, G[last][1] - 1, G[last][1]))
+    # an isolated interval takes one midpoint cell; a chain span of k
+    # members holds k + 1 unit cells, midpoints at both ends and
+    # Chebyshev-centre interiors between them
+    for zone in box.zones:
+        first, last = zone.members[0], zone.members[-1]
+        if not zone.coupled:
+            cells.append(midpoint(first, zone.lo, zone.hi))
+            continue
+        cells.append(midpoint(first, zone.lo, zone.lo + 1))
+        for k in range(1, len(zone.members)):
+            cells.append(interior(zone.lo + k, (first + k - 1, first + k, first + k + 1)))
+        cells.append(midpoint(last, zone.hi - 1, zone.hi))
 
     cells.sort(key=lambda cell: (cell.lo, cell.hi))
-    span_lo, span_hi = Fraction(G[0][0]), Fraction(G[m][1])
-    cursor = span_lo
-    for cell in cells:
-        assert cell.lo == cursor, f"estimate cells leave a gap at {cursor}"
-        cursor = cell.hi
-    assert cursor == span_hi, "estimate cells must tile the whole span"
     return tuple(cells)
 
 

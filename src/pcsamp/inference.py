@@ -5,8 +5,11 @@ discontinuity i is located through the cumulative count of samples between
 it and the reference.  Observing both achievable values of that count pins
 the discontinuity to an open interval of width one grid step; observing a
 single value only pins it to width two.  Runs of width-two discontinuities
-coupled through regions that always show exactly one sample form chains,
-whose geometry the estimator needs explicitly.
+coupled through regions that always show exactly one sample form chains.
+
+:func:`feasible_box` turns a model into the one tiling of the estimate span
+that the estimator fills and the oracle searches: zones (isolated intervals
+and chain spans) and the forced spans between them.
 
 The module works purely from patterns and known amplitudes; it never needs
 the generating signal, so it solves the inverse problem as stated.
@@ -74,6 +77,11 @@ class ObservationSet:
         """Entry [i][p]: samples of pattern p in regions 1..i (row 0 is zeros)."""
         return tuple(zip(*(accumulate(p.eta, initial=0) for p in self.patterns)))
 
+    @cached_property
+    def _always_one(self) -> tuple[bool, ...]:
+        """Entry [r]: every pattern holds exactly one sample in region r+1."""
+        return tuple(all(p.eta[r] == 1 for p in self.patterns) for r in range(self.m))
+
 
 @dataclass(frozen=True)
 class Chain(object):
@@ -83,15 +91,12 @@ class Chain(object):
     same on either side, reflected: ``anchor`` is the member nearest the
     reference (the leftmost member right of it, the rightmost member left
     of it), ``length`` the number of always-one-sample regions it spans,
-    ``members`` the discontinuity indices in ascending order, and ``b``
-    the interior-cell bound: the chain's span holds unit cells 1 .. b+1,
-    of which 2 .. b are interior.
+    and ``members`` the discontinuity indices in ascending order.
     """
 
     anchor: int
     length: int
     members: tuple[int, ...]
-    b: int
 
 
 @dataclass(frozen=True)
@@ -177,10 +182,9 @@ def chain_analysis(
     inconsistent.  Whatever of U remains outside every chain is returned
     as ``free``.
     """
-    all_one = [all(p.eta[r] == 1 for p in obs.patterns) for r in range(obs.m)]
     runs: list[tuple[int, int]] = []
     a = 0
-    for one, group in groupby(all_one):
+    for one, group in groupby(obs._always_one):
         b = a + len(list(group))
         if one and (a > l or b < l):
             runs.append((a, b))
@@ -200,9 +204,8 @@ def chain_analysis(
             raise InconsistentObservations(
                 f"coupled run {members} crosses a width-one discontinuity"
             )
-        span = (G[b][1] - G[a][0]) - 1
-        assert span == b - a + 1, "chain span must hold exactly length+2 unit cells"
-        side.append(Chain(anchor=anchor, length=b - a, members=members, b=span))
+        assert G[b][1] - G[a][0] == b - a + 2, "chain span must hold exactly length+2 unit cells"
+        side.append(Chain(anchor=anchor, length=b - a, members=members))
         claimed.update(members)
 
     free = frozenset(U - claimed)
@@ -248,3 +251,61 @@ def infer_model(obs: ObservationSet, l: int) -> UncertaintyModel:
         G=tuple(G),
         chains=chains,
     )
+
+
+@dataclass(frozen=True)
+class Zone:
+    """One independently searchable stretch of the feasible set."""
+
+    members: tuple[int, ...]
+    lo: int
+    hi: int
+    coupled: bool
+
+
+@dataclass(frozen=True)
+class FeasibleBox:
+    """Open intervals per unknown discontinuity plus coupling structure."""
+
+    l: int
+    G: tuple[tuple[int, int], ...]
+    zones: tuple[Zone, ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.G) - 1
+
+    @property
+    def spans(self) -> list[tuple[int, int, int]]:
+        """Stretches where the truth value is forced: (lo, hi, region).
+
+        Region i is forced on [G[i-1].hi, G[i].lo] unless it lies inside a
+        coupled zone.  A degenerate span (lo == hi) is kept: it has no
+        measure but fixes the value at its grid point.  Together with the
+        zones the spans tile [G[0].lo, G[m].hi].
+        """
+        inside = {r for z in self.zones for r in range(z.members[0] + 1, z.members[-1] + 1)}
+        spans = []
+        for i in range(1, self.m + 1):
+            if i not in inside:
+                lo, hi = self.G[i - 1][1], self.G[i][0]
+                assert lo <= hi, f"forced span for region {i} is inverted"
+                spans.append((lo, hi, i))
+        covered = sum(z.hi - z.lo for z in self.zones) + sum(hi - lo for lo, hi, _ in spans)
+        assert covered == self.G[self.m][1] - self.G[0][0], "zones and forced spans must tile the span"
+        return spans
+
+
+def feasible_box(model: UncertaintyModel) -> FeasibleBox:
+    """Search geometry implied by an uncertainty model."""
+    zones: list[Zone] = []
+    for i in sorted(model.Ucomp | model.chains.free):
+        lo, hi = model.G[i]
+        zones.append(Zone(members=(i,), lo=lo, hi=hi, coupled=False))
+    for chain in model.chains.plus + model.chains.minus:
+        first, last = chain.members[0], chain.members[-1]
+        zones.append(
+            Zone(members=chain.members, lo=model.G[first][0], hi=model.G[last][1], coupled=True)
+        )
+    zones.sort(key=lambda z: z.lo)
+    return FeasibleBox(l=model.l, G=model.G, zones=tuple(zones))

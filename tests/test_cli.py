@@ -218,6 +218,22 @@ def test_verify_green(running_file, capsys):
     assert "FAIL" not in out
 
 
+def test_verify_reports_the_inverted_span_pair_as_a_fail_row(tmp_path, capsys):
+    # a valid full-atlas scenario whose adjacent-pair check meets the known
+    # inverted forced-span defect: one FAIL row, not a traceback
+    regions = [
+        {"g": g, "n": n, "f": f"{k}/97"}
+        for g, n, k in (("-4", 2, 89), ("-2", 2, 72), ("4", 2, 87), ("1", 6, 57))
+    ]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"T": "1", "regions": regions, "observations": "all"}))
+    assert main(["verify", str(path), "--grid", "12", "--trials", "3", "--seed", "5", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"][:5]
+    assert [c["status"] for c in checks] == ["pass"] * 4 + ["FAIL"]
+    assert checks[4]["name"] == "width-two-energy-equality"
+    assert checks[4]["detail"] == "pair at cell 2, l=0: forced span for region 2 is inverted"
+
+
 def test_verify_seed_env_fallback(running_file, capsys, monkeypatch):
     monkeypatch.setenv("PCSAMP_SEED", "5")
     assert main(["verify", running_file, "--grid", "12", "--trials", "3",

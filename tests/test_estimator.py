@@ -288,3 +288,69 @@ def test_value_at_matches_reference_definition():
         for t in points:
             assert est.value_at(t) == _value_at_reference(est, t), (est.cells, t)
     assert degenerate > 0
+
+
+def _side_rule_cells(model, g):
+    """Estimate cells by the side rule the feasible box replaced: region i is
+    forced when its left end is independent or ends a chain and its right end
+    is independent or starts one; chain spans take midpoint ends and
+    Chebyshev-centre interiors."""
+    m, l, G = model.m, model.l, model.G
+    chains = model.chains.plus + model.chains.minus
+    independent = model.Ucomp | model.chains.free | {l}
+    left_ok = independent | {c.members[-1] for c in chains}
+    right_ok = independent | {c.members[0] for c in chains}
+    cells = []
+    for i in range(1, m + 1):
+        if (i - 1) in left_ok and i in right_ok:
+            lo, hi = G[i - 1][1], G[i][0]
+            if lo > hi:   # raised, not asserted: pytest rewrites a test file's messages
+                raise AssertionError(f"forced span for region {i} is inverted")
+            cells.append((lo, hi, amp(g, i), "known", (i,), True, i != l))
+
+    def midpoint(i, lo, hi):
+        return (lo, hi, (amp(g, i) + amp(g, i + 1)) / 2, "midpoint", (i, i + 1), False, False)
+
+    for i in sorted(model.Ucomp | model.chains.free):
+        cells.append(midpoint(i, *G[i]))
+    for c in chains:
+        first, last = c.members[0], c.members[-1]
+        lo = G[first][0]
+        cells.append(midpoint(first, lo, lo + 1))
+        for k in range(1, len(c.members)):
+            idx = (first + k - 1, first + k, first + k + 1)
+            triple = [amp(g, j) for j in idx]
+            cells.append((lo + k, lo + k + 1, (min(triple) + max(triple)) / 2, "chain_interior", idx, False, False))
+        cells.append(midpoint(last, G[last][1] - 1, G[last][1]))
+    cells.sort(key=lambda cell: (cell[0], cell[1]))
+    return cells
+
+
+def _cells_or_error(build):
+    try:
+        return build()
+    except AssertionError as exc:
+        return f"AssertionError: {exc}"
+
+
+def test_cells_fill_the_box_as_the_side_rule_did():
+    rng = random.Random(29)
+    seen = {"raised": 0, "chain": 0, "point": 0}
+    for _ in range(60):
+        spec = random_spec(rng, m_range=(1, 6), n_range=(2, 4))
+        patterns = enumerate_atlas(spec).patterns
+        observed = [patterns] + [[p] for p in patterns] + [patterns[k:k + 2] for k in range(len(patterns) - 1)]
+        for subset in observed:
+            obs = ObservationSet.of(subset, spec.g)
+            for l in range(spec.m + 1):
+                model = infer_model(obs, l)
+                got = _cells_or_error(lambda: [
+                    (c.lo, c.hi, c.value, c.tag, c.indices, c.closed_lo, c.closed_hi)
+                    for c in estimate_partial(model, spec.g).cells
+                ])
+                want = _cells_or_error(lambda: _side_rule_cells(model, spec.g))
+                assert got == want, (spec, subset, l)
+                seen["raised"] += isinstance(want, str)
+                seen["chain"] += not model.chains.empty
+                seen["point"] += not isinstance(want, str) and any(c[0] == c[1] for c in want)
+    assert all(seen.values()), seen

@@ -13,6 +13,7 @@ from pcsamp import (
     cumulative_values,
     enumerate_atlas,
     estimate_partial,
+    feasible_box,
     infer_model,
     random_spec,
     translate,
@@ -107,7 +108,6 @@ def test_chain_from_single_pattern():
     assert chain.anchor == 1
     assert chain.length == 1
     assert chain.members == (1, 2)
-    assert chain.b == (5 - 2) - 1
     assert model.chains.minus == ()
     assert model.chains.free == frozenset()
 
@@ -124,7 +124,6 @@ def test_chain_mirror_from_single_pattern():
     assert chain.anchor == 1
     assert chain.length == 1
     assert chain.members == (0, 1)
-    assert chain.b == 2
 
 
 def test_full_atlas_never_chains(running_spec):
@@ -141,6 +140,21 @@ def test_example6_with_big_eta2_has_no_chains(example6_spec):
     model = infer_model(obs, 0)
     assert model.chains.empty
     assert model.chains.free == frozenset({1, 2})
+
+
+def test_box_spans_keep_degenerate_points(example6_spec):
+    obs = ObservationSet.of([(3, 3, 2), (3, 3, 1)], example6_spec.g)
+    box = feasible_box(infer_model(obs, 0))
+    assert box.G == ((0, 0), (2, 4), (5, 7), (7, 8))
+    assert box.spans == [(0, 2, 1), (4, 5, 2), (7, 7, 3)]
+
+
+def test_box_spans_raise_on_the_inverted_forced_span():
+    # the known defect: a run anchored at the reference is not coupled, so
+    # G_1 = (0, 2) and G_2 = (1, 3) overlap and region 2's span inverts
+    box = feasible_box(infer_model(ObservationSet.of([[1, 1]], [-2, 4]), 0))
+    with pytest.raises(AssertionError, match="forced span for region 2 is inverted"):
+        box.spans
 
 
 def test_chain_analysis_direct_call():
@@ -229,7 +243,7 @@ def test_mirrored_observations_mirror_the_model():
 
 
 def _reflect_chain(c, m):
-    return Chain(anchor=m - c.anchor, length=c.length, members=tuple(m - i for i in reversed(c.members)), b=c.b)
+    return Chain(anchor=m - c.anchor, length=c.length, members=tuple(m - i for i in reversed(c.members)))
 
 
 def _chain_shaped_cases(seed, count):
