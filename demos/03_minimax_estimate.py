@@ -16,7 +16,6 @@ from pcsamp import (
     energy_between,
     enumerate_atlas,
     estimate_full,
-    feasible_box,
     infer_model,
     perturbation_minimax_check,
     truth_function,
@@ -40,8 +39,7 @@ print(f"closed-form worst-case energy: {closed}")
 truth = truth_function(spec, 0)
 print(f"energy against the actual signal: {energy_between(truth, est.fn)}")
 
-box = feasible_box(model)
-worst = worst_case_energy(est, spec.g, box, resolution=12)
+worst = worst_case_energy(est, spec.g, est.box, resolution=12)
 print(f"oracle worst case over 11 placements per interval: {worst.value}")
 for zone in worst.zones:
     print(f"  interval {zone.members}: max {zone.max_energy} = min {zone.min_energy}"
@@ -49,7 +47,7 @@ for zone in worst.zones:
 assert worst.value == closed
 print()
 
-report = perturbation_minimax_check(est, spec.g, box, resolution=12, include_known=True)
+report = perturbation_minimax_check(est, spec.g, est.box, resolution=12, include_known=True)
 print(f"perturbation probes: {len(report.probes)}, baseline {report.baseline}")
 print(f"all probes kept the worst case at or above baseline: {report.passed}")
 print(f"all probes strictly increased it: {report.all_strict}")

@@ -14,7 +14,6 @@ from pcsamp import (
     closed_form_energy,
     enumerate_atlas,
     estimate_partial,
-    feasible_box,
     infer_model,
     validate_spec,
     worst_case_energy,
@@ -44,7 +43,7 @@ for cell in est.cells:
         print(f"  ({cell.lo}, {cell.hi}) -> {cell.value}   ({cell.tag})")
 
 closed = closed_form_energy(model, spec.g)
-worst = worst_case_energy(est, spec.g, feasible_box(model), resolution=12)
+worst = worst_case_energy(est, spec.g, est.box, resolution=12)
 print()
 print(f"closed form with double-weighted width-two intervals: {closed}")
 print(f"oracle worst case: {worst.value}")

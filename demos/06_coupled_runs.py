@@ -16,7 +16,6 @@ from pcsamp import (
     ObservationSet,
     closed_form_energy,
     estimate_partial,
-    feasible_box,
     infer_model,
     perturbation_minimax_check,
     worst_case_energy,
@@ -39,14 +38,13 @@ for cell in est.cells:
 print()
 
 print(f"closed-form energy: {closed_form_energy(model, [4, 2])} (none exists with coupled runs)")
-box = feasible_box(model)
-worst = worst_case_energy(est, (Fraction(4), Fraction(2)), box, resolution=50)
+worst = worst_case_energy(est, (Fraction(4), Fraction(2)), est.box, resolution=50)
 print(f"joint grid search at step 1/50: worst case {worst.value} = {float(worst.value)}")
 print(f"achieved with placements D_1 = {worst.witness[1]}, D_2 = {worst.witness[2]}")
 print()
 
 report = perturbation_minimax_check(
-    est, (Fraction(4), Fraction(2)), box, resolution=50, include_known=True
+    est, (Fraction(4), Fraction(2)), est.box, resolution=50, include_known=True
 )
 margin = min(p.worst - report.baseline for p in report.probes)
 print(f"{len(report.probes)} perturbation probes; smallest worst-case increase {margin}")

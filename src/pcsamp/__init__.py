@@ -17,7 +17,6 @@ from .signal_core import (
     AmplitudeViolation,
     GenericityViolation,
     PiecewiseFunction,
-    Region,
     RegionViolation,
     SignalSpec,
     SpecViolation,

@@ -2,7 +2,9 @@
 
 One scenario JSON file per invocation; subcommands cover each pipeline
 stage.  All numeric output is exact rational text unless --float asks for
-12-significant-digit decimals.
+12-significant-digit decimals.  Each subcommand builds its result once, a
+JSON payload plus table rows, and :func:`_render` prints it as JSON, CSV
+or an aligned table.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid scenario,
 3 inconsistent observations.
@@ -18,18 +20,17 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .estimator import (
-    Estimate,
-    best_reference,
-    closed_form_energy,
-    estimate_partial,
-)
+from .estimator import best_reference, closed_form_energy, estimate_partial
 from .inference import InconsistentObservations, ObservationSet, infer_model
 from .oracle import exhaustive_consistency_sweep, verify_scenario
 from .sampler import SamplingPattern, enumerate_atlas
 from .signal_core import SignalSpec, SpecViolation, as_rational, validate_spec
 
 DEFAULT_SEED = 0
+# ceilings on `verify`: the oracle's grid work grows with --grid per interval
+# and the random sweep with --trials, so larger values are refused up front
+MAX_GRID = 10_000
+MAX_TRIALS = 10_000
 
 
 class ScenarioError(ValueError):
@@ -170,19 +171,6 @@ def _fmt(value, as_float: bool) -> str:
     return str(value)
 
 
-def _emit_rows(headers: list[str], rows: list[list], fmt: str, as_float: bool) -> None:
-    cells = [[_fmt(v, as_float) for v in row] for row in rows]
-    if fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(headers)
-        writer.writerows(cells)
-        return
-    widths = [max(len(h), *(len(r[j]) for r in cells)) if cells else len(h) for j, h in enumerate(headers)]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    for row in cells:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-
-
 def _jsonable(obj, as_float: bool):
     if isinstance(obj, Fraction):
         return float(obj) if as_float else str(obj)
@@ -193,8 +181,27 @@ def _jsonable(obj, as_float: bool):
     return obj
 
 
-def _emit_json(payload: dict, as_float: bool) -> None:
-    print(json.dumps(_jsonable(payload, as_float), indent=2))
+def _render(args, payload: dict, headers: list[str], rows: list[list], notes: Sequence[str] = ()) -> None:
+    """Print one result as ``args.format`` asks.
+
+    JSON prints ``payload``; CSV prints ``headers`` and ``rows``; the
+    aligned table prints them too, followed by the table-only ``notes``.
+    """
+    if args.format == "json":
+        print(json.dumps(_jsonable(payload, args.float), indent=2))
+        return
+    cells = [[_fmt(v, args.float) for v in row] for row in rows]
+    if args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(headers)
+        writer.writerows(cells)
+        return
+    widths = [max(len(h), *(len(r[j]) for r in cells)) if cells else len(h) for j, h in enumerate(headers)]
+    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
+    for row in cells:
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    for note in notes:
+        print(note)
 
 
 # ---------------------------------------------------------------------------
@@ -212,23 +219,16 @@ def cmd_validate(args) -> int:
 
 def cmd_patterns(args) -> int:
     spec, _ = load_scenario(args.scenario)
-    atlas = enumerate_atlas(spec)
-    if args.format == "json":
-        _emit_json(
-            {
-                "m": spec.m,
-                "T": spec.T,
-                "cells": [
-                    {"delta_lo": c.delta_lo, "delta_hi": c.delta_hi, "eta": list(c.pattern.eta)}
-                    for c in atlas.cells
-                ],
-            },
-            args.float,
-        )
-        return 0
+    cells = enumerate_atlas(spec).cells
+    payload = {
+        "m": spec.m,
+        "T": spec.T,
+        "cells": [
+            {"delta_lo": c.delta_lo, "delta_hi": c.delta_hi, "eta": list(c.pattern.eta)} for c in cells
+        ],
+    }
     headers = ["delta_lo", "delta_hi"] + [f"eta_{j}" for j in range(1, spec.m + 1)]
-    rows = [[c.delta_lo, c.delta_hi, *c.pattern.eta] for c in atlas.cells]
-    _emit_rows(headers, rows, args.format, args.float)
+    _render(args, payload, headers, [[c.delta_lo, c.delta_hi, *c.pattern.eta] for c in cells])
     return 0
 
 
@@ -248,81 +248,55 @@ def cmd_infer(args) -> int:
     for c in model.chains.plus + model.chains.minus:
         for i in c.members:
             chain_role[i] = f"chain@{c.anchor}"
-    if args.format == "json":
-        _emit_json(
-            {
-                "l": model.l,
-                "C": list(model.C),
-                "U": sorted(model.U),
-                "intervals": [
-                    {"i": i, "lo": model.G[i][0], "hi": model.G[i][1], "knowledge": _knowledge(model, i)}
-                    for i in range(model.m + 1)
-                ],
-                "chains": [
-                    {"side": side, "anchor": c.anchor, "length": c.length, "members": list(c.members)}
-                    for side, chains in (("plus", model.chains.plus), ("minus", model.chains.minus))
-                    for c in chains
-                ],
-            },
-            args.float,
-        )
-        return 0
+    payload = {
+        "l": model.l,
+        "C": list(model.C),
+        "U": sorted(model.U),
+        "intervals": [
+            {"i": i, "lo": model.G[i][0], "hi": model.G[i][1], "knowledge": _knowledge(model, i)}
+            for i in range(model.m + 1)
+        ],
+        "chains": [
+            {"side": side, "anchor": c.anchor, "length": c.length, "members": list(c.members)}
+            for side, chains in (("plus", model.chains.plus), ("minus", model.chains.minus))
+            for c in chains
+        ],
+    }
     headers = ["i", "c", "g_lo", "g_hi", "width", "knowledge", "chain"]
     rows = [
         [i, model.C[i], model.G[i][0], model.G[i][1], model.width(i), _knowledge(model, i), chain_role.get(i, "")]
         for i in range(model.m + 1)
     ]
-    _emit_rows(headers, rows, args.format, args.float)
+    _render(args, payload, headers, rows)
     return 0
 
 
-def _estimate_rows(est: Estimate) -> tuple[list[str], list[list]]:
-    headers = ["cell_lo", "cell_hi", "value", "provenance"]
-    rows = [[c.lo, c.hi, c.value, c.tag] for c in est.cells]
-    return headers, rows
-
-
-def _print_energy(spec: SignalSpec, energy: Optional[Fraction], as_float: bool) -> None:
+def _energy_note(spec: SignalSpec, energy: Optional[Fraction], as_float: bool) -> str:
     if energy is None:
-        print("closed-form energy: unavailable: chains present")
-    else:
-        physical = energy * spec.T
-        print(f"closed-form energy: {_fmt(energy, as_float)} (units g^2*T)"
-              f" = {_fmt(physical, as_float)} physical")
+        return "closed-form energy: unavailable: chains present"
+    return (f"closed-form energy: {_fmt(energy, as_float)} (units g^2*T)"
+            f" = {_fmt(energy * spec.T, as_float)} physical")
 
 
 def cmd_estimate(args) -> int:
     spec, scenario_obs = load_scenario(args.scenario)
     obs = _resolve_observations(spec, scenario_obs, args.observations)
     if args.sweep:
-        energies = {}
-        for l in range(spec.m + 1):
-            energies[l] = closed_form_energy(infer_model(obs, l), spec.g)
+        energies = {l: closed_form_energy(infer_model(obs, l), spec.g) for l in range(spec.m + 1)}
         available = {l: e for l, e in energies.items() if e is not None}
         arg_min = min(available, key=lambda l: (available[l], l)) if available else None
         law = best_reference(spec.g)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "energies": [
-                        {"l": l, "energy": e if e is not None else "unavailable"}
-                        for l, e in energies.items()
-                    ],
-                    "argmin": arg_min,
-                    "best_reference": law,
-                    "agrees": arg_min == law,
-                },
-                args.float,
-            )
-            return 0
-        rows = [
-            [l, e if e is not None else "unavailable", "*" if l == arg_min else ""]
-            for l, e in energies.items()
-        ]
-        _emit_rows(["l", "energy", "argmin"], rows, args.format, args.float)
-        if args.format == "table":
-            print(f"argmin l = {arg_min}; largest-jump reference l = {law}; "
-                  f"{'agree' if arg_min == law else 'DISAGREE'}")
+        shown = {l: e if e is not None else "unavailable" for l, e in energies.items()}
+        payload = {
+            "energies": [{"l": l, "energy": e} for l, e in shown.items()],
+            "argmin": arg_min,
+            "best_reference": law,
+            "agrees": arg_min == law,
+        }
+        rows = [[l, e, "*" if l == arg_min else ""] for l, e in shown.items()]
+        note = (f"argmin l = {arg_min}; largest-jump reference l = {law}; "
+                f"{'agree' if arg_min == law else 'DISAGREE'}")
+        _render(args, payload, ["l", "energy", "argmin"], rows, [note])
         return 0
 
     if args.ref is None:
@@ -332,34 +306,28 @@ def cmd_estimate(args) -> int:
     model = infer_model(obs, args.ref)
     est = estimate_partial(model, spec.g)
     energy = closed_form_energy(model, spec.g)
-    if args.format == "json":
-        _emit_json(
+    T = spec.T
+    payload = {
+        "l": model.l,
+        "T": T,
+        "cells": [
             {
-                "l": model.l,
-                "T": spec.T,
-                "cells": [
-                    {
-                        "cell_lo": c.lo, "cell_hi": c.hi,
-                        "x_lo": c.lo * spec.T, "x_hi": c.hi * spec.T,
-                        "value": c.value, "provenance": c.tag,
-                        "indices": list(c.indices),
-                    }
-                    for c in est.cells
-                ],
-                "closed_form_energy": energy if energy is not None else "unavailable",
-                "closed_form_energy_physical": energy * spec.T if energy is not None else "unavailable",
-            },
-            args.float,
-        )
-        return 0
-    headers, rows = _estimate_rows(est)
-    if args.format == "table" and spec.T != 1:
-        headers = headers[:2] + ["x_lo", "x_hi"] + headers[2:]
-        rows = [[r[0], r[1], r[0] * spec.T, r[1] * spec.T, r[2], r[3]] for r in rows]
-    _emit_rows(headers, rows, args.format, args.float)
-    if args.format == "table":
-        print("outside the listed cells the estimate is 0")
-        _print_energy(spec, energy, args.float)
+                "cell_lo": c.lo, "cell_hi": c.hi, "x_lo": c.lo * T, "x_hi": c.hi * T,
+                "value": c.value, "provenance": c.tag, "indices": list(c.indices),
+            }
+            for c in est.cells
+        ],
+        "closed_form_energy": energy if energy is not None else "unavailable",
+        "closed_form_energy_physical": energy * T if energy is not None else "unavailable",
+    }
+    headers = ["cell_lo", "cell_hi", "value", "provenance"]
+    rows = [[c.lo, c.hi, c.value, c.tag] for c in est.cells]
+    if args.format == "table" and T != 1:   # physical positions: a table-only aid, CSV columns stay fixed
+        headers[2:2] = ["x_lo", "x_hi"]
+        for row in rows:
+            row[2:2] = [row[0] * T, row[1] * T]
+    notes = ["outside the listed cells the estimate is 0", _energy_note(spec, energy, args.float)]
+    _render(args, payload, headers, rows, notes)
     return 0
 
 
@@ -377,8 +345,12 @@ def cmd_verify(args) -> int:
     spec, _ = load_scenario(args.scenario)
     if args.grid < 2:
         raise ScenarioError("--grid must be at least 2")
+    if args.grid > MAX_GRID:
+        raise ScenarioError(f"--grid must be at most {MAX_GRID}")
     if args.trials < 1:
         raise ScenarioError("--trials must be at least 1")
+    if args.trials > MAX_TRIALS:
+        raise ScenarioError(f"--trials must be at most {MAX_TRIALS}")
     seed = _verify_seed(args)
     results = verify_scenario(spec, resolution=args.grid)
     sweep = exhaustive_consistency_sweep(args.trials, seed=seed)
@@ -390,17 +362,10 @@ def cmd_verify(args) -> int:
             sweep.first_failure or f"{sweep.passed}/{sweep.trials} random signals",
         ]
     )
-    if args.format == "json":
-        _emit_json(
-            {
-                "checks": [{"name": r[0], "status": r[1], "detail": r[2]} for r in rows],
-                "passed": all(r[1] == "pass" for r in rows),
-            },
-            args.float,
-        )
-    else:
-        _emit_rows(["check", "status", "detail"], rows, args.format, args.float)
-    return 0 if all(r[1] == "pass" for r in rows) else 1
+    passed = all(r[1] == "pass" for r in rows)
+    payload = {"checks": [{"name": r[0], "status": r[1], "detail": r[2]} for r in rows], "passed": passed}
+    _render(args, payload, ["check", "status", "detail"], rows)
+    return 0 if passed else 1
 
 
 EXAMPLE6 = {
@@ -483,8 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="run the property suite against a scenario")
     _add_common(sub)
-    sub.add_argument("--grid", type=int, default=50, help="oracle grid points per unit interval")
-    sub.add_argument("--trials", type=int, default=25, help="random signals in the sweep")
+    sub.add_argument("--grid", type=int, default=50,
+                     help=f"oracle grid points per unit interval (2..{MAX_GRID})")
+    sub.add_argument("--trials", type=int, default=25,
+                     help=f"random signals in the sweep (1..{MAX_TRIALS})")
     sub.add_argument("--seed", type=int, help="sweep seed (falls back to PCSAMP_SEED)")
     sub.set_defaults(func=cmd_verify)
 

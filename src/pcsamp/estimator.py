@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .inference import UncertaintyModel, feasible_box
+from .inference import FeasibleBox, UncertaintyModel, feasible_box
 from .signal_core import PiecewiseFunction, RationalLike, as_rational
 
 KNOWN = "known"
@@ -65,18 +65,28 @@ class EstimateCell:
 class Estimate:
     """A piecewise constant estimate on integer grid cells.
 
-    ``cells`` are sorted by (lo, hi) and tile ``span``; a degenerate known
-    cell (lo == hi) only fixes the value at its single point.
+    ``box`` is the feasible box the estimate fills; the reference ``l``
+    and the ``span`` [G[0].lo, G[m].hi] are read from it, and the oracle
+    searches it.  ``cells`` are sorted by (lo, hi) and tile ``span``; a
+    degenerate known cell (lo == hi) only fixes the value at its single
+    point.
 
     ``fn`` is the measure-level function (half-open cells) used for
     integration; ``value_at`` additionally honors closed known spans so
     grid-point queries reproduce the forced signal values exactly.
     """
 
-    l: int
     cells: tuple[EstimateCell, ...]
     fn: PiecewiseFunction
-    span: tuple[int, int]
+    box: FeasibleBox
+
+    @property
+    def l(self) -> int:
+        return self.box.l
+
+    @property
+    def span(self) -> tuple[int, int]:
+        return self.box.G[0][0], self.box.G[-1][1]
 
     @cached_property
     def _cell_los(self) -> tuple[Fraction, ...]:
@@ -108,15 +118,13 @@ class Estimate:
         return {n: self.fn.evaluate(Fraction(2 * n - 1, 2)) for n in range(lo + 1, hi + 1)}
 
 
-def _build_cells(model: UncertaintyModel, amplitudes: Sequence[Fraction]) -> tuple[EstimateCell, ...]:
-    box = feasible_box(model)
-
+def _build_cells(box: FeasibleBox, amplitudes: Sequence[Fraction]) -> tuple[EstimateCell, ...]:
     # a degenerate span is kept as a point cell: it contributes no measure
     # but still fixes the value at that single grid point
     cells = [
         EstimateCell(
             lo=Fraction(lo), hi=Fraction(hi), value=amp(amplitudes, i), tag=KNOWN, indices=(i,),
-            closed_lo=True, closed_hi=(i != model.l),
+            closed_lo=True, closed_hi=(i != box.l),
         )
         for lo, hi, i in box.spans
     ]
@@ -149,13 +157,6 @@ def _build_cells(model: UncertaintyModel, amplitudes: Sequence[Fraction]) -> tup
     return tuple(cells)
 
 
-def _assemble(model: UncertaintyModel, cells: tuple[EstimateCell, ...]) -> Estimate:
-    wide = [c for c in cells if c.lo < c.hi]
-    breakpoints = tuple([wide[0].lo] + [c.hi for c in wide])
-    fn = PiecewiseFunction(breakpoints=breakpoints, values=tuple(c.value for c in wide))
-    return Estimate(l=model.l, cells=cells, fn=fn, span=(model.G[0][0], model.G[model.m][1]))
-
-
 def estimate_partial(model: UncertaintyModel, amplitudes: Sequence[RationalLike]) -> Estimate:
     """Worst-case-optimal estimate for any pattern-set knowledge.
 
@@ -165,7 +166,12 @@ def estimate_partial(model: UncertaintyModel, amplitudes: Sequence[RationalLike]
     g = tuple(as_rational(a) for a in amplitudes)
     if len(g) != model.m:
         raise ValueError(f"expected {model.m} amplitudes, got {len(g)}")
-    return _assemble(model, _build_cells(model, g))
+    box = feasible_box(model)
+    cells = _build_cells(box, g)
+    wide = [c for c in cells if c.lo < c.hi]
+    breakpoints = tuple([wide[0].lo] + [c.hi for c in wide])
+    fn = PiecewiseFunction(breakpoints=breakpoints, values=tuple(c.value for c in wide))
+    return Estimate(cells=cells, fn=fn, box=box)
 
 
 def estimate_full(model: UncertaintyModel, amplitudes: Sequence[RationalLike]) -> Estimate:

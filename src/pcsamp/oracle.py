@@ -42,6 +42,7 @@ from .estimator import (
     estimate_full,
     estimate_partial,
 )
+# feasible_box is re-exported: the benchmark's tracer patches it as oracle.feasible_box
 from .inference import FeasibleBox, ObservationSet, UncertaintyModel, Zone, feasible_box, infer_model
 from .sampler import PatternAtlas, count_direct, cumulative_count, delta_chain, enumerate_atlas
 from .signal_core import (
@@ -61,8 +62,6 @@ class EmptyFeasibleSet(ValueError):
 @dataclass(frozen=True)
 class ZoneOutcome:
     members: tuple[int, ...]
-    lo: int
-    hi: int
     max_energy: Fraction
     min_energy: Fraction
     argmax: tuple[Fraction, ...]
@@ -89,8 +88,14 @@ class PerturbationProbe:
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    baseline: Fraction
+    """The unperturbed worst case and every probe measured against it."""
+
+    worst: WorstCase
     probes: tuple[PerturbationProbe, ...]
+
+    @property
+    def baseline(self) -> Fraction:
+        return self.worst.value
 
     @property
     def passed(self) -> bool:
@@ -292,8 +297,7 @@ def _zone_extremes(
     for back, grid in zip(reversed(backs), reversed(grids[1:])):
         path.append(back[path[-1] - grid.start])
     return ZoneOutcome(
-        members=members, lo=zone.lo, hi=zone.hi,
-        max_energy=Fraction(best[0], scale), min_energy=Fraction(worst, scale),
+        members=members, max_energy=Fraction(best[0], scale), min_energy=Fraction(worst, scale),
         argmax=tuple(Fraction(zone.lo * r + q, r) for q in reversed(path)),
     )
 
@@ -395,7 +399,7 @@ def perturbation_minimax_check(
                         ok=value >= base.value, strict=value > base.value,
                     )
                 )
-    return PerturbationReport(baseline=base.value, probes=tuple(probes))
+    return PerturbationReport(worst=base, probes=tuple(probes))
 
 
 # ---------------------------------------------------------------------------
@@ -612,15 +616,14 @@ def _check_minimax(spec: SignalSpec, full: _FullSet, resolution: int) -> Optiona
     for l, (model, est) in enumerate(full):
         if est is None:
             return f"l={l}: no full estimate, width-two indices {sorted(model.U)}"
-        box = feasible_box(model)
         closed = closed_form_energy(model, spec.g)
-        worst = worst_case_energy(est, spec.g, box, resolution)
+        report = perturbation_minimax_check(est, spec.g, est.box, resolution=resolution)
+        worst = report.worst
         if worst.value != closed:
             return f"l={l}: oracle worst {worst.value} != closed form {closed}"
         for outcome in worst.zones:
             if outcome.max_energy != outcome.min_energy:
                 return f"l={l}: energy varies with placement in zone {outcome.members}"
-        report = perturbation_minimax_check(est, spec.g, box, resolution=resolution)
         if not report.passed or not report.all_strict:
             bad = next(p for p in report.probes if not (p.ok and p.strict))
             return (
@@ -645,7 +648,7 @@ def _check_width2_energy(spec: SignalSpec, atlas: PatternAtlas, resolution: int)
                 est = estimate_partial(model, spec.g)
             except AssertionError as exc:   # the known inverted forced-span defect
                 return f"pair at cell {k}, l={l}: {exc}", ""
-            worst = worst_case_energy(est, spec.g, feasible_box(model), resolution)
+            worst = worst_case_energy(est, spec.g, est.box, resolution)
             if worst.value != closed:
                 return (
                     f"pair at cell {k}, l={l}: oracle {worst.value} != closed {closed}", "",

@@ -66,10 +66,6 @@ class PatternAtlas:
     def patterns(self) -> tuple[SamplingPattern, ...]:
         return tuple(c.pattern for c in self.cells)
 
-    @property
-    def m(self) -> int:
-        return self.cells[0].pattern.m
-
 
 def _check_delta(delta: Fraction) -> tuple[int, int]:
     """Numerator and denominator of a grid offset checked to lie in [0, 1)."""

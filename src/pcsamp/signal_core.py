@@ -95,22 +95,19 @@ class Lattice(NamedTuple):
     breakpoints: tuple[int, ...]
 
 
-class Region(NamedTuple):
-    g: Fraction
-    n: int
-    f: Fraction
-
-
 @dataclass(frozen=True)
 class SignalSpec:
     """Exact description of one piecewise constant signal.
 
-    ``regions`` is ordered left to right; ``T`` is the physical sampling
-    interval kept only for reporting (internally everything is in units
-    of T).
+    ``g``, ``n`` and ``f`` are the per-region columns, ordered left to
+    right: amplitude, integer part and fractional part, so region i has
+    length ``n[i] - f[i]``.  ``T`` is the physical sampling interval, kept
+    only for reporting (internally everything is in units of T).
     """
 
-    regions: tuple[Region, ...]
+    g: tuple[Fraction, ...]
+    n: tuple[int, ...]
+    f: tuple[Fraction, ...]
     T: Fraction = Fraction(1)
 
     @classmethod
@@ -123,31 +120,21 @@ class SignalSpec:
     ) -> "SignalSpec":
         if not (len(g) == len(n) == len(f)):
             raise SpecViolation("g, n, f must have equal lengths")
-        regions = tuple(
-            Region(as_rational(gi), int(ni), as_rational(fi)) for gi, ni, fi in zip(g, n, f)
+        return cls(
+            g=tuple(as_rational(gi) for gi in g),
+            n=tuple(int(ni) for ni in n),
+            f=tuple(as_rational(fi) for fi in f),
+            T=as_rational(T),
         )
-        return cls(regions=regions, T=as_rational(T))
 
     @property
     def m(self) -> int:
-        return len(self.regions)
-
-    @cached_property
-    def g(self) -> tuple[Fraction, ...]:
-        return tuple(r.g for r in self.regions)
-
-    @cached_property
-    def n(self) -> tuple[int, ...]:
-        return tuple(r.n for r in self.regions)
-
-    @cached_property
-    def f(self) -> tuple[Fraction, ...]:
-        return tuple(r.f for r in self.regions)
+        return len(self.g)
 
     @cached_property
     def lengths(self) -> tuple[Fraction, ...]:
         """Region lengths in units of T: n_i - f_i."""
-        return tuple(Fraction(r.n) - r.f for r in self.regions)
+        return tuple(Fraction(ni) - fi for ni, fi in zip(self.n, self.f))
 
     @cached_property
     def lattice(self) -> Lattice:

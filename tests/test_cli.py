@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcsamp import cli
 from pcsamp.cli import main
 
 RUNNING = {
@@ -234,6 +235,18 @@ def test_verify_reports_the_inverted_span_pair_as_a_fail_row(tmp_path, capsys):
     assert checks[4]["detail"] == "pair at cell 2, l=0: forced span for region 2 is inverted"
 
 
+@pytest.mark.parametrize("flag, ceiling", [("--grid", cli.MAX_GRID), ("--trials", cli.MAX_TRIALS)])
+def test_verify_ceilings_exit2_before_any_work(running_file, capsys, monkeypatch, flag, ceiling):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify started work above a ceiling")
+    monkeypatch.setattr(cli, "verify_scenario", refuse)
+    monkeypatch.setattr(cli, "exhaustive_consistency_sweep", refuse)
+    argv = ["verify", running_file, "--grid", "12", "--trials", "3", "--seed", "5"]
+    argv[argv.index(flag) + 1] = str(ceiling + 1)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"ScenarioError {flag} must be at most {ceiling}\n"
+
+
 def test_verify_seed_env_fallback(running_file, capsys, monkeypatch):
     monkeypatch.setenv("PCSAMP_SEED", "5")
     assert main(["verify", running_file, "--grid", "12", "--trials", "3",
@@ -272,6 +285,33 @@ def test_physical_units_scale(tmp_path, capsys):
     assert first["x_hi"] == "1/2"
     assert payload["closed_form_energy"] == "2"
     assert payload["closed_form_energy_physical"] == "1"
+
+
+def test_physical_units_in_every_format(tmp_path, capsys):
+    path = tmp_path / "three_halves.json"
+    path.write_text(json.dumps(dict(RUNNING, T="3/2")))
+    argv = ["estimate", str(path), "--ref", "0", "--format"]
+
+    assert main(argv + ["table"]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].split() == ["cell_lo", "cell_hi", "x_lo", "x_hi", "value", "provenance"]
+    assert table[2].split() == ["1", "2", "3/2", "3", "3", "midpoint"]
+    assert table[-2:] == [
+        "outside the listed cells the estimate is 0",
+        "closed-form energy: 2 (units g^2*T) = 3 physical",
+    ]
+
+    assert main(argv + ["csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["cell_lo", "cell_hi", "value", "provenance"]
+    assert rows[2] == ["1", "2", "3", "midpoint"]
+    assert len(rows) == 5   # header and four cells, no notes
+
+    assert main(argv + ["json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["T"] == "3/2"
+    assert (payload["cells"][1]["x_lo"], payload["cells"][1]["x_hi"]) == ("3/2", "3")
+    assert payload["closed_form_energy_physical"] == "3"
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from pcsamp import (
     verify_scenario,
     worst_case_energy,
 )
-from pcsamp import oracle
+from pcsamp import estimator, oracle
 from pcsamp.estimator import CHAIN_INTERIOR, MIDPOINT, amp
 
 
@@ -217,7 +217,7 @@ def test_oracle_catches_a_broken_estimate(running_spec):
     bad = worst_case_energy(broken, running_spec.g, box, 12)
     assert good.value < bad.value
     report = perturbation_minimax_check(
-        Estimate(l=est.l, cells=est.cells, fn=broken, span=est.span),
+        Estimate(cells=est.cells, fn=broken, box=est.box),
         running_spec.g, box, deltas=[-jump / 2, jump / 2], resolution=12,
     )
     assert not report.passed
@@ -430,7 +430,7 @@ def _reference_probes(est, g, box, resolution, include_known):
                 new = oracle._span_energy(fn2, amp(g, region), n - 1, n)
                 value = base.const - old + new + zone_totals
             probes.append(oracle.PerturbationProbe(n, delta, value, value >= base.value, value > base.value))
-    return oracle.PerturbationReport(base.value, tuple(probes))
+    return oracle.PerturbationReport(base, tuple(probes))
 
 
 def _outcome(call):
@@ -458,7 +458,7 @@ def test_probe_walk_matches_the_unit_cell_scan():
         # so that a forced span can hold a value other than the signal's
         n = rng.randint(est.span[0] + 1, est.span[1])
         bent = est.fn.with_value(n - 1, n - Fraction(rng.randint(0, 1), 2), est.fn.evaluate(n - 1) + 1)
-        cases += [(e, spec.g, feasible_box(model)) for e in (est, Estimate(est.l, est.cells, bent, est.span))]
+        cases += [(e, spec.g, feasible_box(model)) for e in (est, Estimate(est.cells, bent, est.box))]
     cells = [cell for est, _, _ in cases for cell in est.cells]
     assert any(c.tag == MIDPOINT and c.hi - c.lo == 2 for c in cells)
     assert any(c.lo == c.hi for c in cells)
@@ -476,8 +476,8 @@ def test_probe_of_a_box_cell_no_estimate_cell_covers(running_spec):
     box = feasible_box(model)
     zone = box.zones[0]
     gap = Estimate(
-        l=est.l, cells=tuple(c for c in est.cells if c.hi <= zone.lo or c.lo >= zone.hi),
-        fn=est.fn, span=est.span,
+        cells=tuple(c for c in est.cells if c.hi <= zone.lo or c.lo >= zone.hi),
+        fn=est.fn, box=est.box,
     )
     with pytest.raises(ValueError, match=rf"unit cell \({zone.hi - 1}, {zone.hi}\) lies outside"):
         perturbation_minimax_check(gap, running_spec.g, box, resolution=4)
@@ -578,6 +578,28 @@ def test_verify_cost_does_not_grow_with_region_length():
     spec = validate_spec(SignalSpec.from_columns(g=[4, 2], n=[2, 10**9], f=["1/4", "1/2"]))
     results = verify_scenario(spec, resolution=4, delta_denominator=8)
     assert len(results) == 5 and all(r.passed for r in results), results
+
+
+def test_verify_derives_each_box_and_worst_case_once(running_spec, monkeypatch):
+    calls = {"feasible_box": 0, "estimate_partial": 0, "worst_case_energy": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (estimator, oracle):
+        count(module, "feasible_box")
+        count(module, "estimate_partial")
+    count(oracle, "worst_case_energy")
+    results = verify_scenario(running_spec, resolution=4, delta_denominator=8)
+    assert all(r.passed for r in results), results
+    pairs = int(results[-1].detail.split()[0])   # adjacent-pair sets, one worst case each
+    assert calls["feasible_box"] == calls["estimate_partial"] == running_spec.m + 1 + pairs
+    assert calls["worst_case_energy"] == running_spec.m + 1 + pairs
 
 
 def _first_grid_mismatch(spec, full, truth_of):
