@@ -130,43 +130,44 @@ def _fn_of(est: Union[Estimate, PiecewiseFunction]) -> PiecewiseFunction:
     return est.fn if isinstance(est, Estimate) else est
 
 
-def _pieces(fn: PiecewiseFunction, lo: int, hi: int) -> tuple[tuple[Fraction, ...], list[Fraction]]:
-    """fn's breakpoints inside (lo, hi) and its value on each piece of [lo, hi] they cut."""
+def _pieces(fn: PiecewiseFunction, lo: int, hi: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """fn on [lo, hi] as pieces: the cuts lo, fn's breakpoints inside (lo, hi)
+    and hi, and fn's value between each two consecutive cuts."""
     bps = fn.breakpoints
     first, last = bisect_right(bps, lo), bisect_left(bps, hi)
-    vals = [fn.values[j] if 0 <= j < len(fn.values) else Fraction(0) for j in range(first - 1, last)]
-    return bps[first:last], vals
+    vals = tuple(fn.values[j] if 0 <= j < len(fn.values) else Fraction(0) for j in range(first - 1, last))
+    return (lo, *bps[first:last], hi), vals
 
 
 def _scaled_cumulatives(
-    fn: PiecewiseFunction,
+    cuts: Sequence[Fraction],
+    vals: Sequence[Fraction],
     amplitudes: Sequence[Fraction],
-    lo: int,
-    hi: int,
     resolution: int,
 ) -> tuple[int, dict[Fraction, list[int]]]:
-    """Integrals of (c - fn)^2 from ``lo`` to every grid point, per amplitude c.
+    """Integrals of (c - f)^2 from the first cut to every grid point, per
+    amplitude c, for the pieces f given by ``cuts`` and ``vals`` (see
+    :func:`_pieces`).
 
-    The grid points are lo + k/resolution for k = 0..(hi-lo)*resolution.
-    Positions are integers over N, the lcm of ``resolution`` and the
-    denominators of fn's breakpoints inside (lo, hi); values are integers
-    over D, the lcm of the denominators of the amplitudes and of fn's
-    values on [lo, hi].  So every integral is an integer over
+    The grid points are lo + k/resolution for k = 0..(hi-lo)*resolution,
+    with lo and hi the first and last (integer) cuts.  Positions are
+    integers over N, the lcm of ``resolution`` and the denominators of the
+    cuts; values are integers over D, the lcm of the denominators of the
+    amplitudes and of ``vals``.  So every integral is an integer over
     scale = N * D^2, which is returned with the lists.
     """
-    inner, vals = _pieces(fn, lo, hi)
-    N = math.lcm(resolution, *(x.denominator for x in inner))
+    N = math.lcm(resolution, *(x.denominator for x in cuts))
     D = math.lcm(*(v.denominator for v in (*amplitudes, *vals)))
     step = N // resolution
-    x0 = lo * N
-    cuts = [x0, *(x.numerator * (N // x.denominator) for x in inner), hi * N]
+    xs = [x.numerator * (N // x.denominator) for x in cuts]
+    x0 = xs[0]
     scaled_vals = [v.numerator * (D // v.denominator) for v in vals]
     out: dict[Fraction, list[int]] = {}
     for c in set(amplitudes):
         ic = c.numerator * (D // c.denominator)
         cum: list[int] = []
         base = 0
-        for a, b, v in zip(cuts, cuts[1:], scaled_vals):
+        for a, b, v in zip(xs, xs[1:], scaled_vals):
             rate = (ic - v) ** 2
             start = x0 - (x0 - a) // step * step   # first grid point at or after a
             cum.extend([base + rate * (x - a) for x in range(start, b, step)])
@@ -176,10 +177,8 @@ def _scaled_cumulatives(
     return N * D * D, out
 
 
-def _span_energy(fn: PiecewiseFunction, c: Fraction, lo: int, hi: int) -> Fraction:
-    """Integral of (c - fn)^2 over [lo, hi], one term per piece of fn."""
-    inner, vals = _pieces(fn, lo, hi)
-    cuts = (lo, *inner, hi)
+def _span_energy(cuts: Sequence[Fraction], vals: Sequence[Fraction], c: Fraction) -> Fraction:
+    """Integral of (c - f)^2 over the pieces f given by ``cuts`` and ``vals``, one term per piece."""
     return sum(((c - v) ** 2 * (b - a) for a, b, v in zip(cuts, cuts[1:], vals)), Fraction(0))
 
 
@@ -236,13 +235,16 @@ def _window_step(
 
 
 def _zone_extremes(
-    fn: PiecewiseFunction,
+    cuts: Sequence[Fraction],
+    vals: Sequence[Fraction],
     amplitudes: Sequence[Fraction],
     box: FeasibleBox,
     zone: Zone,
     resolution: int,
 ) -> ZoneOutcome:
-    """Exact maximum and minimum of the zone's error energy over the grid.
+    """Exact maximum and minimum of the zone's error energy over the grid,
+    for the estimate's pieces on the zone (``cuts`` and ``vals``, see
+    :func:`_pieces`).
 
     Within a zone the truth takes the run of amplitudes bounded by the
     member discontinuities, so the energy decomposes over consecutive
@@ -261,7 +263,7 @@ def _zone_extremes(
         zone.lo <= box.G[i][0] and box.G[i][1] <= zone.hi for i in members
     ), "zone members must lie inside the zone"
     amps = [amp(amplitudes, first + j) for j in range(len(members) + 1)]
-    scale, cums = _scaled_cumulatives(fn, amps, zone.lo, zone.hi, r)
+    scale, cums = _scaled_cumulatives(cuts, vals, amps, r)
     grids = [range((box.G[i][0] - zone.lo) * r + 1, (box.G[i][1] - zone.lo) * r) for i in members]
 
     # per grid point of the current member: largest and smallest energy left
@@ -325,9 +327,10 @@ def worst_case_energy(
         raise ValueError("need at least 2 grid points per unit interval")
     fn = _fn_of(est)
     g = tuple(amplitudes)
-    outcomes = tuple(_zone_extremes(fn, g, box, z, resolution) for z in box.zones)
+    outcomes = tuple(_zone_extremes(*_pieces(fn, z.lo, z.hi), g, box, z, resolution) for z in box.zones)
     const = sum(   # a point span has no measure, so it adds nothing and is skipped
-        (_span_energy(fn, amp(g, region), lo, hi) for lo, hi, region in box.spans if lo < hi), Fraction(0)
+        (_span_energy(*_pieces(fn, lo, hi), amp(g, region)) for lo, hi, region in box.spans if lo < hi),
+        Fraction(0),
     )
     witness: dict[int, Fraction] = {box.l: Fraction(0)}
     for outcome in outcomes:
@@ -358,41 +361,43 @@ def perturbation_minimax_check(
     est: Estimate,
     amplitudes: Sequence[Fraction],
     box: FeasibleBox,
-    deltas: Optional[Sequence[Fraction]] = None,
     resolution: int = 50,
     include_known: bool = False,
 ) -> PerturbationReport:
     """Probe local minimax optimality cell by cell.
 
-    Every adjustable unit cell gets its value shifted by each probe delta
-    (by default four deltas scaled to the governing amplitude jump) and
-    the worst case is recomputed; only the affected zone or forced span
-    needs re-searching.  The probes walk the box's zones, and its forced
-    spans with ``include_known``, in order; these tile the span.  A worst
-    case that decreases is recorded as a violation, not raised.
+    Every adjustable unit cell (n-1, n) gets its value shifted by four
+    deltas scaled to the governing amplitude jump, and the worst case is
+    recomputed.  The probe sets the cell inside the pieces of the zone or
+    forced span that holds it, and only that stretch is searched again.
+    The probes walk the box's zones, and its forced spans with
+    ``include_known``, in order; these tile the span.  A worst case that
+    decreases is recorded as a violation, not raised.
     """
     g = tuple(amplitudes)
     base = worst_case_energy(est, g, box, resolution)
-    pieces = [(z.lo, z.hi, z, outcome) for z, outcome in zip(box.zones, base.zones)]
+    stretches = [(z.lo, z.hi, z, outcome) for z, outcome in zip(box.zones, base.zones)]
     if include_known:
-        pieces += [(lo, hi, region, None) for lo, hi, region in box.spans]
+        stretches += [(lo, hi, region, None) for lo, hi, region in box.spans]
 
     probes: list[PerturbationProbe] = []
-    for lo, hi, where, outcome in sorted(pieces, key=lambda piece: piece[0]):
+    for lo, hi, where, outcome in sorted(stretches, key=lambda stretch: stretch[0]):
+        cuts, vals = _pieces(est.fn, lo, hi)
+        if outcome is None:   # a forced span: its energy does not depend on the placement
+            c = amp(g, where)
+            old = _span_energy(cuts, vals, c)
+        else:
+            old = outcome.max_energy
         for n in range(lo + 1, hi + 1):
             gamma = est.fn.evaluate(Fraction(2 * n - 1, 2))
-            if outcome is None:   # a forced span: only this unit cell's integral changes
-                c = amp(g, where)
-                rest = base.value - _span_energy(est.fn, c, n - 1, n)
-            for delta in tuple(deltas) if deltas is not None else _auto_deltas(est, g, n):
-                if delta == 0:
-                    continue
+            a, b = bisect_left(cuts, n - 1), bisect_right(cuts, n)
+            for delta in _auto_deltas(est, g, n):
+                probed = (*cuts[:a], n - 1, n, *cuts[b:]), (*vals[:a], gamma + delta, *vals[b - 1:])
                 if outcome is None:
-                    value = rest + (c - gamma - delta) ** 2
+                    new = _span_energy(*probed, c)
                 else:
-                    fn2 = est.fn.with_value(n - 1, n, gamma + delta)
-                    redo = _zone_extremes(fn2, g, box, where, resolution)
-                    value = base.value - outcome.max_energy + redo.max_energy
+                    new = _zone_extremes(*probed, g, box, where, resolution).max_energy
+                value = base.value - old + new
                 probes.append(
                     PerturbationProbe(
                         cell=n, delta=delta, worst=value,

@@ -21,7 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -261,33 +261,6 @@ class PiecewiseFunction:
         return Fraction(0)
 
     __call__ = evaluate
-
-    def with_value(self, lo: RationalLike, hi: RationalLike, value: RationalLike) -> "PiecewiseFunction":
-        """A copy of this function forced to ``value`` on [lo, hi)."""
-        lo, hi, value = as_rational(lo), as_rational(hi), as_rational(value)
-        if not lo < hi:
-            raise ValueError("need lo < hi")
-        bps, values = self.breakpoints, self.values
-        below, inside = bisect_left(bps, lo), bisect_right(bps, lo)   # bps[:below] < lo
-        until, above = bisect_left(bps, hi), bisect_right(bps, hi)    # bps[above:] > hi
-        # every breakpoint stays; those inside (lo, hi) only split the override
-        pts = [*bps[:below], lo, *bps[inside:until], hi, *bps[above:]]
-        vals = list(values[:below])
-        if below == len(bps):   # lo lies past the support: a zero gap before it
-            vals.append(Fraction(0))
-        vals += [value] * (until - inside + 1)
-        if above < len(bps):
-            vals += [self.evaluate(hi), *values[above:]]
-        # drop leading/trailing zero cells so support stays tight
-        while vals and vals[0] == 0:
-            pts.pop(0)
-            vals.pop(0)
-        while vals and vals[-1] == 0:
-            pts.pop()
-            vals.pop()
-        if not vals:
-            raise ValueError("override produced an identically zero function")
-        return PiecewiseFunction(tuple(pts), tuple(vals))
 
 
 def truth_function(spec: SignalSpec, l: int) -> PiecewiseFunction:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pcsamp import SignalSpec, validate_spec
+from pcsamp import PiecewiseFunction, SignalSpec, validate_spec
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +21,13 @@ def example6_spec() -> SignalSpec:
 
 def F(*args) -> Fraction:
     return Fraction(*args)
+
+
+def with_value(fn: PiecewiseFunction, lo, hi, value) -> PiecewiseFunction:
+    """``fn`` forced to ``value`` on [lo, hi), by definition: split at every
+    breakpoint and both ends, and override each piece whose midpoint lies
+    in [lo, hi)."""
+    lo, hi, value = Fraction(lo), Fraction(hi), Fraction(value)
+    pts = sorted(set(fn.breakpoints) | {lo, hi})
+    vals = [value if lo <= (a + b) / 2 < hi else fn.evaluate((a + b) / 2) for a, b in zip(pts, pts[1:])]
+    return PiecewiseFunction(tuple(pts), tuple(vals))

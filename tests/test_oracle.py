@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import with_value
 
 from pcsamp import (
     CheckResult,
@@ -106,7 +107,7 @@ def test_perturbed_midpoint_strictly_worse(running_spec):
     model = _full_model(running_spec, 0)
     est = estimate_full(model, running_spec.g)
     box = feasible_box(model)
-    bumped = est.fn.with_value(1, 2, Fraction(7, 2))
+    bumped = with_value(est.fn, 1, 2, Fraction(7, 2))
     expected = max(
         Fraction(1, 4) * k / 12 + Fraction(9, 4) * (1 - Fraction(k, 12)) for k in range(1, 12)
     ) + 1
@@ -195,14 +196,27 @@ def test_perturbations_never_improve_full(running_spec):
         assert report.violations == ()
 
 
-def test_perturbations_never_improve_chain():
-    model = infer_model(ObservationSet.of([(3, 1)], [4, 2]), 0)
-    est = estimate_partial(model, [4, 2])
+@pytest.mark.parametrize("include_known", [False, True])
+@pytest.mark.parametrize(
+    "observed, g, baseline, closed",
+    [
+        pytest.param([(3, 1)], (4, 2), Fraction(148, 25), None, id="chain"),
+        # from g = (-1, 1), n = (2, 2), f = (20/97, 84/97): the estimate is 0 on
+        # (0, 2) and 1/2 on (2, 3), and the -1/2 probe of (2, 3) zeroes it
+        pytest.param([(1, 2), (1, 1)], (-1, 1), Fraction(9, 4), Fraction(9, 4), id="zeroing-probe"),
+    ],
+)
+def test_perturbations_never_improve_chain(observed, g, baseline, closed, include_known):
+    g = tuple(map(Fraction, g))
+    model = infer_model(ObservationSet.of(observed, g), 0)
+    est = estimate_partial(model, g)
     report = perturbation_minimax_check(
-        est, (Fraction(4), Fraction(2)), feasible_box(model), resolution=50, include_known=True
+        est, g, feasible_box(model), resolution=50, include_known=include_known
     )
     assert report.passed
     assert report.all_strict
+    assert report.baseline == baseline
+    assert closed_form_energy(model, g) == closed
 
 
 def test_oracle_catches_a_broken_estimate(running_spec):
@@ -211,26 +225,17 @@ def test_oracle_catches_a_broken_estimate(running_spec):
     model = _full_model(running_spec, 0)
     est = estimate_full(model, running_spec.g)
     box = feasible_box(model)
-    broken = est.fn.with_value(1, 2, Fraction(4))   # was 3 = (4 + 2) / 2
+    broken = with_value(est.fn, 1, 2, Fraction(4))   # was 3 = (4 + 2) / 2
     jump = Fraction(4 - 2)
-    good = worst_case_energy(broken.with_value(1, 2, 4 - jump / 2), running_spec.g, box, 12)
+    good = worst_case_energy(with_value(broken, 1, 2, 4 - jump / 2), running_spec.g, box, 12)
     bad = worst_case_energy(broken, running_spec.g, box, 12)
     assert good.value < bad.value
     report = perturbation_minimax_check(
         Estimate(cells=est.cells, fn=broken, box=est.box),
-        running_spec.g, box, deltas=[-jump / 2, jump / 2], resolution=12,
+        running_spec.g, box, resolution=12,
     )
     assert not report.passed
     assert any(p.worst < report.baseline for p in report.violations)
-
-
-def test_zero_delta_is_skipped(running_spec):
-    model = _full_model(running_spec, 0)
-    est = estimate_full(model, running_spec.g)
-    report = perturbation_minimax_check(
-        est, running_spec.g, feasible_box(model), deltas=[Fraction(0)], resolution=12
-    )
-    assert report.probes == ()
 
 
 def test_empty_feasible_set():
@@ -368,7 +373,7 @@ def test_chain_sweep_off_lattice_breakpoint():
     model = infer_model(ObservationSet.of([(3, 1)], g), 0)
     box = feasible_box(model)
     assert box.zones[0].lo < Fraction(7, 3) < box.zones[0].hi
-    fn = estimate_partial(model, g).fn.with_value(Fraction(7, 3), Fraction(13, 4), Fraction(5, 3))
+    fn = with_value(estimate_partial(model, g).fn, Fraction(7, 3), Fraction(13, 4), Fraction(5, 3))
     assert Fraction(7, 3) in fn.breakpoints
     for resolution in (4, 5):
         _check_against_brute_force(fn, g, box, resolution)
@@ -408,27 +413,17 @@ def _reference_auto_deltas(est, g, n):
 
 
 def _reference_probes(est, g, box, resolution, include_known):
-    """The probes as first defined: every unit cell of the estimate span, its
-    zone or forced span found by a scan, and the whole estimate rebuilt."""
+    """The probes by definition: every unit cell of the estimate span in a
+    zone (or anywhere, with include_known), the estimate altered on that
+    cell, and the whole worst case searched again."""
     base = worst_case_energy(est, g, box, resolution)
     gammas = est.gammas
-    spans = box.spans
-    zone_totals = sum((o.max_energy for o in base.zones), Fraction(0))
     probes = []
     for n in sorted(gammas):
-        zone_idx = next((j for j, z in enumerate(box.zones) if z.lo <= n - 1 and n <= z.hi), None)
-        if zone_idx is None and not include_known:
+        if not include_known and not any(z.lo <= n - 1 and n <= z.hi for z in box.zones):
             continue
         for delta in _reference_auto_deltas(est, g, n):
-            fn2 = est.fn.with_value(n - 1, n, gammas[n] + delta)
-            if zone_idx is not None:
-                redo = oracle._zone_extremes(fn2, g, box, box.zones[zone_idx], resolution)
-                value = base.const + zone_totals - base.zones[zone_idx].max_energy + redo.max_energy
-            else:
-                region = next(r for lo, hi, r in spans if lo <= n - 1 and n <= hi)
-                old = oracle._span_energy(est.fn, amp(g, region), n - 1, n)
-                new = oracle._span_energy(fn2, amp(g, region), n - 1, n)
-                value = base.const - old + new + zone_totals
+            value = worst_case_energy(with_value(est.fn, n - 1, n, gammas[n] + delta), g, box, resolution).value
             probes.append(oracle.PerturbationProbe(n, delta, value, value >= base.value, value > base.value))
     return oracle.PerturbationReport(base, tuple(probes))
 
@@ -457,7 +452,7 @@ def test_probe_walk_matches_the_unit_cell_scan():
         # and the estimate off by one on a random unit cell or its left half,
         # so that a forced span can hold a value other than the signal's
         n = rng.randint(est.span[0] + 1, est.span[1])
-        bent = est.fn.with_value(n - 1, n - Fraction(rng.randint(0, 1), 2), est.fn.evaluate(n - 1) + 1)
+        bent = with_value(est.fn, n - 1, n - Fraction(rng.randint(0, 1), 2), est.fn.evaluate(n - 1) + 1)
         cases += [(e, spec.g, feasible_box(model)) for e in (est, Estimate(est.cells, bent, est.box))]
     cells = [cell for est, _, _ in cases for cell in est.cells]
     assert any(c.tag == MIDPOINT and c.hi - c.lo == 2 for c in cells)
@@ -468,6 +463,26 @@ def test_probe_walk_matches_the_unit_cell_scan():
             assert _outcome(
                 lambda: perturbation_minimax_check(est, g, box, resolution=4, include_known=include_known)
             ) == _outcome(lambda: _reference_probes(est, g, box, 4, include_known))
+
+
+def test_probes_rebuild_no_function(running_spec, monkeypatch):
+    # a probe sets its unit cell inside the pieces of its zone or forced
+    # span; it never builds a whole altered estimate
+    ests = [estimate_full(_full_model(running_spec, l), running_spec.g) for l in range(running_spec.m + 1)]
+    built = []
+    real = PiecewiseFunction.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+    monkeypatch.setattr(PiecewiseFunction, "__post_init__", counted)
+    for est in ests:
+        for include_known in (False, True):
+            report = perturbation_minimax_check(
+                est, running_spec.g, est.box, resolution=4, include_known=include_known
+            )
+            assert report.probes
+    assert built == []
 
 
 def test_probe_of_a_box_cell_no_estimate_cell_covers(running_spec):

@@ -137,56 +137,8 @@ def test_piecewise_invariants():
         PiecewiseFunction(breakpoints=(0, 0, 1), values=(1, 2))
 
 
-def test_with_value_override():
-    fn = PiecewiseFunction(breakpoints=(0, 2, 4), values=(3, 1))
-    out = fn.with_value(1, 3, Fraction(7))
-    assert out.evaluate(Fraction(1, 2)) == 3
-    assert out.evaluate(Fraction(3, 2)) == 7
-    assert out.evaluate(Fraction(5, 2)) == 7
-    assert out.evaluate(Fraction(7, 2)) == 1
-
-
 def test_as_rational_exactness():
     assert as_rational("7/4") == Fraction(7, 4)
     assert as_rational(3) == 3
     with pytest.raises(TypeError):
         as_rational(0.25)
-
-
-def _with_value_reference(fn, lo, hi, value):
-    # the definition by evaluation: split at every breakpoint and both ends
-    lo, hi, value = Fraction(lo), Fraction(hi), Fraction(value)
-    pts = sorted(set(fn.breakpoints) | {lo, hi})
-    vals = [value if lo <= (a + b) / 2 < hi else fn.evaluate((a + b) / 2) for a, b in zip(pts, pts[1:])]
-    while vals and vals[0] == 0:
-        pts.pop(0)
-        vals.pop(0)
-    while vals and vals[-1] == 0:
-        pts.pop()
-        vals.pop()
-    if not vals:
-        raise ValueError("override produced an identically zero function")
-    return PiecewiseFunction(tuple(pts), tuple(vals))
-
-
-def test_with_value_matches_reference_definition():
-    rng = random.Random(31)
-    zero_errors = 0
-    for _ in range(3000):
-        pts = sorted({Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3))) for _ in range(rng.randint(2, 6))})
-        if len(pts) < 2:
-            continue
-        fn = PiecewiseFunction(tuple(pts), tuple(Fraction(rng.choice((0, 0, 1, -2, 3))) for _ in pts[1:]))
-        lo, hi = sorted(rng.sample(range(-14, 15), 2))
-        lo, hi = Fraction(lo, 2), Fraction(hi, 2)
-        value = rng.choice((0, Fraction(5, 2), -1))
-        try:
-            expected = _with_value_reference(fn, lo, hi, value)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=str(exc)):
-                fn.with_value(lo, hi, value)
-            zero_errors += 1
-            continue
-        out = fn.with_value(lo, hi, value)
-        assert (out.breakpoints, out.values) == (expected.breakpoints, expected.values)
-    assert zero_errors > 0
