@@ -24,7 +24,7 @@ print()
 
 for l in range(spec.m + 1):
     model = infer_model(obs, l)
-    truth = translate(spec, l).D
+    truth = translate(spec, l)
     print(f"reference discontinuity l = {l} (pinned to 0):")
     for i in range(spec.m + 1):
         if i == l:

@@ -20,7 +20,6 @@ from .signal_core import (
     RegionViolation,
     SignalSpec,
     SpecViolation,
-    Translation,
     as_rational,
     find_genericity_violation,
     translate,
@@ -65,7 +64,6 @@ from .oracle import (
     CheckResult,
     EmptyFeasibleSet,
     PerturbationReport,
-    SweepSummary,
     WorstCase,
     energy_between,
     exhaustive_consistency_sweep,

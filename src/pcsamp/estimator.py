@@ -158,8 +158,11 @@ def _build_cells(box: FeasibleBox, amplitudes: Sequence[Fraction]) -> tuple[Esti
 
 
 def estimate_partial(model: UncertaintyModel, amplitudes: Sequence[RationalLike]) -> Estimate:
-    """Worst-case-optimal estimate for any pattern-set knowledge.
+    """Estimate from any pattern-set knowledge.
 
+    It is worst-case optimal (minimax) on forced spans, isolated intervals
+    and chains of two members.  It is not minimax for chains of three or
+    more members, where moving a single cell can lower the worst case.
     Handles the degenerate all-width-one case identically to
     :func:`estimate_full`.
     """

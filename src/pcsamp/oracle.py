@@ -30,11 +30,10 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .estimator import (
-    CHAIN_INTERIOR,
-    MIDPOINT,
+    KNOWN,
     Estimate,
     amp,
     best_reference,
@@ -108,6 +107,15 @@ class PerturbationReport:
     @property
     def violations(self) -> tuple[PerturbationProbe, ...]:
         return tuple(p for p in self.probes if not p.ok)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One verification row: a named check, and its failure or what it covered."""
+
+    name: str
+    passed: bool
+    detail: str
 
 
 def energy_between(a: PiecewiseFunction, b: PiecewiseFunction) -> Fraction:
@@ -345,14 +353,12 @@ def _auto_deltas(est: Estimate, g: tuple[Fraction, ...], n: int) -> tuple[Fracti
     if not k or est.cells[k - 1].hi < n:
         raise ValueError(f"unit cell ({n - 1}, {n}) lies outside the estimate span")
     cell = est.cells[k - 1]
-    if cell.tag == MIDPOINT:
-        gap = abs(amp(g, cell.indices[0]) - amp(g, cell.indices[1]))
-    elif cell.tag == CHAIN_INTERIOR:
-        triple = [amp(g, j) for j in cell.indices]
-        gap = max(triple) - min(triple)
-    else:
+    if cell.tag == KNOWN:   # the largest jump to a neighbour
         i = cell.indices[0]
         gap = max(abs(amp(g, i) - amp(g, i - 1)), abs(amp(g, i) - amp(g, i + 1)))
+    else:   # the spread of the amplitudes the cell can meet
+        reachable = [amp(g, j) for j in cell.indices]
+        gap = max(reachable) - min(reachable)
     assert gap != 0
     return (gap / 10, -gap / 10, gap / 2, -gap / 2)
 
@@ -531,7 +537,7 @@ def check_round_trip(spec: SignalSpec, full: _FullSet) -> Optional[str]:
     for l, (model, est) in enumerate(full):
         if model.U:
             return f"l={l}: full atlas left width-two indices {sorted(model.U)}"
-        truth_positions = translate(spec, l).D
+        truth_positions = translate(spec, l)
         for i in range(spec.m + 1):
             if i == l:
                 continue
@@ -564,58 +570,49 @@ def check_reference_law(spec: SignalSpec, full: _FullSet) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class SweepSummary:
-    trials: int
-    passed: int
-    failed: int
-    seed: int
-    first_failure: Optional[str] = None
+def _signal_checks(
+    spec: SignalSpec, atlas: PatternAtlas, full: _FullSet, delta_denominator: int
+) -> Iterator[tuple[str, Optional[str], str]]:
+    """The checks that both :func:`verify_scenario` and
+    :func:`exhaustive_consistency_sweep` run on one signal, in order, as
+    (name, failure or None, detail when passed) rows.  Each check runs only
+    when its row is drawn, so a caller can stop at the first failure."""
+    yield ("pattern-atlas-and-count-equivalence", check_pattern_counts(spec, atlas, delta_denominator),
+           f"{spec.m + 1} cells, {delta_denominator} exact offsets, every region run")
+    yield ("full-set-round-trip-and-grid-agreement", check_round_trip(spec, full),
+           "width-one intervals contain the truth; grid points reproduced")
+    yield ("best-reference-law", check_reference_law(spec, full), "argmin energy = largest jump")
 
 
 def exhaustive_consistency_sweep(
     trials: int,
     seed: int = 0,
     delta_denominator: int = 60,
-) -> SweepSummary:
+) -> CheckResult:
     """Random-signal property sweep over counting, inference, and references.
 
     Deterministic for a given seed: the same signals are drawn and the
-    same checks run, so reports are reproducible.
+    same checks run, so reports are reproducible.  The sweep stops at the
+    first failing check and reports it with its trial and signal.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    name = f"random-consistency-sweep(seed={seed})"
     rng = random.Random(seed)
-    passed = failed = 0
-    first: Optional[str] = None
     for trial in range(trials):
         spec = random_spec(rng)
         atlas = enumerate_atlas(spec)
-        full = _full_set(spec, atlas)
-        failure = (
-            check_pattern_counts(spec, atlas, delta_denominator)
-            or check_round_trip(spec, full)
-            or check_reference_law(spec, full)
-        )
-        if failure is None:
-            passed += 1
-        else:
-            failed += 1
-            if first is None:
-                first = f"trial {trial}: {failure} (spec g={spec.g} n={spec.n} f={spec.f})"
-    return SweepSummary(trials=trials, passed=passed, failed=failed, seed=seed, first_failure=first)
+        for _, failure, _ in _signal_checks(spec, atlas, _full_set(spec, atlas), delta_denominator):
+            if failure is not None:
+                return CheckResult(
+                    name, False, f"trial {trial}: {failure} (spec g={spec.g} n={spec.n} f={spec.f})"
+                )
+    return CheckResult(name, True, f"{trials}/{trials} random signals")
 
 
 # ---------------------------------------------------------------------------
 # scenario-level verification suite
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
 
 def _check_minimax(spec: SignalSpec, full: _FullSet, resolution: int) -> Optional[str]:
     for l, (model, est) in enumerate(full):
@@ -668,11 +665,7 @@ def verify_scenario(spec: SignalSpec, resolution: int = 50, delta_denominator: i
     atlas = enumerate_atlas(spec)
     full = _full_set(spec, atlas)
     table = (   # (name, failure or None, detail when passed), run in this order
-        ("pattern-atlas-and-count-equivalence", check_pattern_counts(spec, atlas, delta_denominator),
-         f"{spec.m + 1} cells, {delta_denominator} exact offsets, every region run"),
-        ("full-set-round-trip-and-grid-agreement", check_round_trip(spec, full),
-         "width-one intervals contain the truth; grid points reproduced"),
-        ("best-reference-law", check_reference_law(spec, full), "argmin energy = largest jump"),
+        *_signal_checks(spec, atlas, full, delta_denominator),
         ("minimax-worst-case-equality", _check_minimax(spec, full, resolution),
          f"all {spec.m + 1} references, placement independent, perturbations strict"),
         ("width-two-energy-equality", *_check_width2_energy(spec, atlas, resolution)),

@@ -211,25 +211,17 @@ def validate_spec(spec: SignalSpec) -> SignalSpec:
     return spec
 
 
-@dataclass(frozen=True)
-class Translation:
-    """Discontinuity positions after pinning discontinuity l to zero.
+def translate(spec: SignalSpec, l: int) -> tuple[Fraction, ...]:
+    """Positions D_0..D_m of all discontinuities with discontinuity ``l`` at zero.
 
     D[i] is the position of discontinuity i in units of T; D[l] == 0 and
     the gaps D[i] - D[i-1] are exactly the region lengths.
     """
-
-    l: int
-    D: tuple[Fraction, ...]
-
-
-def translate(spec: SignalSpec, l: int) -> Translation:
-    """Positions of all discontinuities with discontinuity ``l`` at zero."""
     if not (0 <= l <= spec.m):
         raise IndexError(f"reference index {l} outside 0..{spec.m}")
     points = spec.breakpoints
     offset = points[l]
-    return Translation(l=l, D=tuple(p - offset for p in points))
+    return tuple(p - offset for p in points)
 
 
 @dataclass(frozen=True)
@@ -260,8 +252,6 @@ class PiecewiseFunction:
             return self.values[j]
         return Fraction(0)
 
-    __call__ = evaluate
-
 
 def truth_function(spec: SignalSpec, l: int) -> PiecewiseFunction:
     """The signal translated so that discontinuity ``l`` sits at zero.
@@ -269,5 +259,4 @@ def truth_function(spec: SignalSpec, l: int) -> PiecewiseFunction:
     Breakpoints are the translated discontinuity positions, the values are
     the region amplitudes, and everything outside the support is zero.
     """
-    tr = translate(spec, l)
-    return PiecewiseFunction(breakpoints=tr.D, values=spec.g)
+    return PiecewiseFunction(breakpoints=translate(spec, l), values=spec.g)

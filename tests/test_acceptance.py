@@ -99,7 +99,7 @@ def test_criterion_3_round_trip(corpus):
         for l in range(spec.m + 1):
             model = infer_model(obs, l)
             assert model.U == frozenset()
-            truth_positions = translate(spec, l).D
+            truth_positions = translate(spec, l)
             for i in range(spec.m + 1):
                 if i == l:
                     continue

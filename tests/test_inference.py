@@ -82,7 +82,7 @@ def test_infer_full_atlas_running(running_spec):
     assert model.C == (0, 2, 5)
     assert model.U == frozenset()
     assert model.G == ((0, 0), (1, 2), (4, 5))
-    truth = translate(running_spec, 0).D
+    truth = translate(running_spec, 0)
     assert model.G[1][0] < truth[1] < model.G[1][1]
     assert model.G[2][0] < truth[2] < model.G[2][1]
 
@@ -171,7 +171,7 @@ def test_round_trip_strict_containment_random():
         for l in range(spec.m + 1):
             model = infer_model(obs, l)
             assert model.U == frozenset()
-            truth = translate(spec, l).D
+            truth = translate(spec, l)
             for i in range(spec.m + 1):
                 if i == l:
                     continue
@@ -188,7 +188,7 @@ def test_partial_subsets_contain_truth_and_never_widen():
         patterns = list(atlas.patterns)
         rng.shuffle(patterns)
         l = rng.randint(0, spec.m)
-        truth = translate(spec, l).D
+        truth = translate(spec, l)
         previous = None
         for count in range(1, len(patterns) + 1):
             obs = ObservationSet.of(patterns[:count], spec.g)

@@ -219,6 +219,21 @@ def test_perturbations_never_improve_chain(observed, g, baseline, closed, includ
     assert closed_form_energy(model, g) == closed
 
 
+def test_three_member_chain_is_not_minimax():
+    # the known defect: the per-cell (min + max) / 2 rule is not minimax once
+    # a chain has 3 members, and moving one cell lowers the worst case from 4
+    # to 91/25.  This pins ROADMAP item 2, as the inverted-span tests pin
+    # item 3, and must be updated when item 2 lands.
+    g = tuple(map(Fraction, (-3, -1, -2)))
+    est = estimate_partial(infer_model(ObservationSet.of([(3, 1, 1)], g), 0), g)
+    report = perturbation_minimax_check(est, g, est.box, resolution=12)
+    assert report.baseline == 4
+    assert [(p.cell, p.delta, p.worst) for p in report.violations] == [
+        (4, Fraction(1, 5), Fraction(91, 25)),
+        (5, Fraction(-1, 5), Fraction(91, 25)),
+    ]
+
+
 def test_oracle_catches_a_broken_estimate(running_spec):
     # replace a midpoint cell by the left amplitude: nudging it back toward
     # the midpoint must lower the worst case, and the probe must say so
@@ -264,10 +279,7 @@ def test_verify_scenario_never_raises():
 def test_sweep_is_deterministic_and_green():
     first = exhaustive_consistency_sweep(8, seed=7, delta_denominator=30)
     second = exhaustive_consistency_sweep(8, seed=7, delta_denominator=30)
-    assert first == second
-    assert first.failed == 0
-    assert first.passed == 8
-    assert first.first_failure is None
+    assert first == second == CheckResult("random-consistency-sweep(seed=7)", True, "8/8 random signals")
 
 
 def test_random_spec_reproducible():
@@ -538,7 +550,7 @@ def _one_pattern_kept(real):
                 "minimax-worst-case-equality": (False, "l=0: oracle worst 2 != closed form 0"),
                 "width-two-energy-equality": (False, "pair at cell 0, l=0: oracle 3 != closed 0"),
             },
-            (1, 2, 1, "argmin energy 4 != largest-jump reference 2 ({0: Fraction(0, 1), "
+            (1, "argmin energy 4 != largest-jump reference 2 ({0: Fraction(0, 1), "
              "1: Fraction(-1, 1), 2: Fraction(-2, 1), 3: Fraction(-3, 1), 4: Fraction(-4, 1)})"),
         ),
         (
@@ -547,12 +559,12 @@ def _one_pattern_kept(real):
                 "pattern-atlas-and-count-equivalence":
                     (False, "offset 0: run (i=1, K=0) counts direct=2 formula=3"),
             },
-            (0, 3, 0, "offset 0: run (i=1, K=0) counts direct=2 formula=3"),
+            (0, "offset 0: run (i=1, K=0) counts direct=2 formula=3"),
         ),
         (
             "truth_function", _doubled_truth,
             {"full-set-round-trip-and-grid-agreement": (False, "l=0: estimate(0) = 4 != truth 8")},
-            (0, 3, 0, "l=0: estimate(0) = 1 != truth 2"),
+            (0, "l=0: estimate(0) = 1 != truth 2"),
         ),
         (
             "infer_model", _first_pattern_lost,
@@ -562,7 +574,7 @@ def _one_pattern_kept(real):
                 "minimax-worst-case-equality": (False, "l=0: no full estimate, width-two indices [1]"),
                 "width-two-energy-equality": (True, "4 adjacent-pair observation sets"),
             },
-            (0, 3, 0, "l=0: full atlas left width-two indices [3]"),
+            (0, "l=0: full atlas left width-two indices [3]"),
         ),
         (
             "infer_model", _one_pattern_kept,   # l = 2 sees a chain, so it has no closed form
@@ -572,7 +584,7 @@ def _one_pattern_kept(real):
                 "best-reference-law": (False, "no closed-form energy for references [2]"),
                 "minimax-worst-case-equality": (False, "l=0: no full estimate, width-two indices [1, 2]"),
             },
-            (0, 3, 0, "l=0: full atlas left width-two indices [1, 2, 3]"),
+            (0, "l=0: full atlas left width-two indices [1, 2, 3]"),
         ),
     ],
 )
@@ -581,12 +593,31 @@ def test_failing_checks_report_their_messages(running_spec, monkeypatch, name, p
     expected = [CheckResult(check, *changed.get(check, (True, detail))) for check, detail in _PASSED.items()]
     assert verify_scenario(running_spec, resolution=4, delta_denominator=8) == expected
 
-    passed, failed, trial, message = sweep
+    trial, message = sweep
     rng = random.Random(1)
     spec = [random_spec(rng) for _ in range(3)][trial]
-    summary = exhaustive_consistency_sweep(3, seed=1, delta_denominator=8)
-    assert (summary.passed, summary.failed) == (passed, failed)
-    assert summary.first_failure == f"trial {trial}: {message} (spec g={spec.g} n={spec.n} f={spec.f})"
+    assert exhaustive_consistency_sweep(3, seed=1, delta_denominator=8) == CheckResult(
+        "random-consistency-sweep(seed=1)", False,
+        f"trial {trial}: {message} (spec g={spec.g} n={spec.n} f={spec.f})",
+    )
+
+
+def test_sweep_stops_at_its_first_failing_signal(monkeypatch):
+    monkeypatch.setattr(oracle, "cumulative_count", _miscounting(oracle.cumulative_count))
+    drawn = []
+
+    def counted(rng):
+        drawn.append(random_spec(rng))
+        return drawn[-1]
+    monkeypatch.setattr(oracle, "random_spec", counted)
+    row = exhaustive_consistency_sweep(3, seed=1, delta_denominator=8)
+    assert len(drawn) == 1
+    spec = drawn[0]
+    assert row == CheckResult(
+        "random-consistency-sweep(seed=1)", False,
+        "trial 0: offset 0: run (i=1, K=0) counts direct=2 formula=3 "
+        f"(spec g={spec.g} n={spec.n} f={spec.f})",
+    )
 
 
 def test_verify_cost_does_not_grow_with_region_length():

@@ -97,9 +97,9 @@ def test_truth_breakpoints_reference_last(running_spec):
 
 
 def test_reference_zero_spans_total_length(running_spec):
-    tr = translate(running_spec, 0)
-    assert tr.D[0] == 0
-    assert tr.D[-1] == sum(running_spec.lengths)
+    D = translate(running_spec, 0)
+    assert D[0] == 0
+    assert D[-1] == sum(running_spec.lengths)
 
 
 def test_evaluate_half_open_convention(running_spec):
@@ -123,7 +123,7 @@ def test_translations_are_shifts(running_spec):
 
 def test_breakpoint_gaps_are_region_lengths(running_spec):
     for l in range(running_spec.m + 1):
-        D = translate(running_spec, l).D
+        D = translate(running_spec, l)
         gaps = tuple(b - a for a, b in zip(D, D[1:]))
         assert gaps == running_spec.lengths
     for length, n in zip(running_spec.lengths, running_spec.n):
