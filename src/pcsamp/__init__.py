@@ -6,8 +6,9 @@ The package answers, with exact rational arithmetic throughout:
   sampling grid slides (:mod:`pcsamp.sampler`);
 * how precisely a set of observed patterns locates each discontinuity
   relative to a chosen reference discontinuity (:mod:`pcsamp.inference`);
-* what the worst-case-optimal piecewise constant estimate looks like and
-  what error energy it guarantees (:mod:`pcsamp.estimator`);
+* what piecewise constant estimate the observations support and what
+  error energy it guarantees, minimax except on chains of three or more
+  coupled discontinuities (:mod:`pcsamp.estimator`);
 * whether those closed-form guarantees survive brute-force search over
   every feasible placement of the unknown discontinuities
   (:mod:`pcsamp.oracle`).

@@ -27,8 +27,9 @@ from .sampler import SamplingPattern, enumerate_atlas
 from .signal_core import SignalSpec, SpecViolation, as_rational, validate_spec
 
 DEFAULT_SEED = 0
-# ceilings on `verify`: the oracle's grid work grows with --grid per interval
-# and the random sweep with --trials, so larger values are refused up front
+# ceilings on `verify`, refused up front: the random sweep's work grows with
+# --trials; the oracle visits a few candidate grid points per discontinuity
+# whatever --grid is, and --grid is capped to keep the grid's numbers small
 MAX_GRID = 10_000
 MAX_TRIALS = 10_000
 
@@ -165,15 +166,22 @@ def _resolve_observations(spec: SignalSpec, scenario_obs, flag: Optional[str]) -
 # rendering
 # ---------------------------------------------------------------------------
 
+def _float(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{value} lies beyond float range; drop --float for exact output") from None
+
+
 def _fmt(value, as_float: bool) -> str:
     if isinstance(value, Fraction):
-        return f"{float(value):.12g}" if as_float else str(value)
+        return f"{_float(value):.12g}" if as_float else str(value)
     return str(value)
 
 
 def _jsonable(obj, as_float: bool):
     if isinstance(obj, Fraction):
-        return float(obj) if as_float else str(obj)
+        return _float(obj) if as_float else str(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v, as_float) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -426,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--observations", help='"all" or a JSON/CSV observations file')
     sub.set_defaults(func=cmd_infer)
 
-    sub = subs.add_parser("estimate", help="build the worst-case-optimal estimate")
+    sub = subs.add_parser("estimate", help="build the piecewise constant estimate")
     _add_common(sub)
     sub.add_argument("--ref", type=int, help="reference discontinuity index")
     sub.add_argument("--sweep", action="store_true", help="tabulate energies for every reference")

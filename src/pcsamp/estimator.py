@@ -1,4 +1,4 @@
-"""Minimax estimates of a translated signal from pattern-set knowledge.
+"""Estimates of a translated signal from pattern-set knowledge.
 
 The estimate fills the model's feasible box
 (:func:`pcsamp.inference.feasible_box`), the one tiling of the estimate
@@ -8,7 +8,8 @@ is minimized by the midpoint of the two amplitudes meeting there.  Inside
 a coupled run the interval contents interact: the run's boundary cells
 still take two-amplitude midpoints, while each interior unit cell can see
 three consecutive amplitudes and takes their Chebyshev center,
-(min + max) / 2.
+(min + max) / 2.  The estimate is minimax on forced spans, isolated
+intervals and chains of two members, but not on chains of three or more.
 
 Estimates are piecewise constant on integer grid cells; energies are in
 units of amplitude squared times one grid step.

@@ -16,10 +16,13 @@ The search runs on integers.  Inside a zone every position is an integer
 over N, the lcm of the grid resolution R and the denominators of the
 estimate's breakpoints there, and every integral of (c - estimate)^2 is an
 integer over N * D^2, D the common denominator of the amplitudes and the
-estimate's values; Fractions are built only for the results.  A coupled
-step takes a maximum over a window that only moves forward, so it costs
-O(R) per member pair.  :func:`energy_between` integrates with Fractions
-and stays the independent cross-check.
+estimate's values; Fractions are built only for the results.  Between
+the estimate's cuts the energy is linear in each discontinuity, and the
+constraints are integer bounds and differences, so every extreme sits at
+a vertex of the grid's feasible set.  The sweep visits only those
+candidate vertices, a few per member, and its cost does not grow with R.
+:func:`energy_between` integrates with Fractions and stays the
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -147,99 +149,9 @@ def _pieces(fn: PiecewiseFunction, lo: int, hi: int) -> tuple[tuple[Fraction, ..
     return (lo, *bps[first:last], hi), vals
 
 
-def _scaled_cumulatives(
-    cuts: Sequence[Fraction],
-    vals: Sequence[Fraction],
-    amplitudes: Sequence[Fraction],
-    resolution: int,
-) -> tuple[int, dict[Fraction, list[int]]]:
-    """Integrals of (c - f)^2 from the first cut to every grid point, per
-    amplitude c, for the pieces f given by ``cuts`` and ``vals`` (see
-    :func:`_pieces`).
-
-    The grid points are lo + k/resolution for k = 0..(hi-lo)*resolution,
-    with lo and hi the first and last (integer) cuts.  Positions are
-    integers over N, the lcm of ``resolution`` and the denominators of the
-    cuts; values are integers over D, the lcm of the denominators of the
-    amplitudes and of ``vals``.  So every integral is an integer over
-    scale = N * D^2, which is returned with the lists.
-    """
-    N = math.lcm(resolution, *(x.denominator for x in cuts))
-    D = math.lcm(*(v.denominator for v in (*amplitudes, *vals)))
-    step = N // resolution
-    xs = [x.numerator * (N // x.denominator) for x in cuts]
-    x0 = xs[0]
-    scaled_vals = [v.numerator * (D // v.denominator) for v in vals]
-    out: dict[Fraction, list[int]] = {}
-    for c in set(amplitudes):
-        ic = c.numerator * (D // c.denominator)
-        cum: list[int] = []
-        base = 0
-        for a, b, v in zip(xs, xs[1:], scaled_vals):
-            rate = (ic - v) ** 2
-            start = x0 - (x0 - a) // step * step   # first grid point at or after a
-            cum.extend([base + rate * (x - a) for x in range(start, b, step)])
-            base += rate * (b - a)
-        cum.append(base)
-        out[c] = cum
-    return N * D * D, out
-
-
 def _span_energy(cuts: Sequence[Fraction], vals: Sequence[Fraction], c: Fraction) -> Fraction:
     """Integral of (c - f)^2 over the pieces f given by ``cuts`` and ``vals``, one term per piece."""
     return sum(((c - v) ** 2 * (b - a) for a, b, v in zip(cuts, cuts[1:], vals)), Fraction(0))
-
-
-def _window_step(
-    hi_prev: list[Optional[int]],
-    lo_prev: list[Optional[int]],
-    ps: range,
-    qs: range,
-    cum: list[int],
-    resolution: int,
-) -> tuple[list[Optional[int]], list[Optional[int]], list[Optional[int]]]:
-    """One coupled step of the sweep, over grid indices of the zone.
-
-    For every q in ``qs`` returns the largest and the smallest
-    prev[p] + cum[q] - cum[p] over the reached p in ``ps`` (entries that
-    are not None) with resolution <= q - p < 2 * resolution, and the p that
-    gives the largest (the earliest one on ties); None where no p is in
-    reach.  The window only moves forward, so a monotone deque of
-    (p, prev[p] - cum[p]) per side finds each extreme in amortized O(1).
-    """
-    r = resolution
-    hi_next: list[Optional[int]] = []
-    lo_next: list[Optional[int]] = []
-    back: list[Optional[int]] = []
-    hi_dq: deque[tuple[int, int]] = deque()   # keys non-increasing front to back
-    lo_dq: deque[tuple[int, int]] = deque()   # keys non-decreasing front to back
-    j = 0
-    for q in qs:
-        while j < len(ps) and ps[j] <= q - r:
-            if hi_prev[j] is not None:
-                p = ps[j]
-                key = hi_prev[j] - cum[p]
-                while hi_dq and hi_dq[-1][1] < key:
-                    hi_dq.pop()
-                hi_dq.append((p, key))
-                key = lo_prev[j] - cum[p]
-                while lo_dq and lo_dq[-1][1] > key:
-                    lo_dq.pop()
-                lo_dq.append((p, key))
-            j += 1
-        while hi_dq and hi_dq[0][0] <= q - 2 * r:
-            hi_dq.popleft()
-        while lo_dq and lo_dq[0][0] <= q - 2 * r:
-            lo_dq.popleft()
-        if hi_dq:
-            hi_next.append(hi_dq[0][1] + cum[q])
-            lo_next.append(lo_dq[0][1] + cum[q])
-            back.append(hi_dq[0][0])
-        else:
-            hi_next.append(None)
-            lo_next.append(None)
-            back.append(None)
-    return hi_next, lo_next, back
 
 
 def _zone_extremes(
@@ -254,61 +166,99 @@ def _zone_extremes(
     for the estimate's pieces on the zone (``cuts`` and ``vals``, see
     :func:`_pieces`).
 
-    Within a zone the truth takes the run of amplitudes bounded by the
-    member discontinuities, so the energy decomposes over consecutive
-    member pairs and a forward sweep maximizes (and minimizes) it exactly
-    on the rational grid.  Grid points are indices k of zone.lo + k/R
-    (R = ``resolution``) and the cumulative energies are integers over
-    N * D^2 (see :func:`_scaled_cumulatives`), so the sweep compares ints.
-    A coupled step keeps the spacing in [1, 2), that is R <= q - p < 2R,
-    and takes a windowed maximum: O(R) per member pair instead of O(R^2).
-    The earliest grid point wins ties, and only the argmax is rebuilt as
-    Fractions, from one back-pointer list per member.
+    Positions are grid indices y, the placement y/R (R = ``resolution``),
+    strictly inside each member's interval; a coupled step keeps the
+    spacing in [1, 2), that is R <= q - p < 2R.  Within a zone the truth
+    takes the run of amplitudes bounded by the member discontinuities, so
+    the energy is a sum of one term per member, each linear in its member
+    between the estimate's cuts.  Restricted to one linear piece per
+    member, the feasible set is an integral polytope (integer bounds and
+    differences), so every maximum, every minimum, the witness below and
+    every non-empty prefix of the chain contain one of its vertices.  A
+    vertex coordinate of member k is a bound of some member j -- an end of
+    its grid or the grid index on either side of a cut inside its
+    interval -- moved by |k - j| spacings of R or 2R - 1 and clipped to
+    each member's grid on the way.  The forward sweep visits only those
+    candidates, so its cost does not grow with R.
+
+    Energies are integers over N * D^2, N the lcm of R and the cuts'
+    denominators and D that of the amplitudes and ``vals``.  Among the
+    maximal placements the witness puts the last member earliest, then
+    the one before it, and so on.
     """
     members, r = zone.members, resolution
-    first = members[0]
     assert all(
         zone.lo <= box.G[i][0] and box.G[i][1] <= zone.hi for i in members
     ), "zone members must lie inside the zone"
-    amps = [amp(amplitudes, first + j) for j in range(len(members) + 1)]
-    scale, cums = _scaled_cumulatives(cuts, vals, amps, r)
-    grids = [range((box.G[i][0] - zone.lo) * r + 1, (box.G[i][1] - zone.lo) * r) for i in members]
+    assert len(members) == 1 or zone.coupled, "multi-member zones are always coupled runs"
+    amps = [amp(amplitudes, members[0] + j) for j in range(len(members) + 1)]
+    N = math.lcm(r, *(x.denominator for x in cuts))
+    D = math.lcm(*(v.denominator for v in (*amps, *vals)))
+    xs = [x.numerator * (N // x.denominator) for x in cuts]
+    fs = [v.numerator * (D // v.denominator) for v in vals]
+    cs = [c.numerator * (D // c.denominator) for c in amps]
 
-    # per grid point of the current member: largest and smallest energy left
-    # of that member, or None when no feasible placement reaches the point
-    cum = cums[amps[0]]
-    hi_state: list[Optional[int]] = [cum[p] for p in grids[0]]
-    lo_state = list(hi_state)
+    def integral(c: int, x: int) -> int:
+        """(c - f)^2 integrated from the zone's start to x/N, over N * D^2."""
+        total = 0
+        for a, b, v in zip(xs, xs[1:], fs):
+            if x <= a:
+                break
+            total += (c - v) ** 2 * (min(x, b) - a)
+        return total
+
+    def weight(k: int, y: int) -> int:
+        """Member k's term at grid index y: amps[k] on its left, amps[k+1] on its right."""
+        x = y * (N // r)
+        return integral(cs[k], x) - integral(cs[k + 1], x)
+
+    grids = [(box.G[i][0] * r + 1, box.G[i][1] * r - 1) for i in members]
+    own = [
+        {lo, hi, *(min(max(y, lo), hi)
+                   for c in cuts if box.G[i][0] < c < box.G[i][1]
+                   for y in (math.floor(c * r), math.ceil(c * r)))}
+        for i, (lo, hi) in zip(members, grids)
+    ]
+    candidates: list[set[int]] = [set() for _ in members]
+    for order, sign in ((range(len(members)), 1), (range(len(members) - 1, -1, -1), -1)):
+        moved: set[int] = set()
+        for k in order:
+            lo, hi = grids[k]
+            moved = own[k] | {min(max(y + sign * s, lo), hi) for y in moved for s in (r, 2 * r - 1)}
+            candidates[k] |= moved
+
+    # per reached candidate of the current member, in ascending order: the
+    # largest and smallest sum of the terms up to that member
+    hi_state = {y: weight(0, y) for y in sorted(candidates[0])}
+    lo_state = dict(hi_state)
     backs = []
     for k in range(1, len(members)):
-        assert zone.coupled, "multi-member zones are always coupled runs"
-        hi_state, lo_state, back = _window_step(
-            hi_state, lo_state, grids[k - 1], grids[k], cums[amps[k]], r
-        )
-        if all(p is None for p in back):
+        hi_next: dict[int, int] = {}
+        lo_next: dict[int, int] = {}
+        back: dict[int, int] = {}
+        for q in sorted(candidates[k]):
+            reach = [p for p in hi_state if r <= q - p < 2 * r]
+            if reach:
+                back[q] = max(reach, key=hi_state.__getitem__)   # the earliest on ties
+                w = weight(k, q)
+                hi_next[q] = hi_state[back[q]] + w
+                lo_next[q] = min(lo_state[p] for p in reach) + w
+        if not back:
             raise EmptyFeasibleSet(
                 f"no grid placement satisfies the spacing constraints in zone {members}"
             )
+        hi_state, lo_state = hi_next, lo_next
         backs.append(back)
 
-    cum = cums[amps[-1]]
-    best: Optional[tuple[int, int]] = None
-    worst: Optional[int] = None
-    for q, v, w in zip(grids[-1], hi_state, lo_state):
-        if v is None:
-            continue
-        tail = cum[-1] - cum[q]
-        if best is None or v + tail > best[0]:
-            best = (v + tail, q)
-        if worst is None or w + tail < worst:
-            worst = w + tail
-    assert best is not None and worst is not None
-    path = [best[1]]
-    for back, grid in zip(reversed(backs), reversed(grids[1:])):
-        path.append(back[path[-1] - grid.start])
+    scale, tail = N * D * D, integral(cs[-1], xs[-1])
+    path = [max(hi_state, key=hi_state.__getitem__)]
+    for back in reversed(backs):
+        path.append(back[path[-1]])
     return ZoneOutcome(
-        members=members, max_energy=Fraction(best[0], scale), min_energy=Fraction(worst, scale),
-        argmax=tuple(Fraction(zone.lo * r + q, r) for q in reversed(path)),
+        members=members,
+        max_energy=Fraction(hi_state[path[0]] + tail, scale),
+        min_energy=Fraction(min(lo_state.values()) + tail, scale),
+        argmax=tuple(Fraction(y, r) for y in reversed(path)),
     )
 
 
@@ -327,9 +277,11 @@ def worst_case_energy(
     coupled runs).  Zones use the integer integrator: positions are
     integers over the zone's lattice N, the lcm of ``resolution`` and the
     denominators of the estimate's breakpoints inside it, and Fractions
-    are built only for the results.  A zone of k members costs
-    O(k * R) grid steps at R = ``resolution``.  A forced span costs one
-    term per piece of the estimate on it, however long the span.
+    are built only for the results.  A zone visits only the grid's
+    candidate vertices (see :func:`_zone_extremes`): its cost depends on
+    its number of members and the estimate's breakpoints inside it, not
+    on ``resolution``.  A forced span costs one term per piece of the
+    estimate on it, however long the span.
     """
     if resolution < 2:
         raise ValueError("need at least 2 grid points per unit interval")

@@ -168,6 +168,17 @@ def test_float_rendering(running_file, capsys):
     assert "3/4" not in out
 
 
+@pytest.mark.parametrize("flags", [["--ref", "0"], ["--sweep", "--format", "json"]])
+def test_float_beyond_range_exit2_before_any_output(tmp_path, capsys, flags):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"regions": [{"g": "1e200", "n": 3, "f": "1/4"}, {"g": "2", "n": 3, "f": "1/3"}]}))
+    assert main(["estimate", str(path), *flags, "--float"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ScenarioError ") and "beyond float range; drop --float" in captured.err
+    assert main(["estimate", str(path), *flags]) == 0
+
+
 def test_observations_json_round_trip(running_file, tmp_path, capsys):
     assert main(["patterns", running_file, "--format", "json"]) == 0
     dump = tmp_path / "patterns.json"

@@ -391,6 +391,48 @@ def test_chain_sweep_off_lattice_breakpoint():
         _check_against_brute_force(fn, g, box, resolution)
 
 
+def test_chain_sweep_matches_brute_force_on_random_boxes():
+    # the sweep visits only candidate vertices of each zone; every grid
+    # placement of random coupled boxes checks it, and a box with none
+    # must raise
+    rng = random.Random(11)
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        G, lo, hi = [(0, 0)], 0, 0
+        for _ in range(rng.randint(2, 4)):
+            lo += rng.randint(0, 2)
+            hi = lo + rng.randint(max(1, hi - lo), 3)   # widths 1-3, upper ends non-decreasing
+            G.append((lo, hi))
+        box = FeasibleBox(
+            l=0, G=tuple(G), zones=(Zone(members=tuple(range(1, len(G))), lo=G[1][0], hi=hi, coupled=True),)
+        )
+        cuts = sorted({Fraction(0), Fraction(hi), *(Fraction(rng.randint(0, 4 * hi), 4) for _ in range(3))})
+        fn = PiecewiseFunction(
+            tuple(cuts), tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in cuts[1:])
+        )
+        g = tuple(Fraction(rng.randint(-4, 4)) for _ in G[1:])
+        for resolution in (2, 3, 4):
+            feasible = bool(_brute_force_chain(fn, g, box, resolution))
+            outcomes[feasible] += 1
+            if feasible:
+                _check_against_brute_force(fn, g, box, resolution)
+            else:
+                with pytest.raises(EmptyFeasibleSet):
+                    worst_case_energy(fn, g, box, resolution)
+    assert outcomes[True] and outcomes[False], outcomes
+
+
+def test_chain_sweep_cost_does_not_grow_with_resolution():
+    # a million grid points per unit interval: the sweep visits only a
+    # handful of candidate vertices per member, so this stays fast
+    g = (Fraction(4), Fraction(2))
+    model = infer_model(ObservationSet.of([(3, 1)], g), 0)
+    est = estimate_partial(model, g)
+    wc = worst_case_energy(est, g, est.box, 10**6)
+    assert wc.value == Fraction(1499999, 250000)
+    assert wc.witness == {0: 0, 1: Fraction(2000001, 10**6), 2: Fraction(3000001, 10**6)}
+
+
 def test_empty_feasible_set_on_the_second_step():
     # members 1 -> 2 can keep a [1, 2) gap, members 2 -> 3 cannot
     fn = PiecewiseFunction((Fraction(0), Fraction(7)), (Fraction(1),))
