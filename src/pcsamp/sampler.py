@@ -14,12 +14,15 @@ structure of the offset axis to list every achievable count pattern
 together with the sub-interval of offsets that produces it.
 
 Internally positions are integers on the signal's 1/L lattice
-(:attr:`SignalSpec.lattice`); Fractions appear only in arguments and
+(:attr:`SignalSpec.lattice`), and a grid offset p/q enters as its two
+integers; :func:`delta_chain` works on the common lattice M = lcm(L, q)
+of the signal and the offset.  Fractions appear only in arguments and
 results.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -69,7 +72,7 @@ class PatternAtlas:
 
 def _check_delta(delta: Fraction) -> tuple[int, int]:
     """Numerator and denominator of a grid offset checked to lie in [0, 1)."""
-    p, q = delta.numerator, delta.denominator
+    p, q = delta.as_integer_ratio()
     if not 0 <= p < q:
         raise ValueError(f"grid offset must lie in [0, 1), got {delta}")
     return p, q
@@ -94,14 +97,6 @@ def count_direct(spec: SignalSpec, delta1: RationalLike) -> SamplingPattern:
     return SamplingPattern(tuple(hi - lo for lo, hi in zip(below, below[1:])))
 
 
-def _run_f_sum(spec: SignalSpec, i: int, span: int) -> int:
-    """L * (f_i + ... + f_{i+span}) for a 1-based region run, bounds checked."""
-    f_prefix = spec.lattice.f_prefix
-    if i < 1 or span < 0 or i + span >= len(f_prefix):
-        raise IndexError(f"region run i={i}, K={span} outside 1..{spec.m}")
-    return f_prefix[i + span] - f_prefix[i - 1]
-
-
 def kappa_d(spec: SignalSpec, i: int, span: int) -> tuple[int, int]:
     """Integer carry and nominal count for regions i .. i+span (1-based).
 
@@ -109,9 +104,13 @@ def kappa_d(spec: SignalSpec, i: int, span: int) -> tuple[int, int]:
     summed integer parts minus kappa.  The cumulative sample count over
     the run is always d or d - 1.
     """
-    kappa = _run_f_sum(spec, i, span) // spec.lattice.L
-    d = spec.n_prefix[i + span] - spec.n_prefix[i - 1] - kappa
-    return kappa, d
+    L, f_prefix, _ = spec.lattice
+    j = i + span
+    if i < 1 or span < 0 or j >= len(f_prefix):
+        raise IndexError(f"region run i={i}, K={span} outside 1..{spec.m}")
+    kappa = (f_prefix[j] - f_prefix[i - 1]) // L
+    n_prefix = spec.n_prefix
+    return kappa, n_prefix[j] - n_prefix[i - 1] - kappa
 
 
 def cumulative_count(spec: SignalSpec, i: int, span: int, delta_i: RationalLike) -> int:
@@ -122,11 +121,20 @@ def cumulative_count(spec: SignalSpec, i: int, span: int, delta_i: RationalLike)
     1 + kappa - sum(f), and drops by one at and beyond it (ties take the
     lower branch, matching the half-open placement rule).
     """
-    p, q = _check_delta(as_rational(delta_i))
-    L = spec.lattice.L
-    f_sum = _run_f_sum(spec, i, span)
+    # the hot call of every count check: one coercion, one range check and
+    # one bounds check, inline
+    delta = as_rational(delta_i)
+    p, q = delta.as_integer_ratio()
+    if not 0 <= p < q:
+        raise ValueError(f"grid offset must lie in [0, 1), got {delta}")
+    L, f_prefix, _ = spec.lattice
+    j = i + span
+    if i < 1 or span < 0 or j >= len(f_prefix):
+        raise IndexError(f"region run i={i}, K={span} outside 1..{spec.m}")
+    f_sum = f_prefix[j] - f_prefix[i - 1]
     kappa = f_sum // L
-    d = spec.n_prefix[i + span] - spec.n_prefix[i - 1] - kappa
+    n_prefix = spec.n_prefix
+    d = n_prefix[j] - n_prefix[i - 1] - kappa
     # p/q < (L * (1 + kappa) - f_sum) / L, cross-multiplied
     return d if p * L < (L * (1 + kappa) - f_sum) * q else d - 1
 
@@ -135,14 +143,18 @@ def delta_chain(spec: SignalSpec, delta1: RationalLike) -> list[Fraction]:
     """Offsets of the first sample in every region, given the first offset.
 
     Each region hands the next one the offset (delta_i + f_i) mod 1: the
-    fractional parts accumulate while the integer parts drop out.
+    fractional parts accumulate while the integer parts drop out.  With
+    delta1 = p/q the recurrence runs on the lattice M = lcm(L, q): the
+    offset in region k + 1 is (p*M/q + F_k*M/L) mod M over M, where
+    F_k = L * (f_1 + ... + f_k) is ``lattice.f_prefix[k]``.  Only the
+    returned offsets are Fractions.
     """
     delta = as_rational(delta1)
-    _check_delta(delta)
-    offsets = [delta]
-    for fi in spec.f[:-1]:
-        offsets.append((offsets[-1] + fi) % 1)
-    return offsets
+    p, q = _check_delta(delta)
+    L, f_prefix, _ = spec.lattice
+    M = math.lcm(L, q)
+    start, scale = p * (M // q), M // L
+    return [delta] + [Fraction((start + fk * scale) % M, M) for fk in f_prefix[1:-1]]
 
 
 def enumerate_atlas(spec: SignalSpec) -> PatternAtlas:

@@ -36,10 +36,10 @@ def as_rational(value: RationalLike) -> Fraction:
     Floats are rejected outright: a binary float has already lost exactness
     and would silently poison every downstream comparison.
     """
-    if isinstance(value, bool):
-        raise TypeError(f"cannot interpret {value!r} as an exact rational")
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -56,7 +56,7 @@ class AmplitudeViolation(SpecViolation):
 
 
 class RegionViolation(SpecViolation):
-    """Region integer part below two, or fractional part outside (0, 1)."""
+    """Region integer part not an int of at least two, or fractional part outside (0, 1)."""
 
 
 class GenericityViolation(SpecViolation):
@@ -122,7 +122,7 @@ class SignalSpec:
             raise SpecViolation("g, n, f must have equal lengths")
         return cls(
             g=tuple(as_rational(gi) for gi in g),
-            n=tuple(int(ni) for ni in n),
+            n=tuple(n),
             f=tuple(as_rational(fi) for fi in f),
             T=as_rational(T),
         )
@@ -201,6 +201,8 @@ def validate_spec(spec: SignalSpec) -> SignalSpec:
         if g[i] == g[i + 1]:
             raise AmplitudeViolation(f"adjacent amplitudes g_{i + 1} and g_{i + 2} are equal ({g[i]})")
     for i, (ni, fi) in enumerate(zip(n, f), start=1):
+        if isinstance(ni, bool) or not isinstance(ni, int):
+            raise RegionViolation(f"n_{i} must be an integer, got {ni!r}")
         if ni < 2:
             raise RegionViolation(f"n_{i} must be at least 2, got {ni}")
         if not (0 < fi < 1):

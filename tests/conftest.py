@@ -31,3 +31,12 @@ def with_value(fn: PiecewiseFunction, lo, hi, value) -> PiecewiseFunction:
     pts = sorted(set(fn.breakpoints) | {lo, hi})
     vals = [value if lo <= (a + b) / 2 < hi else fn.evaluate((a + b) / 2) for a, b in zip(pts, pts[1:])]
     return PiecewiseFunction(tuple(pts), tuple(vals))
+
+
+def delta_chain_reference(spec: SignalSpec, delta1) -> list[Fraction]:
+    """``delta_chain`` by definition, in Fractions: each region hands the
+    next one the offset (delta_i + f_i) mod 1."""
+    offsets = [Fraction(delta1)]
+    for fi in spec.f[:-1]:
+        offsets.append((offsets[-1] + fi) % 1)
+    return offsets

@@ -1,9 +1,11 @@
 """Direct counting, the closed-form count, and the pattern atlas."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from conftest import delta_chain_reference
 
 from pcsamp import (
     SignalSpec,
@@ -26,11 +28,20 @@ def test_count_direct_examples(running_spec):
     assert count_direct(running_spec, Fraction(4, 5)).eta == (1, 3)
 
 
-def test_count_direct_rejects_offsets_outside_unit(running_spec):
-    with pytest.raises(ValueError):
-        count_direct(running_spec, Fraction(5, 4))
-    with pytest.raises(ValueError):
-        count_direct(running_spec, Fraction(-1, 4))
+@pytest.mark.parametrize(
+    "call",
+    [count_direct, delta_chain, lambda spec, delta: cumulative_count(spec, 1, 1, delta)],
+    ids=["count_direct", "delta_chain", "cumulative_count"],
+)
+def test_count_direct_rejects_offsets_outside_unit(running_spec, call):
+    for delta in (Fraction(5, 4), 1, Fraction(-1, 4)):
+        with pytest.raises(ValueError, match=r"grid offset must lie in \[0, 1\)"):
+            call(running_spec, delta)
+    for delta in (0.3, True):
+        with pytest.raises(TypeError):
+            call(running_spec, delta)
+    assert call(running_spec, 0) == call(running_spec, Fraction(0))
+    assert call(running_spec, "3/10") == call(running_spec, Fraction(3, 10))
 
 
 def test_count_direct_huge_region_is_immediate():
@@ -56,6 +67,12 @@ def test_kappa_d_bounds(running_spec):
         kappa_d(running_spec, 1, 2)
     with pytest.raises(IndexError):
         kappa_d(running_spec, 0, 0)
+
+
+@pytest.mark.parametrize("i,span", [(0, 0), (1, -1), (1, 2), (2, 1)])
+def test_cumulative_count_bounds(running_spec, i, span):
+    with pytest.raises(IndexError, match=rf"^region run i={i}, K={span} outside 1\.\.2$"):
+        cumulative_count(running_spec, i, span, Fraction(1, 10))
 
 
 def test_cumulative_count_examples(running_spec):
@@ -120,6 +137,31 @@ def test_delta_chain_matches_direct_placement():
             while delta1 + k < points[i]:
                 k += 1
             assert offsets[i] == delta1 + k - points[i]
+
+
+def _offset_over(rng, q):
+    """A random offset in [0, 1) whose reduced denominator is exactly q."""
+    while True:
+        p = rng.randrange(q)
+        if math.gcd(p, q) == 1:
+            return Fraction(p, q)
+
+
+def test_delta_chain_matches_fraction_recurrence():
+    rng = random.Random(29)
+    for _ in range(60):
+        spec = random_spec(rng, m_range=(1, 12))
+        L = spec.lattice.L
+        # denominator 1, multiples of L, and coprime to L
+        denominators = (1, L, 4 * L, 7, 1000)
+        assert math.gcd(7, L) == math.gcd(1000, L) == 1
+        for delta in (_offset_over(rng, q) for q in denominators):
+            expected = delta_chain_reference(spec, delta)
+            for given in (delta, str(delta)):
+                offsets = delta_chain(spec, given)
+                assert offsets == expected
+                assert len(offsets) == spec.m
+                assert all(type(o) is Fraction for o in offsets)
 
 
 def test_formula_equals_direct_counting_everywhere():

@@ -79,10 +79,25 @@ def test_amplitude_rules():
         validate_spec(SignalSpec.from_columns(g=[4, 4], n=[2, 2], f=["1/4", "1/3"]))
 
 
-@pytest.mark.parametrize("n,f", [(1, "1/2"), (2, "0"), (2, "1"), (2, "5/4")])
+@pytest.mark.parametrize(
+    "n,f", [(1, "1/2"), (2, "0"), (2, "1"), (2, "5/4"), (2.9, "1/4"), (3.0, "1/2"), (True, "1/2")]
+)
 def test_region_rules(n, f):
-    with pytest.raises(RegionViolation):
-        validate_spec(SignalSpec.from_columns(g=[5], n=[n], f=[f]))
+    # through the column constructor and through the dataclass itself
+    for spec in (
+        SignalSpec.from_columns(g=[5], n=[n], f=[f]),
+        SignalSpec(g=(Fraction(5),), n=(n,), f=(Fraction(f),)),
+    ):
+        with pytest.raises(RegionViolation):
+            validate_spec(spec)
+
+
+def test_non_integer_region_count_is_named():
+    with pytest.raises(RegionViolation, match=r"n_1 must be an integer, got 2\.9"):
+        validate_spec(SignalSpec.from_columns(g=[4, 2], n=[2.9, 3], f=["1/4", "1/2"]))
+    direct = SignalSpec(g=(Fraction(4), Fraction(2)), n=(2.5, 3), f=(Fraction(1, 4), Fraction(1, 2)))
+    with pytest.raises(RegionViolation, match=r"n_1 must be an integer, got 2\.5"):
+        validate_spec(direct)
 
 
 def test_truth_breakpoints_reference_zero(running_spec):
