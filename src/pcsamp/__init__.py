@@ -38,7 +38,6 @@ from .sampler import (
     kappa_d,
 )
 from .inference import (
-    Chain,
     ChainStructure,
     FeasibleBox,
     InconsistentObservations,

@@ -27,10 +27,7 @@ from .sampler import SamplingPattern, enumerate_atlas
 from .signal_core import SignalSpec, SpecViolation, as_rational, validate_spec
 
 DEFAULT_SEED = 0
-# ceilings on `verify`, refused up front: the random sweep's work grows with
-# --trials; the oracle visits a few candidate grid points per discontinuity
-# whatever --grid is, and --grid is capped to keep the grid's numbers small
-MAX_GRID = 10_000
+# ceiling on `verify`, refused up front: the random sweep's work grows with --trials
 MAX_TRIALS = 10_000
 
 
@@ -252,10 +249,13 @@ def cmd_infer(args) -> int:
         raise ScenarioError(f"--ref must lie in 0..{spec.m}")
     obs = _resolve_observations(spec, scenario_obs, args.observations)
     model = infer_model(obs, args.ref)
-    chain_role = {}
-    for c in model.chains.plus + model.chains.minus:
-        for i in c.members:
-            chain_role[i] = f"chain@{c.anchor}"
+    # a chain's anchor is its member nearest the reference
+    chains = [
+        (side, zone.members[0] if side == "plus" else zone.members[-1], zone)
+        for side, zones in (("plus", model.chains.plus), ("minus", model.chains.minus))
+        for zone in zones
+    ]
+    chain_role = {i: f"chain@{anchor}" for _, anchor, zone in chains for i in zone.members}
     payload = {
         "l": model.l,
         "C": list(model.C),
@@ -265,9 +265,8 @@ def cmd_infer(args) -> int:
             for i in range(model.m + 1)
         ],
         "chains": [
-            {"side": side, "anchor": c.anchor, "length": c.length, "members": list(c.members)}
-            for side, chains in (("plus", model.chains.plus), ("minus", model.chains.minus))
-            for c in chains
+            {"side": side, "anchor": anchor, "length": len(zone.members) - 1, "members": list(zone.members)}
+            for side, anchor, zone in chains
         ],
     }
     headers = ["i", "c", "g_lo", "g_hi", "width", "knowledge", "chain"]
@@ -351,16 +350,12 @@ def _verify_seed(args) -> int:
 
 def cmd_verify(args) -> int:
     spec, _ = load_scenario(args.scenario)
-    if args.grid < 2:
-        raise ScenarioError("--grid must be at least 2")
-    if args.grid > MAX_GRID:
-        raise ScenarioError(f"--grid must be at most {MAX_GRID}")
     if args.trials < 1:
         raise ScenarioError("--trials must be at least 1")
     if args.trials > MAX_TRIALS:
         raise ScenarioError(f"--trials must be at most {MAX_TRIALS}")
     seed = _verify_seed(args)
-    results = [*verify_scenario(spec, resolution=args.grid), exhaustive_consistency_sweep(args.trials, seed=seed)]
+    results = [*verify_scenario(spec), exhaustive_consistency_sweep(args.trials, seed=seed)]
     rows = [[r.name, "pass" if r.passed else "FAIL", r.detail] for r in results]
     passed = all(r.passed for r in results)
     payload = {"checks": [{"name": r[0], "status": r[1], "detail": r[2]} for r in rows], "passed": passed}
@@ -448,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="run the property suite against a scenario")
     _add_common(sub)
-    sub.add_argument("--grid", type=int, default=50,
-                     help=f"oracle grid points per unit interval (2..{MAX_GRID})")
     sub.add_argument("--trials", type=int, default=25,
                      help=f"random signals in the sweep (1..{MAX_TRIALS})")
     sub.add_argument("--seed", type=int, help="sweep seed (falls back to PCSAMP_SEED)")

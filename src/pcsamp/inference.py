@@ -5,11 +5,13 @@ discontinuity i is located through the cumulative count of samples between
 it and the reference.  Observing both achievable values of that count pins
 the discontinuity to an open interval of width one grid step; observing a
 single value only pins it to width two.  Runs of width-two discontinuities
-coupled through regions that always show exactly one sample form chains.
+coupled through regions that always show exactly one sample form chains;
+:func:`chain_analysis` builds each chain once, as a coupled :class:`Zone`.
 
 :func:`feasible_box` turns a model into the one tiling of the estimate span
-that the estimator fills and the oracle searches: zones (isolated intervals
-and chain spans) and the forced spans between them.
+that the estimator fills and the oracle searches: zones (the model's chains
+plus one isolated interval per other discontinuity) and the forced spans
+between them.
 
 The module works purely from patterns and known amplitudes; it never needs
 the generating signal, so it solves the inverse problem as stated.
@@ -84,26 +86,31 @@ class ObservationSet:
 
 
 @dataclass(frozen=True)
-class Chain(object):
-    """One maximal coupled run of width-two discontinuities.
+class Zone:
+    """One independently searchable stretch of the feasible set.
 
-    A chain lies wholly on one side of the reference, and its rule is the
-    same on either side, reflected: ``anchor`` is the member nearest the
-    reference (the leftmost member right of it, the rightmost member left
-    of it), ``length`` the number of always-one-sample regions it spans,
-    and ``members`` the discontinuity indices in ascending order.
+    Either one discontinuity's open interval (a single member) or a chain:
+    a coupled run of width-two discontinuities, ``members`` in ascending
+    order, whose spacing is tied by the always-one-sample regions between
+    them.  ``lo`` and ``hi`` bound the stretch in integer grid units.
     """
 
-    anchor: int
-    length: int
     members: tuple[int, ...]
+    lo: int
+    hi: int
+
+    @property
+    def coupled(self) -> bool:
+        return len(self.members) > 1
 
 
 @dataclass(frozen=True)
 class ChainStructure:
-    plus: tuple[Chain, ...]            # chains to the right of the reference
-    minus: tuple[Chain, ...]           # chains to the left of the reference
-    free: frozenset[int]               # width-two indices outside every chain
+    """The chains of a model as coupled zones, each side ordered outward
+    from the reference."""
+
+    plus: tuple[Zone, ...]             # chains to the right of the reference
+    minus: tuple[Zone, ...]            # chains to the left of the reference
 
     @property
     def empty(self) -> bool:
@@ -179,8 +186,8 @@ def chain_analysis(
     members nearest the reference are both width two: (a, a+1) on the
     right, (b-1, b) on the left.  The rule is the same on either side,
     reflected; a chain whose other members are not all width two is
-    inconsistent.  Whatever of U remains outside every chain is returned
-    as ``free``.
+    inconsistent.  Each chain is returned as a coupled :class:`Zone` from
+    G[a].lo to G[b].hi.
     """
     runs: list[tuple[int, int]] = []
     a = 0
@@ -192,12 +199,11 @@ def chain_analysis(
     # right side first, each side outward from the reference
     runs.sort(key=lambda run: (run[0] < l, abs(run[0] - l)))
 
-    plus: list[Chain] = []
-    minus: list[Chain] = []
-    claimed: set[int] = set()
+    plus: list[Zone] = []
+    minus: list[Zone] = []
     for a, b in runs:
-        anchor, near, side = (a, a + 1, plus) if a > l else (b, b - 1, minus)
-        if anchor not in U or near not in U:
+        near, side = ({a, a + 1}, plus) if a > l else ({b - 1, b}, minus)
+        if not near <= U:
             continue
         members = tuple(range(a, b + 1))
         if not set(members) <= U:
@@ -205,11 +211,8 @@ def chain_analysis(
                 f"coupled run {members} crosses a width-one discontinuity"
             )
         assert G[b][1] - G[a][0] == b - a + 2, "chain span must hold exactly length+2 unit cells"
-        side.append(Chain(anchor=anchor, length=b - a, members=members))
-        claimed.update(members)
-
-    free = frozenset(U - claimed)
-    return ChainStructure(plus=tuple(plus), minus=tuple(minus), free=free)
+        side.append(Zone(members=members, lo=G[a][0], hi=G[b][1]))
+    return ChainStructure(plus=tuple(plus), minus=tuple(minus))
 
 
 def infer_model(obs: ObservationSet, l: int) -> UncertaintyModel:
@@ -254,16 +257,6 @@ def infer_model(obs: ObservationSet, l: int) -> UncertaintyModel:
 
 
 @dataclass(frozen=True)
-class Zone:
-    """One independently searchable stretch of the feasible set."""
-
-    members: tuple[int, ...]
-    lo: int
-    hi: int
-    coupled: bool
-
-
-@dataclass(frozen=True)
 class FeasibleBox:
     """Open intervals per unknown discontinuity plus coupling structure."""
 
@@ -297,15 +290,15 @@ class FeasibleBox:
 
 
 def feasible_box(model: UncertaintyModel) -> FeasibleBox:
-    """Search geometry implied by an uncertainty model."""
-    zones: list[Zone] = []
-    for i in sorted(model.Ucomp | model.chains.free):
-        lo, hi = model.G[i]
-        zones.append(Zone(members=(i,), lo=lo, hi=hi, coupled=False))
-    for chain in model.chains.plus + model.chains.minus:
-        first, last = chain.members[0], chain.members[-1]
-        zones.append(
-            Zone(members=chain.members, lo=model.G[first][0], hi=model.G[last][1], coupled=True)
-        )
+    """Search geometry implied by an uncertainty model: the model's chains
+    plus one single-member zone for every other non-reference index."""
+    chains = model.chains.plus + model.chains.minus
+    coupled = {i for zone in chains for i in zone.members}
+    zones = [
+        Zone(members=(i,), lo=lo, hi=hi)
+        for i, (lo, hi) in enumerate(model.G)
+        if i != model.l and i not in coupled
+    ]
+    zones += chains
     zones.sort(key=lambda z: z.lo)
     return FeasibleBox(l=model.l, G=model.G, zones=tuple(zones))

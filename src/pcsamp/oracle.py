@@ -190,7 +190,6 @@ def _zone_extremes(
     assert all(
         zone.lo <= box.G[i][0] and box.G[i][1] <= zone.hi for i in members
     ), "zone members must lie inside the zone"
-    assert len(members) == 1 or zone.coupled, "multi-member zones are always coupled runs"
     amps = [amp(amplitudes, members[0] + j) for j in range(len(members) + 1)]
     N = math.lcm(r, *(x.denominator for x in cuts))
     D = math.lcm(*(v.denominator for v in (*amps, *vals)))
@@ -566,12 +565,12 @@ def exhaustive_consistency_sweep(
 # scenario-level verification suite
 # ---------------------------------------------------------------------------
 
-def _check_minimax(spec: SignalSpec, full: _FullSet, resolution: int) -> Optional[str]:
+def _check_minimax(spec: SignalSpec, full: _FullSet) -> Optional[str]:
     for l, (model, est) in enumerate(full):
         if est is None:
             return f"l={l}: no full estimate, width-two indices {sorted(model.U)}"
         closed = closed_form_energy(model, spec.g)
-        report = perturbation_minimax_check(est, spec.g, est.box, resolution=resolution)
+        report = perturbation_minimax_check(est, spec.g, est.box)
         worst = report.worst
         if worst.value != closed:
             return f"l={l}: oracle worst {worst.value} != closed form {closed}"
@@ -587,7 +586,7 @@ def _check_minimax(spec: SignalSpec, full: _FullSet, resolution: int) -> Optiona
     return None
 
 
-def _check_width2_energy(spec: SignalSpec, atlas: PatternAtlas, resolution: int) -> tuple[Optional[str], str]:
+def _check_width2_energy(spec: SignalSpec, atlas: PatternAtlas) -> tuple[Optional[str], str]:
     checked = 0
     for k in range(spec.m):
         obs = ObservationSet.of(
@@ -602,7 +601,7 @@ def _check_width2_energy(spec: SignalSpec, atlas: PatternAtlas, resolution: int)
                 est = estimate_partial(model, spec.g)
             except AssertionError as exc:   # the known inverted forced-span defect
                 return f"pair at cell {k}, l={l}: {exc}", ""
-            worst = worst_case_energy(est, spec.g, est.box, resolution)
+            worst = worst_case_energy(est, spec.g, est.box)
             if worst.value != closed:
                 return (
                     f"pair at cell {k}, l={l}: oracle {worst.value} != closed {closed}", "",
@@ -611,15 +610,15 @@ def _check_width2_energy(spec: SignalSpec, atlas: PatternAtlas, resolution: int)
     return None, f"{checked} adjacent-pair observation sets"
 
 
-def verify_scenario(spec: SignalSpec, resolution: int = 50, delta_denominator: int = 120) -> list[CheckResult]:
+def verify_scenario(spec: SignalSpec, delta_denominator: int = 120) -> list[CheckResult]:
     """Run the full per-signal property suite and report each check."""
     spec = validate_spec(spec)
     atlas = enumerate_atlas(spec)
     full = _full_set(spec, atlas)
     table = (   # (name, failure or None, detail when passed), run in this order
         *_signal_checks(spec, atlas, full, delta_denominator),
-        ("minimax-worst-case-equality", _check_minimax(spec, full, resolution),
+        ("minimax-worst-case-equality", _check_minimax(spec, full),
          f"all {spec.m + 1} references, placement independent, perturbations strict"),
-        ("width-two-energy-equality", *_check_width2_energy(spec, atlas, resolution)),
+        ("width-two-energy-equality", *_check_width2_energy(spec, atlas)),
     )
     return [CheckResult(name, failure is None, failure or detail) for name, failure, detail in table]

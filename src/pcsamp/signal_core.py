@@ -182,15 +182,25 @@ def find_genericity_violation(fractions: Sequence[Fraction]) -> Optional[tuple[i
     return start + 1, end - start - 1, Fraction(prefix[end] - prefix[start], L)
 
 
+def _is_exact(value) -> bool:
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 def validate_spec(spec: SignalSpec) -> SignalSpec:
     """Check every invariant of a signal description and return it unchanged.
 
     Raises AmplitudeViolation, RegionViolation, or GenericityViolation with
-    the offending indices named.
+    the offending indices named.  Amplitudes, fractional parts and T must
+    be exact: an int or a Fraction.
     """
     if spec.m < 1:
         raise RegionViolation("at least one region is required")
     g, n, f = spec.g, spec.n, spec.f
+    if not _is_exact(spec.T):
+        raise RegionViolation(f"T must be an exact rational, got {spec.T!r}")
+    for i, gi in enumerate(g, start=1):
+        if not _is_exact(gi):
+            raise AmplitudeViolation(f"g_{i} must be an exact rational, got {gi!r}")
     if spec.T <= 0:
         raise RegionViolation(f"sampling interval T must be positive, got {spec.T}")
     if g[0] == 0:
@@ -205,6 +215,8 @@ def validate_spec(spec: SignalSpec) -> SignalSpec:
             raise RegionViolation(f"n_{i} must be an integer, got {ni!r}")
         if ni < 2:
             raise RegionViolation(f"n_{i} must be at least 2, got {ni}")
+        if not _is_exact(fi):
+            raise RegionViolation(f"f_{i} must be an exact rational, got {fi!r}")
         if not (0 < fi < 1):
             raise RegionViolation(f"f_{i} must lie strictly inside (0, 1), got {fi}")
     hit = find_genericity_violation(f)

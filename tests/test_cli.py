@@ -108,6 +108,70 @@ def test_infer_json(running_file, capsys):
     assert payload["intervals"][1] == {"i": 1, "lo": 1, "hi": 2, "knowledge": "T"}
 
 
+# a plus chain right of l = 0 and its mirror, a minus chain left of l = 2;
+# each is anchored at its member nearest the reference
+MIRRORED_CHAIN = dict(CHAIN, regions=CHAIN["regions"][::-1], observations=[[1, 3]])
+CHAIN_INFER = {
+    "plus": (CHAIN, 0, {
+        "table": (
+            "i  c  g_lo  g_hi  width  knowledge  chain\n"
+            "0  0  0     0     0      reference\n"
+            "1  3  2     4     2      2T         chain@1\n"
+            "2  4  3     5     2      2T         chain@1\n"
+        ),
+        "csv": (
+            "i,c,g_lo,g_hi,width,knowledge,chain\n"
+            "0,0,0,0,0,reference,\n"
+            "1,3,2,4,2,2T,chain@1\n"
+            "2,4,3,5,2,2T,chain@1\n"
+        ),
+        "json": {
+            "l": 0, "C": [0, 3, 4], "U": [1, 2],
+            "intervals": [
+                {"i": 0, "lo": 0, "hi": 0, "knowledge": "reference"},
+                {"i": 1, "lo": 2, "hi": 4, "knowledge": "2T"},
+                {"i": 2, "lo": 3, "hi": 5, "knowledge": "2T"},
+            ],
+            "chains": [{"side": "plus", "anchor": 1, "length": 1, "members": [1, 2]}],
+        },
+    }),
+    "minus": (MIRRORED_CHAIN, 2, {
+        "table": (
+            "i  c  g_lo  g_hi  width  knowledge  chain\n"
+            "0  4  -5    -3    2      2T         chain@1\n"
+            "1  3  -4    -2    2      2T         chain@1\n"
+            "2  0  0     0     0      reference\n"
+        ),
+        "csv": (
+            "i,c,g_lo,g_hi,width,knowledge,chain\n"
+            "0,4,-5,-3,2,2T,chain@1\n"
+            "1,3,-4,-2,2,2T,chain@1\n"
+            "2,0,0,0,0,reference,\n"
+        ),
+        "json": {
+            "l": 2, "C": [4, 3, 0], "U": [0, 1],
+            "intervals": [
+                {"i": 0, "lo": -5, "hi": -3, "knowledge": "2T"},
+                {"i": 1, "lo": -4, "hi": -2, "knowledge": "2T"},
+                {"i": 2, "lo": 0, "hi": 0, "knowledge": "reference"},
+            ],
+            "chains": [{"side": "minus", "anchor": 1, "length": 1, "members": [0, 1]}],
+        },
+    }),
+}
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_infer_chain_columns(tmp_path, capsys, side, fmt):
+    doc, ref, expected = CHAIN_INFER[side]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    assert main(["infer", str(path), "--ref", str(ref), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert (json.loads(out) if fmt == "json" else out) == expected[fmt]
+
+
 def test_estimate_cells_and_energy(running_file, capsys):
     assert main(["estimate", running_file, "--ref", "0"]) == 0
     out = capsys.readouterr().out
@@ -224,7 +288,7 @@ def test_duplicate_observations_exit2(tmp_path):
 
 
 def test_verify_green(running_file, capsys):
-    assert main(["verify", running_file, "--grid", "12", "--trials", "3", "--seed", "5"]) == 0
+    assert main(["verify", running_file, "--trials", "3", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
     assert "FAIL" not in out
@@ -239,20 +303,20 @@ def test_verify_reports_the_inverted_span_pair_as_a_fail_row(tmp_path, capsys):
     ]
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"T": "1", "regions": regions, "observations": "all"}))
-    assert main(["verify", str(path), "--grid", "12", "--trials", "3", "--seed", "5", "--format", "json"]) == 1
+    assert main(["verify", str(path), "--trials", "3", "--seed", "5", "--format", "json"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"][:5]
     assert [c["status"] for c in checks] == ["pass"] * 4 + ["FAIL"]
     assert checks[4]["name"] == "width-two-energy-equality"
     assert checks[4]["detail"] == "pair at cell 2, l=0: forced span for region 2 is inverted"
 
 
-@pytest.mark.parametrize("flag, ceiling", [("--grid", cli.MAX_GRID), ("--trials", cli.MAX_TRIALS)])
+@pytest.mark.parametrize("flag, ceiling", [("--trials", cli.MAX_TRIALS)])
 def test_verify_ceilings_exit2_before_any_work(running_file, capsys, monkeypatch, flag, ceiling):
     def refuse(*args, **kwargs):
         raise AssertionError("verify started work above a ceiling")
     monkeypatch.setattr(cli, "verify_scenario", refuse)
     monkeypatch.setattr(cli, "exhaustive_consistency_sweep", refuse)
-    argv = ["verify", running_file, "--grid", "12", "--trials", "3", "--seed", "5"]
+    argv = ["verify", running_file, "--trials", "3", "--seed", "5"]
     argv[argv.index(flag) + 1] = str(ceiling + 1)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"ScenarioError {flag} must be at most {ceiling}\n"
@@ -260,11 +324,11 @@ def test_verify_ceilings_exit2_before_any_work(running_file, capsys, monkeypatch
 
 def test_verify_seed_env_fallback(running_file, capsys, monkeypatch):
     monkeypatch.setenv("PCSAMP_SEED", "5")
-    assert main(["verify", running_file, "--grid", "12", "--trials", "3",
+    assert main(["verify", running_file, "--trials", "3",
                  "--format", "json"]) == 0
     with_env = json.loads(capsys.readouterr().out)
     monkeypatch.delenv("PCSAMP_SEED")
-    assert main(["verify", running_file, "--grid", "12", "--trials", "3", "--seed", "5",
+    assert main(["verify", running_file, "--trials", "3", "--seed", "5",
                  "--format", "json"]) == 0
     explicit = json.loads(capsys.readouterr().out)
     assert with_env == explicit
@@ -273,9 +337,9 @@ def test_verify_seed_env_fallback(running_file, capsys, monkeypatch):
 def test_bad_seed_env_only_affects_verify(running_file, capsys, monkeypatch):
     monkeypatch.setenv("PCSAMP_SEED", "abc")
     assert main(["validate", running_file]) == 0
-    assert main(["verify", running_file, "--grid", "12", "--trials", "3"]) == 2
+    assert main(["verify", running_file, "--trials", "3"]) == 2
     assert "PCSAMP_SEED must be an integer" in capsys.readouterr().err
-    assert main(["verify", running_file, "--grid", "12", "--trials", "3", "--seed", "5"]) == 0
+    assert main(["verify", running_file, "--trials", "3", "--seed", "5"]) == 0
 
 
 def test_demo_example6(capsys):

@@ -297,7 +297,8 @@ def _side_rule_cells(model, g):
     Chebyshev-centre interiors."""
     m, l, G = model.m, model.l, model.G
     chains = model.chains.plus + model.chains.minus
-    independent = model.Ucomp | model.chains.free | {l}
+    free = model.U - {i for c in chains for i in c.members}
+    independent = model.Ucomp | free | {l}
     left_ok = independent | {c.members[-1] for c in chains}
     right_ok = independent | {c.members[0] for c in chains}
     cells = []
@@ -311,7 +312,7 @@ def _side_rule_cells(model, g):
     def midpoint(i, lo, hi):
         return (lo, hi, (amp(g, i) + amp(g, i + 1)) / 2, "midpoint", (i, i + 1), False, False)
 
-    for i in sorted(model.Ucomp | model.chains.free):
+    for i in sorted(model.Ucomp | free):
         cells.append(midpoint(i, *G[i]))
     for c in chains:
         first, last = c.members[0], c.members[-1]

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from pcsamp import (
-    Chain,
     InconsistentObservations,
     ObservationSet,
     SignalSpec,
+    Zone,
     chain_analysis,
     cumulative_values,
     enumerate_atlas,
@@ -103,13 +103,9 @@ def test_chain_from_single_pattern():
     assert model.C == (0, 3, 4)
     assert model.U == frozenset({1, 2})
     assert model.G == ((0, 0), (2, 4), (3, 5))
-    assert len(model.chains.plus) == 1
-    chain = model.chains.plus[0]
-    assert chain.anchor == 1
-    assert chain.length == 1
-    assert chain.members == (1, 2)
+    assert model.chains.plus == (Zone(members=(1, 2), lo=2, hi=5),)
     assert model.chains.minus == ()
-    assert model.chains.free == frozenset()
+    assert feasible_box(model).zones == model.chains.plus
 
 
 def test_chain_mirror_from_single_pattern():
@@ -119,11 +115,8 @@ def test_chain_mirror_from_single_pattern():
     assert model.U == frozenset({0, 1})
     assert model.G[1] == (-4, -2)
     assert model.G[0] == (-5, -3)
-    assert len(model.chains.minus) == 1
-    chain = model.chains.minus[0]
-    assert chain.anchor == 1
-    assert chain.length == 1
-    assert chain.members == (0, 1)
+    assert model.chains.minus == (Zone(members=(0, 1), lo=-5, hi=-2),)
+    assert model.chains.plus == ()
 
 
 def test_full_atlas_never_chains(running_spec):
@@ -131,7 +124,7 @@ def test_full_atlas_never_chains(running_spec):
         model = infer_model(_full_obs(running_spec), l)
         assert model.U == frozenset()
         assert model.chains.empty
-        assert model.chains.free == frozenset()
+        assert not any(z.coupled for z in feasible_box(model).zones)
 
 
 def test_example6_with_big_eta2_has_no_chains(example6_spec):
@@ -139,7 +132,9 @@ def test_example6_with_big_eta2_has_no_chains(example6_spec):
     obs = ObservationSet.of([(3, 3, 2), (3, 3, 1)], example6_spec.g)
     model = infer_model(obs, 0)
     assert model.chains.empty
-    assert model.chains.free == frozenset({1, 2})
+    assert feasible_box(model).zones == (
+        Zone(members=(1,), lo=2, hi=4), Zone(members=(2,), lo=5, hi=7), Zone(members=(3,), lo=7, hi=8),
+    )
 
 
 def test_box_spans_keep_degenerate_points(example6_spec):
@@ -242,8 +237,8 @@ def test_mirrored_observations_mirror_the_model():
             assert {m - i for i in a.U} == set(b.U)
 
 
-def _reflect_chain(c, m):
-    return Chain(anchor=m - c.anchor, length=c.length, members=tuple(m - i for i in reversed(c.members)))
+def _reflect_chain(zone, m):
+    return Zone(members=tuple(m - i for i in reversed(zone.members)), lo=-zone.hi, hi=-zone.lo)
 
 
 def _chain_shaped_cases(seed, count):
@@ -267,11 +262,14 @@ def test_chains_reflect_between_sides():
     seen = 0
     for spec, _, obs, mirrored_obs, l in _chain_shaped_cases(53, 40):
         m = spec.m
-        a = infer_model(obs, l).chains
+        model = infer_model(obs, l)
+        a = model.chains
         b = infer_model(mirrored_obs, m - l).chains
         assert b.plus == tuple(_reflect_chain(c, m) for c in a.minus)
         assert b.minus == tuple(_reflect_chain(c, m) for c in a.plus)
-        assert b.free == {m - i for i in a.free}
+        # one description per chain: the box's coupled zones are the chains themselves
+        coupled = [z for z in feasible_box(model).zones if z.coupled]
+        assert sorted(coupled, key=lambda z: z.lo) == sorted(a.plus + a.minus, key=lambda z: z.lo)
         seen += len(a.plus) + len(a.minus)
     assert seen > 100
 

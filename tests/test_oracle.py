@@ -258,7 +258,7 @@ def test_empty_feasible_set():
     box = FeasibleBox(
         l=0,
         G=((0, 0), (1, 2), (5, 6)),
-        zones=(Zone(members=(1, 2), lo=1, hi=6, coupled=True),),
+        zones=(Zone(members=(1, 2), lo=1, hi=6),),
     )
     fn = PiecewiseFunction((Fraction(0), Fraction(6)), (Fraction(1),))
     with pytest.raises(EmptyFeasibleSet):
@@ -269,7 +269,7 @@ def test_verify_scenario_never_raises():
     rng = random.Random(0)
     for _ in range(100):
         spec = random_spec(rng, m_range=(1, 6), n_range=(2, 6))
-        for row in verify_scenario(spec, resolution=12, delta_denominator=24):
+        for row in verify_scenario(spec, delta_denominator=24):
             # the only failure is the known inverted forced-span defect
             assert row.passed or (
                 row.name == "width-two-energy-equality" and row.detail.endswith("is inverted")
@@ -289,7 +289,7 @@ def test_random_spec_reproducible():
 
 
 def test_verify_scenario_green(running_spec):
-    results = verify_scenario(running_spec, resolution=12, delta_denominator=40)
+    results = verify_scenario(running_spec, delta_denominator=40)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
     names = {r.name for r in results}
     assert "minimax-worst-case-equality" in names
@@ -359,7 +359,7 @@ def test_chain_sweep_window_ends_and_ties(g):
     # just inside the open end of the spacing window; with g = (1, -1) it is
     # q - 1 + const, so every p in the window ties and the earliest wins
     box = FeasibleBox(
-        l=0, G=((0, 0), (1, 3), (2, 4)), zones=(Zone(members=(1, 2), lo=1, hi=4, coupled=True),)
+        l=0, G=((0, 0), (1, 3), (2, 4)), zones=(Zone(members=(1, 2), lo=1, hi=4),)
     )
     fn = PiecewiseFunction((Fraction(0), Fraction(4)), (Fraction(0),))
     for resolution in range(3, 9):
@@ -372,7 +372,7 @@ def test_chain_sweep_skips_unreachable_points():
     box = FeasibleBox(
         l=0,
         G=((0, 0), (1, 2), (2, 5), (5, 7)),
-        zones=(Zone(members=(1, 2, 3), lo=1, hi=7, coupled=True),),
+        zones=(Zone(members=(1, 2, 3), lo=1, hi=7),),
     )
     fn = PiecewiseFunction((Fraction(0), Fraction(7)), (Fraction(1),))
     for resolution in range(4, 9):   # at 3, member 3 is out of reach
@@ -404,7 +404,7 @@ def test_chain_sweep_matches_brute_force_on_random_boxes():
             hi = lo + rng.randint(max(1, hi - lo), 3)   # widths 1-3, upper ends non-decreasing
             G.append((lo, hi))
         box = FeasibleBox(
-            l=0, G=tuple(G), zones=(Zone(members=tuple(range(1, len(G))), lo=G[1][0], hi=hi, coupled=True),)
+            l=0, G=tuple(G), zones=(Zone(members=tuple(range(1, len(G))), lo=G[1][0], hi=hi),)
         )
         cuts = sorted({Fraction(0), Fraction(hi), *(Fraction(rng.randint(0, 4 * hi), 4) for _ in range(3))})
         fn = PiecewiseFunction(
@@ -438,13 +438,13 @@ def test_empty_feasible_set_on_the_second_step():
     fn = PiecewiseFunction((Fraction(0), Fraction(7)), (Fraction(1),))
     g = (Fraction(2), Fraction(1), Fraction(3))
     first_step = FeasibleBox(
-        l=0, G=((0, 0), (1, 2), (2, 3)), zones=(Zone(members=(1, 2), lo=1, hi=3, coupled=True),)
+        l=0, G=((0, 0), (1, 2), (2, 3)), zones=(Zone(members=(1, 2), lo=1, hi=3),)
     )
     assert worst_case_energy(fn, g[:2], first_step, 4).zones[0].argmax
     box = FeasibleBox(
         l=0,
         G=((0, 0), (1, 2), (2, 3), (6, 7)),
-        zones=(Zone(members=(1, 2, 3), lo=1, hi=7, coupled=True),),
+        zones=(Zone(members=(1, 2, 3), lo=1, hi=7),),
     )
     with pytest.raises(EmptyFeasibleSet):
         worst_case_energy(fn, g, box, 4)
@@ -633,7 +633,7 @@ def _one_pattern_kept(real):
 def test_failing_checks_report_their_messages(running_spec, monkeypatch, name, patch, changed, sweep):
     monkeypatch.setattr(oracle, name, patch(getattr(oracle, name)))
     expected = [CheckResult(check, *changed.get(check, (True, detail))) for check, detail in _PASSED.items()]
-    assert verify_scenario(running_spec, resolution=4, delta_denominator=8) == expected
+    assert verify_scenario(running_spec, delta_denominator=8) == expected
 
     trial, message = sweep
     rng = random.Random(1)
@@ -664,7 +664,7 @@ def test_sweep_stops_at_its_first_failing_signal(monkeypatch):
 
 def test_verify_cost_does_not_grow_with_region_length():
     spec = validate_spec(SignalSpec.from_columns(g=[4, 2], n=[2, 10**9], f=["1/4", "1/2"]))
-    results = verify_scenario(spec, resolution=4, delta_denominator=8)
+    results = verify_scenario(spec, delta_denominator=8)
     assert len(results) == 5 and all(r.passed for r in results), results
 
 
@@ -683,7 +683,7 @@ def test_verify_derives_each_box_and_worst_case_once(running_spec, monkeypatch):
         count(module, "feasible_box")
         count(module, "estimate_partial")
     count(oracle, "worst_case_energy")
-    results = verify_scenario(running_spec, resolution=4, delta_denominator=8)
+    results = verify_scenario(running_spec, delta_denominator=8)
     assert all(r.passed for r in results), results
     pairs = int(results[-1].detail.split()[0])   # adjacent-pair sets, one worst case each
     assert calls["feasible_box"] == calls["estimate_partial"] == running_spec.m + 1 + pairs

@@ -100,6 +100,29 @@ def test_non_integer_region_count_is_named():
         validate_spec(direct)
 
 
+@pytest.mark.parametrize(
+    "column, violation, message",
+    [
+        (dict(g=(Fraction(4), 4.0)), AmplitudeViolation, r"g_2 must be an exact rational, got 4\.0"),
+        (dict(g=(Fraction(4), "2")), AmplitudeViolation, r"g_2 must be an exact rational, got '2'"),
+        (dict(g=(True, Fraction(2))), AmplitudeViolation, r"g_1 must be an exact rational, got True"),
+        (dict(f=(0.25, Fraction(1, 2))), RegionViolation, r"f_1 must be an exact rational, got 0\.25"),
+        (dict(T=0.5), RegionViolation, r"T must be an exact rational, got 0\.5"),
+    ],
+    ids=["float-g", "str-g", "bool-g", "float-f", "float-T"],
+)
+def test_inexact_columns_are_named(column, violation, message):
+    # built directly: from_columns would coerce through as_rational first
+    fields = dict(g=(Fraction(4), Fraction(2)), n=(2, 3), f=(Fraction(1, 4), Fraction(1, 2)), T=Fraction(1))
+    with pytest.raises(violation, match=message):
+        validate_spec(SignalSpec(**{**fields, **column}))
+
+
+def test_int_columns_are_exact():
+    spec = SignalSpec(g=(4, -2), n=(2, 3), f=(Fraction(1, 4), Fraction(1, 2)), T=2)
+    assert validate_spec(spec) is spec
+
+
 def test_truth_breakpoints_reference_zero(running_spec):
     fn = truth_function(running_spec, 0)
     assert fn.breakpoints == (0, Fraction(7, 4), Fraction(17, 4))
