@@ -78,9 +78,7 @@ def load_scenario(path: str) -> tuple[SignalSpec, Union[str, tuple[tuple[int, ..
         if not isinstance(region, dict) or not {"g", "n", "f"} <= set(region):
             raise ScenarioError(f"region {idx} must be an object with g, n, f")
         g.append(_exact_field(region["g"], f"region {idx} g"))
-        if not isinstance(region["n"], int) or isinstance(region["n"], bool):
-            raise ScenarioError(f"region {idx} n must be an integer")
-        n.append(region["n"])
+        n.append(region["n"])   # validate_spec checks its type
         f.append(_exact_field(region["f"], f"region {idx} f"))
     spec = validate_spec(SignalSpec.from_columns(g=g, n=n, f=f, T=T))
 

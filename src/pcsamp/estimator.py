@@ -1,15 +1,17 @@
 """Estimates of a translated signal from pattern-set knowledge.
 
 The estimate fills the model's feasible box
-(:func:`pcsamp.inference.feasible_box`), the one tiling of the estimate
-span.  On a forced span the signal value is known, so the estimate
-copies it.  Inside an isolated uncertainty interval the worst-case energy
-is minimized by the midpoint of the two amplitudes meeting there.  Inside
-a coupled run the interval contents interact: the run's boundary cells
-still take two-amplitude midpoints, while each interior unit cell can see
-three consecutive amplitudes and takes their Chebyshev center,
-(min + max) / 2.  The estimate is minimax on forced spans, isolated
-intervals and chains of two members, but not on chains of three or more.
+(:func:`pcsamp.inference.feasible_box`) in one pass over its stretches,
+the one tiling of the estimate span.  Each stretch lists the amplitudes
+the truth can take on it, and each cell takes the Chebyshev centre,
+(min + max) / 2, of the amplitudes it can meet.  On a forced span there is
+one, so the estimate copies the known value.  Inside an isolated
+uncertainty interval there are two, and the midpoint minimizes the
+worst-case energy.  Inside a coupled run the interval contents interact:
+the run's boundary unit cells meet two amplitudes, and each interior unit
+cell can see three consecutive ones.  The estimate is minimax on forced
+spans, isolated intervals and chains of two members, but not on chains of
+three or more.
 
 Estimates are piecewise constant on integer grid cells; energies are in
 units of amplitude squared times one grid step.
@@ -112,49 +114,35 @@ class Estimate:
         # half-open convention (the energy does not depend on this point).
         return self.fn.evaluate(t)
 
-    @property
-    def gammas(self) -> dict[int, Fraction]:
-        """Constant per unit cell: n -> value on (n-1, n)."""
-        lo, hi = self.span
-        return {n: self.fn.evaluate(Fraction(2 * n - 1, 2)) for n in range(lo + 1, hi + 1)}
+
+def _center_cell(lo: int, hi: int, indices: tuple[int, ...], amplitudes: Sequence[Fraction]) -> EstimateCell:
+    """An open cell at the Chebyshev centre, (min + max) / 2, of the amplitudes
+    it can meet: the midpoint of two, or a chain interior's three."""
+    reachable = [amp(amplitudes, j) for j in indices]
+    if len(reachable) == 2:
+        value, tag = (reachable[0] + reachable[1]) / 2, MIDPOINT
+    else:
+        value, tag = (min(reachable) + max(reachable)) / 2, CHAIN_INTERIOR
+    return EstimateCell(lo=Fraction(lo), hi=Fraction(hi), value=value, tag=tag, indices=indices)
 
 
 def _build_cells(box: FeasibleBox, amplitudes: Sequence[Fraction]) -> tuple[EstimateCell, ...]:
-    # a degenerate span is kept as a point cell: it contributes no measure
-    # but still fixes the value at that single grid point
-    cells = [
-        EstimateCell(
-            lo=Fraction(lo), hi=Fraction(hi), value=amp(amplitudes, i), tag=KNOWN, indices=(i,),
-            closed_lo=True, closed_hi=(i != box.l),
-        )
-        for lo, hi, i in box.spans
-    ]
-
-    def midpoint(i: int, lo: int, hi: int) -> EstimateCell:
-        value = (amp(amplitudes, i) + amp(amplitudes, i + 1)) / 2
-        return EstimateCell(lo=Fraction(lo), hi=Fraction(hi), value=value, tag=MIDPOINT, indices=(i, i + 1))
-
-    def interior(lo: int, idx: tuple[int, int, int]) -> EstimateCell:
-        triple = [amp(amplitudes, j) for j in idx]
-        value = (min(triple) + max(triple)) / 2
-        return EstimateCell(
-            lo=Fraction(lo), hi=Fraction(lo + 1), value=value, tag=CHAIN_INTERIOR, indices=idx
-        )
-
-    # an isolated interval takes one midpoint cell; a chain span of k
-    # members holds k + 1 unit cells, midpoints at both ends and
-    # Chebyshev-centre interiors between them
-    for zone in box.zones:
-        first, last = zone.members[0], zone.members[-1]
-        if not zone.coupled:
-            cells.append(midpoint(first, zone.lo, zone.hi))
-            continue
-        cells.append(midpoint(first, zone.lo, zone.lo + 1))
-        for k in range(1, len(zone.members)):
-            cells.append(interior(zone.lo + k, (first + k - 1, first + k, first + k + 1)))
-        cells.append(midpoint(last, zone.hi - 1, zone.hi))
-
-    cells.sort(key=lambda cell: (cell.lo, cell.hi))
+    # one pass over the box's stretches, which come in order, so the cells do too
+    cells = []
+    for z in box.stretches:
+        if not z.members:   # a forced span; a point span still fixes its grid point's value
+            (i,) = z.regions
+            cells.append(EstimateCell(
+                lo=Fraction(z.lo), hi=Fraction(z.hi), value=amp(amplitudes, i), tag=KNOWN,
+                indices=z.regions, closed_lo=True, closed_hi=(i != box.l),
+            ))
+        elif not z.coupled:   # an isolated interval: one midpoint cell
+            cells.append(_center_cell(z.lo, z.hi, z.regions, amplitudes))
+        else:   # k members hold k + 1 unit cells, cell j meeting regions[j-1:j+2]
+            cells += [
+                _center_cell(z.lo + j, z.lo + j + 1, z.regions[max(j - 1, 0):j + 2], amplitudes)
+                for j in range(len(z.members) + 1)
+            ]
     return tuple(cells)
 
 

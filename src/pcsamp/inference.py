@@ -9,9 +9,11 @@ coupled through regions that always show exactly one sample form chains;
 :func:`chain_analysis` builds each chain once, as a coupled :class:`Zone`.
 
 :func:`feasible_box` turns a model into the one tiling of the estimate span
-that the estimator fills and the oracle searches: zones (the model's chains
-plus one isolated interval per other discontinuity) and the forced spans
-between them.
+that the estimator fills and the oracle searches, ``FeasibleBox.stretches``.
+Every stretch is a :class:`Zone` that lists the amplitudes the truth can
+take on it: the model's chains, one isolated interval per other
+discontinuity, and, between them, the forced spans, member-less zones of
+one region each.
 
 The module works purely from patterns and known amplitudes; it never needs
 the generating signal, so it solves the inverse problem as stated.
@@ -87,21 +89,27 @@ class ObservationSet:
 
 @dataclass(frozen=True)
 class Zone:
-    """One independently searchable stretch of the feasible set.
+    """One stretch of the estimate span and the amplitudes the truth can take on it.
 
-    Either one discontinuity's open interval (a single member) or a chain:
-    a coupled run of width-two discontinuities, ``members`` in ascending
-    order, whose spacing is tied by the always-one-sample regions between
-    them.  ``lo`` and ``hi`` bound the stretch in integer grid units.
+    ``regions`` are consecutive amplitude indices and ``members`` the
+    discontinuities between them: ``(i,)`` is a forced span of region i,
+    with no members; ``(i, i+1)`` the isolated interval of discontinuity
+    i; ``(a, ..., b+1)`` a chain, a coupled run of width-two
+    discontinuities a..b whose spacing the always-one-sample regions
+    between them tie.  ``lo`` and ``hi`` bound the stretch in grid units.
     """
 
-    members: tuple[int, ...]
+    regions: tuple[int, ...]
     lo: int
     hi: int
 
     @property
+    def members(self) -> tuple[int, ...]:
+        return self.regions[:-1]
+
+    @property
     def coupled(self) -> bool:
-        return len(self.members) > 1
+        return len(self.regions) > 2
 
 
 @dataclass(frozen=True)
@@ -211,7 +219,7 @@ def chain_analysis(
                 f"coupled run {members} crosses a width-one discontinuity"
             )
         assert G[b][1] - G[a][0] == b - a + 2, "chain span must hold exactly length+2 unit cells"
-        side.append(Zone(members=members, lo=G[a][0], hi=G[b][1]))
+        side.append(Zone(regions=(*members, b + 1), lo=G[a][0], hi=G[b][1]))
     return ChainStructure(plus=tuple(plus), minus=tuple(minus))
 
 
@@ -258,7 +266,8 @@ def infer_model(obs: ObservationSet, l: int) -> UncertaintyModel:
 
 @dataclass(frozen=True)
 class FeasibleBox:
-    """Open intervals per unknown discontinuity plus coupling structure."""
+    """Open intervals per unknown discontinuity plus coupling structure;
+    ``zones`` are the stretches with members, in order."""
 
     l: int
     G: tuple[tuple[int, int], ...]
@@ -268,34 +277,33 @@ class FeasibleBox:
     def m(self) -> int:
         return len(self.G) - 1
 
-    @property
-    def spans(self) -> list[tuple[int, int, int]]:
-        """Stretches where the truth value is forced: (lo, hi, region).
-
-        Region i is forced on [G[i-1].hi, G[i].lo] unless it lies inside a
-        coupled zone.  A degenerate span (lo == hi) is kept: it has no
-        measure but fixes the value at its grid point.  Together with the
-        zones the spans tile [G[0].lo, G[m].hi].
-        """
-        inside = {r for z in self.zones for r in range(z.members[0] + 1, z.members[-1] + 1)}
-        spans = []
-        for i in range(1, self.m + 1):
-            if i not in inside:
+    @cached_property
+    def stretches(self) -> tuple[Zone, ...]:
+        """The one tiling of [G[0].lo, G[m].hi], in order: every zone, and a
+        member-less zone ``(i,)`` on [G[i-1].hi, G[i].lo] for each region i
+        that no zone holds inside, kept when degenerate (lo == hi) because
+        it still fixes the value at its grid point."""
+        stretches, first = [], 1   # first: the region the previous zone ends in
+        for zone in (*self.zones, None):
+            for i in range(first, zone.regions[0] + 1 if zone else self.m + 1):
                 lo, hi = self.G[i - 1][1], self.G[i][0]
                 assert lo <= hi, f"forced span for region {i} is inverted"
-                spans.append((lo, hi, i))
-        covered = sum(z.hi - z.lo for z in self.zones) + sum(hi - lo for lo, hi, _ in spans)
-        assert covered == self.G[self.m][1] - self.G[0][0], "zones and forced spans must tile the span"
-        return spans
+                stretches.append(Zone(regions=(i,), lo=lo, hi=hi))
+            if zone:
+                stretches.append(zone)
+                first = zone.regions[-1]
+        ends = [self.G[0][0], *(z.hi for z in stretches)]   # each stretch starts where the one before ends
+        assert ends == [*(z.lo for z in stretches), self.G[-1][1]], "zones and forced spans must tile the span"
+        return tuple(stretches)
 
 
 def feasible_box(model: UncertaintyModel) -> FeasibleBox:
     """Search geometry implied by an uncertainty model: the model's chains
-    plus one single-member zone for every other non-reference index."""
+    plus one isolated interval for every other non-reference index."""
     chains = model.chains.plus + model.chains.minus
     coupled = {i for zone in chains for i in zone.members}
     zones = [
-        Zone(members=(i,), lo=lo, hi=hi)
+        Zone(regions=(i, i + 1), lo=lo, hi=hi)
         for i, (lo, hi) in enumerate(model.G)
         if i != model.l and i not in coupled
     ]

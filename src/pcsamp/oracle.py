@@ -5,21 +5,23 @@ exact rational grids over the feasible placements of the unknown
 discontinuities, and minimax claims are probed by perturbing estimate
 cells and checking the worst case never improves.
 
-The search runs over the feasible box of :mod:`pcsamp.inference`, the
-same tiling the estimator fills: forced spans, whose energy does not
-depend on the placement, and zones.  Uncertainty intervals form an
-independent box, except inside coupled runs where an always-one-sample
-region forces the spacing of consecutive discontinuities into [1, 2) grid
-steps.  Joint constraints beyond that are intentionally out of scope.
+The search runs over the stretches of the feasible box of
+:mod:`pcsamp.inference`, the same tiling the estimator fills, and one
+kernel, :func:`_zone_extremes`, integrates each of them: a forced span, a
+zone without members, whose energy does not depend on the placement, and
+the zones.  Uncertainty intervals form an independent box, except inside
+coupled runs where an always-one-sample region forces the spacing of
+consecutive discontinuities into [1, 2) grid steps.  Joint constraints
+beyond that are intentionally out of scope.
 
-The search runs on integers.  Inside a zone every position is an integer
-over N, the lcm of the grid resolution R and the denominators of the
-estimate's breakpoints there, and every integral of (c - estimate)^2 is an
-integer over N * D^2, D the common denominator of the amplitudes and the
-estimate's values; Fractions are built only for the results.  Between
-the estimate's cuts the energy is linear in each discontinuity, and the
-constraints are integer bounds and differences, so every extreme sits at
-a vertex of the grid's feasible set.  The sweep visits only those
+The search runs on integers.  Inside a stretch every position is an
+integer over N, the lcm of the grid resolution R and the denominators of
+the estimate's breakpoints there, and every integral of (c - estimate)^2
+is an integer over N * D^2, D the common denominator of the amplitudes
+and the estimate's values; Fractions are built only for the results.
+Between the estimate's cuts the energy is linear in each discontinuity,
+and the constraints are integer bounds and differences, so every extreme
+sits at a vertex of the grid's feasible set.  The sweep visits only those
 candidate vertices, a few per member, and its cost does not grow with R.
 :func:`energy_between` integrates with Fractions and stays the
 independent cross-check.
@@ -149,11 +151,6 @@ def _pieces(fn: PiecewiseFunction, lo: int, hi: int) -> tuple[tuple[Fraction, ..
     return (lo, *bps[first:last], hi), vals
 
 
-def _span_energy(cuts: Sequence[Fraction], vals: Sequence[Fraction], c: Fraction) -> Fraction:
-    """Integral of (c - f)^2 over the pieces f given by ``cuts`` and ``vals``, one term per piece."""
-    return sum(((c - v) ** 2 * (b - a) for a, b, v in zip(cuts, cuts[1:], vals)), Fraction(0))
-
-
 def _zone_extremes(
     cuts: Sequence[Fraction],
     vals: Sequence[Fraction],
@@ -166,15 +163,18 @@ def _zone_extremes(
     for the estimate's pieces on the zone (``cuts`` and ``vals``, see
     :func:`_pieces`).
 
-    Positions are grid indices y, the placement y/R (R = ``resolution``),
-    strictly inside each member's interval; a coupled step keeps the
-    spacing in [1, 2), that is R <= q - p < 2R.  Within a zone the truth
-    takes the run of amplitudes bounded by the member discontinuities, so
-    the energy is a sum of one term per member, each linear in its member
-    between the estimate's cuts.  Restricted to one linear piece per
-    member, the feasible set is an integral polytope (integer bounds and
-    differences), so every maximum, every minimum, the witness below and
-    every non-empty prefix of the chain contain one of its vertices.  A
+    Within a zone the truth takes the amplitudes of ``zone.regions`` in
+    order, each up to the next member discontinuity.  A zone without
+    members, a forced span, has one energy, returned before any candidate
+    is generated.  Otherwise positions are grid indices y, the placement
+    y/R (R = ``resolution``), strictly inside each member's interval; a
+    coupled step keeps the spacing in [1, 2), that is R <= q - p < 2R.
+    The energy is the last amplitude's integral over the zone plus one
+    term per member, each linear in its member between the estimate's
+    cuts.  Restricted to one linear piece per member, the feasible set is
+    an integral polytope (integer bounds and differences), so every
+    maximum, every minimum, the witness below and every non-empty prefix
+    of the chain contain one of its vertices.  A
     vertex coordinate of member k is a bound of some member j -- an end of
     its grid or the grid index on either side of a cut inside its
     interval -- moved by |k - j| spacings of R or 2R - 1 and clipped to
@@ -190,7 +190,7 @@ def _zone_extremes(
     assert all(
         zone.lo <= box.G[i][0] and box.G[i][1] <= zone.hi for i in members
     ), "zone members must lie inside the zone"
-    amps = [amp(amplitudes, members[0] + j) for j in range(len(members) + 1)]
+    amps = [amp(amplitudes, i) for i in zone.regions]
     N = math.lcm(r, *(x.denominator for x in cuts))
     D = math.lcm(*(v.denominator for v in (*amps, *vals)))
     xs = [x.numerator * (N // x.denominator) for x in cuts]
@@ -210,6 +210,11 @@ def _zone_extremes(
         """Member k's term at grid index y: amps[k] on its left, amps[k+1] on its right."""
         x = y * (N // r)
         return integral(cs[k], x) - integral(cs[k + 1], x)
+
+    scale, tail = N * D * D, integral(cs[-1], xs[-1])
+    if not members:
+        energy = Fraction(tail, scale)
+        return ZoneOutcome(members=members, max_energy=energy, min_energy=energy, argmax=())
 
     grids = [(box.G[i][0] * r + 1, box.G[i][1] * r - 1) for i in members]
     own = [
@@ -249,7 +254,6 @@ def _zone_extremes(
         hi_state, lo_state = hi_next, lo_next
         backs.append(back)
 
-    scale, tail = N * D * D, integral(cs[-1], xs[-1])
     path = [max(hi_state, key=hi_state.__getitem__)]
     for back in reversed(backs):
         path.append(back[path[-1]])
@@ -271,31 +275,33 @@ def worst_case_energy(
 
     The search grid uses rational points with denominator ``resolution``
     strictly inside each uncertainty interval, so every evaluation is
-    exact; the total decomposes into forced spans (placement independent)
-    plus one term per zone, searched independently (jointly inside
-    coupled runs).  Zones use the integer integrator: positions are
-    integers over the zone's lattice N, the lcm of ``resolution`` and the
-    denominators of the estimate's breakpoints inside it, and Fractions
-    are built only for the results.  A zone visits only the grid's
-    candidate vertices (see :func:`_zone_extremes`): its cost depends on
+    exact.  The total is one term per stretch of ``box.stretches``, each
+    from :func:`_zone_extremes`: a forced span's energy does not depend on
+    the placement, and each zone is searched independently (jointly inside
+    coupled runs).  Positions are integers over the stretch's lattice N,
+    the lcm of ``resolution`` and the denominators of the estimate's
+    breakpoints inside it, and Fractions are built only for the results.
+    A zone visits only the grid's candidate vertices: its cost depends on
     its number of members and the estimate's breakpoints inside it, not
     on ``resolution``.  A forced span costs one term per piece of the
-    estimate on it, however long the span.
+    estimate on it, however long the span, and a point span, which has no
+    measure, is skipped.  ``const`` sums the forced spans and ``zones``
+    holds the zones' outcomes.
     """
     if resolution < 2:
         raise ValueError("need at least 2 grid points per unit interval")
     fn = _fn_of(est)
     g = tuple(amplitudes)
-    outcomes = tuple(_zone_extremes(*_pieces(fn, z.lo, z.hi), g, box, z, resolution) for z in box.zones)
-    const = sum(   # a point span has no measure, so it adds nothing and is skipped
-        (_span_energy(*_pieces(fn, lo, hi), amp(g, region)) for lo, hi, region in box.spans if lo < hi),
-        Fraction(0),
-    )
+    outcomes = [
+        _zone_extremes(*_pieces(fn, z.lo, z.hi), g, box, z, resolution) for z in box.stretches if z.lo < z.hi
+    ]
+    zones = tuple(o for o in outcomes if o.members)
+    const = sum((o.max_energy for o in outcomes if not o.members), Fraction(0))
     witness: dict[int, Fraction] = {box.l: Fraction(0)}
-    for outcome in outcomes:
-        witness.update(dict(zip(outcome.members, outcome.argmax)))
-    value = const + sum((o.max_energy for o in outcomes), Fraction(0))
-    return WorstCase(value=value, witness=witness, const=const, zones=outcomes)
+    for outcome in zones:
+        witness.update(zip(outcome.members, outcome.argmax))
+    value = const + sum((o.max_energy for o in zones), Fraction(0))
+    return WorstCase(value=value, witness=witness, const=const, zones=zones)
 
 
 def _auto_deltas(est: Estimate, g: tuple[Fraction, ...], n: int) -> tuple[Fraction, ...]:
@@ -325,36 +331,27 @@ def perturbation_minimax_check(
 
     Every adjustable unit cell (n-1, n) gets its value shifted by four
     deltas scaled to the governing amplitude jump, and the worst case is
-    recomputed.  The probe sets the cell inside the pieces of the zone or
-    forced span that holds it, and only that stretch is searched again.
-    The probes walk the box's zones, and its forced spans with
-    ``include_known``, in order; these tile the span.  A worst case that
+    recomputed.  The probes walk ``box.stretches`` in order: its zones, and
+    with ``include_known`` its forced spans too.  A probe sets the cell
+    inside the pieces of the stretch that holds it, and only that stretch
+    is searched again by :func:`_zone_extremes`.  A worst case that
     decreases is recorded as a violation, not raised.
     """
     g = tuple(amplitudes)
     base = worst_case_energy(est, g, box, resolution)
-    stretches = [(z.lo, z.hi, z, outcome) for z, outcome in zip(box.zones, base.zones)]
-    if include_known:
-        stretches += [(lo, hi, region, None) for lo, hi, region in box.spans]
-
+    zone_outcomes = iter(base.zones)
     probes: list[PerturbationProbe] = []
-    for lo, hi, where, outcome in sorted(stretches, key=lambda stretch: stretch[0]):
-        cuts, vals = _pieces(est.fn, lo, hi)
-        if outcome is None:   # a forced span: its energy does not depend on the placement
-            c = amp(g, where)
-            old = _span_energy(cuts, vals, c)
-        else:
-            old = outcome.max_energy
-        for n in range(lo + 1, hi + 1):
+    for z in box.stretches:
+        if z.lo == z.hi or not (z.members or include_known):
+            continue
+        cuts, vals = _pieces(est.fn, z.lo, z.hi)
+        old = (next(zone_outcomes) if z.members else _zone_extremes(cuts, vals, g, box, z, resolution)).max_energy
+        for n in range(z.lo + 1, z.hi + 1):
             gamma = est.fn.evaluate(Fraction(2 * n - 1, 2))
             a, b = bisect_left(cuts, n - 1), bisect_right(cuts, n)
             for delta in _auto_deltas(est, g, n):
                 probed = (*cuts[:a], n - 1, n, *cuts[b:]), (*vals[:a], gamma + delta, *vals[b - 1:])
-                if outcome is None:
-                    new = _span_energy(*probed, c)
-                else:
-                    new = _zone_extremes(*probed, g, box, where, resolution).max_energy
-                value = base.value - old + new
+                value = base.value - old + _zone_extremes(*probed, g, box, z, resolution).max_energy
                 probes.append(
                     PerturbationProbe(
                         cell=n, delta=delta, worst=value,

@@ -33,6 +33,12 @@ def with_value(fn: PiecewiseFunction, lo, hi, value) -> PiecewiseFunction:
     return PiecewiseFunction(tuple(pts), tuple(vals))
 
 
+def span_energy_reference(cuts, vals, c) -> Fraction:
+    """Integral of (c - f)^2 over the pieces f given by ``cuts`` and
+    ``vals``, one Fraction term per piece."""
+    return sum(((c - v) ** 2 * (b - a) for a, b, v in zip(cuts, cuts[1:], vals)), Fraction(0))
+
+
 def delta_chain_reference(spec: SignalSpec, delta1) -> list[Fraction]:
     """``delta_chain`` by definition, in Fractions: each region hands the
     next one the offset (delta_i + f_i) mod 1."""

@@ -76,6 +76,15 @@ def test_validate_zero_denominator_exit2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n, shown", [(2.5, "2.5"), (True, "True"), ("3", "'3'")])
+def test_validate_non_integer_n_exit2(tmp_path, capsys, n, shown):
+    bad = dict(RUNNING, regions=[{"g": "4", "n": n, "f": "1/4"}, {"g": "2", "n": 3, "f": "1/2"}])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"RegionViolation n_1 must be an integer, got {shown}\n"
+
+
 def test_patterns_table(running_file, capsys):
     assert main(["patterns", running_file]) == 0
     out = capsys.readouterr().out

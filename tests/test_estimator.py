@@ -244,7 +244,9 @@ def test_estimate_mirror_symmetry():
 
 def test_grid_cell_constants(running_spec):
     est = estimate_full(_full_model(running_spec, 0), running_spec.g)
-    assert est.gammas == {1: 4, 2: 3, 3: 2, 4: 2, 5: 1}
+    lo, hi = est.span
+    gammas = {n: est.fn.evaluate(Fraction(2 * n - 1, 2)) for n in range(lo + 1, hi + 1)}   # value on (n-1, n)
+    assert gammas == {1: 4, 2: 3, 3: 2, 4: 2, 5: 1}
 
 
 def _value_at_reference(est, t):

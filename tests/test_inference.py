@@ -103,7 +103,7 @@ def test_chain_from_single_pattern():
     assert model.C == (0, 3, 4)
     assert model.U == frozenset({1, 2})
     assert model.G == ((0, 0), (2, 4), (3, 5))
-    assert model.chains.plus == (Zone(members=(1, 2), lo=2, hi=5),)
+    assert model.chains.plus == (Zone(regions=(1, 2, 3), lo=2, hi=5),)
     assert model.chains.minus == ()
     assert feasible_box(model).zones == model.chains.plus
 
@@ -115,7 +115,7 @@ def test_chain_mirror_from_single_pattern():
     assert model.U == frozenset({0, 1})
     assert model.G[1] == (-4, -2)
     assert model.G[0] == (-5, -3)
-    assert model.chains.minus == (Zone(members=(0, 1), lo=-5, hi=-2),)
+    assert model.chains.minus == (Zone(regions=(0, 1, 2), lo=-5, hi=-2),)
     assert model.chains.plus == ()
 
 
@@ -133,23 +133,59 @@ def test_example6_with_big_eta2_has_no_chains(example6_spec):
     model = infer_model(obs, 0)
     assert model.chains.empty
     assert feasible_box(model).zones == (
-        Zone(members=(1,), lo=2, hi=4), Zone(members=(2,), lo=5, hi=7), Zone(members=(3,), lo=7, hi=8),
+        Zone(regions=(1, 2), lo=2, hi=4), Zone(regions=(2, 3), lo=5, hi=7), Zone(regions=(3, 4), lo=7, hi=8),
     )
 
 
-def test_box_spans_keep_degenerate_points(example6_spec):
+def test_box_stretches_keep_degenerate_points(example6_spec):
     obs = ObservationSet.of([(3, 3, 2), (3, 3, 1)], example6_spec.g)
     box = feasible_box(infer_model(obs, 0))
     assert box.G == ((0, 0), (2, 4), (5, 7), (7, 8))
-    assert box.spans == [(0, 2, 1), (4, 5, 2), (7, 7, 3)]
+    assert [z for z in box.stretches if not z.members] == [
+        Zone(regions=(1,), lo=0, hi=2), Zone(regions=(2,), lo=4, hi=5), Zone(regions=(3,), lo=7, hi=7),
+    ]
 
 
-def test_box_spans_raise_on_the_inverted_forced_span():
+def test_box_stretches_raise_on_the_inverted_forced_span():
     # the known defect: a run anchored at the reference is not coupled, so
     # G_1 = (0, 2) and G_2 = (1, 3) overlap and region 2's span inverts
     box = feasible_box(infer_model(ObservationSet.of([[1, 1]], [-2, 4]), 0))
     with pytest.raises(AssertionError, match="forced span for region 2 is inverted"):
-        box.spans
+        box.stretches
+
+
+def test_box_stretches_tile_the_span_once():
+    # sorted, adjacent from G[0].lo to G[m].hi, every zone once, one forced
+    # span per region no chain holds inside; the estimate's cells follow
+    # the same order
+    rng = random.Random(47)
+    seen = {"chain": 0, "point": 0, "inverted": 0}
+    for _ in range(150):
+        spec = random_spec(rng, m_range=(1, 7), n_range=(2, 3))
+        patterns = enumerate_atlas(spec).patterns
+        k = rng.randrange(len(patterns))
+        for observed in (patterns, [patterns[k]], patterns[k:k + 2]):
+            model = infer_model(ObservationSet.of(observed, spec.g), rng.randint(0, spec.m))
+            box = feasible_box(model)
+            try:
+                stretches = box.stretches
+            except AssertionError as exc:   # the known inverted forced-span defect
+                assert "is inverted" in str(exc)
+                seen["inverted"] += 1
+                continue
+            assert list(stretches) == sorted(stretches, key=lambda z: (z.lo, z.hi))
+            ends = [box.G[0][0], *(x for z in stretches for x in (z.lo, z.hi)), box.G[-1][1]]
+            assert ends[::2] == ends[1::2]
+            assert [z for z in stretches if z.members] == list(box.zones)
+            inside = {r for z in box.zones for r in range(z.members[0] + 1, z.members[-1] + 1)}
+            assert [z.regions for z in stretches if not z.members] == [
+                (i,) for i in range(1, box.m + 1) if i not in inside
+            ]
+            cells = estimate_partial(model, spec.g).cells
+            assert list(cells) == sorted(cells, key=lambda c: (c.lo, c.hi))
+            seen["chain"] += any(z.coupled for z in box.zones)
+            seen["point"] += any(z.lo == z.hi for z in stretches)
+    assert all(seen.values()), seen
 
 
 def test_chain_analysis_direct_call():
@@ -238,7 +274,7 @@ def test_mirrored_observations_mirror_the_model():
 
 
 def _reflect_chain(zone, m):
-    return Zone(members=tuple(m - i for i in reversed(zone.members)), lo=-zone.hi, hi=-zone.lo)
+    return Zone(regions=tuple(m + 1 - i for i in reversed(zone.regions)), lo=-zone.hi, hi=-zone.lo)
 
 
 def _chain_shaped_cases(seed, count):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import with_value
+from conftest import span_energy_reference, with_value
 
 from pcsamp import (
     CheckResult,
@@ -258,7 +258,7 @@ def test_empty_feasible_set():
     box = FeasibleBox(
         l=0,
         G=((0, 0), (1, 2), (5, 6)),
-        zones=(Zone(members=(1, 2), lo=1, hi=6),),
+        zones=(Zone(regions=(1, 2, 3), lo=1, hi=6),),
     )
     fn = PiecewiseFunction((Fraction(0), Fraction(6)), (Fraction(1),))
     with pytest.raises(EmptyFeasibleSet):
@@ -359,7 +359,7 @@ def test_chain_sweep_window_ends_and_ties(g):
     # just inside the open end of the spacing window; with g = (1, -1) it is
     # q - 1 + const, so every p in the window ties and the earliest wins
     box = FeasibleBox(
-        l=0, G=((0, 0), (1, 3), (2, 4)), zones=(Zone(members=(1, 2), lo=1, hi=4),)
+        l=0, G=((0, 0), (1, 3), (2, 4)), zones=(Zone(regions=(1, 2, 3), lo=1, hi=4),)
     )
     fn = PiecewiseFunction((Fraction(0), Fraction(4)), (Fraction(0),))
     for resolution in range(3, 9):
@@ -372,7 +372,7 @@ def test_chain_sweep_skips_unreachable_points():
     box = FeasibleBox(
         l=0,
         G=((0, 0), (1, 2), (2, 5), (5, 7)),
-        zones=(Zone(members=(1, 2, 3), lo=1, hi=7),),
+        zones=(Zone(regions=(1, 2, 3, 4), lo=1, hi=7),),
     )
     fn = PiecewiseFunction((Fraction(0), Fraction(7)), (Fraction(1),))
     for resolution in range(4, 9):   # at 3, member 3 is out of reach
@@ -404,7 +404,7 @@ def test_chain_sweep_matches_brute_force_on_random_boxes():
             hi = lo + rng.randint(max(1, hi - lo), 3)   # widths 1-3, upper ends non-decreasing
             G.append((lo, hi))
         box = FeasibleBox(
-            l=0, G=tuple(G), zones=(Zone(members=tuple(range(1, len(G))), lo=G[1][0], hi=hi),)
+            l=0, G=tuple(G), zones=(Zone(regions=tuple(range(1, len(G) + 1)), lo=G[1][0], hi=hi),)
         )
         cuts = sorted({Fraction(0), Fraction(hi), *(Fraction(rng.randint(0, 4 * hi), 4) for _ in range(3))})
         fn = PiecewiseFunction(
@@ -438,16 +438,87 @@ def test_empty_feasible_set_on_the_second_step():
     fn = PiecewiseFunction((Fraction(0), Fraction(7)), (Fraction(1),))
     g = (Fraction(2), Fraction(1), Fraction(3))
     first_step = FeasibleBox(
-        l=0, G=((0, 0), (1, 2), (2, 3)), zones=(Zone(members=(1, 2), lo=1, hi=3),)
+        l=0, G=((0, 0), (1, 2), (2, 3)), zones=(Zone(regions=(1, 2, 3), lo=1, hi=3),)
     )
     assert worst_case_energy(fn, g[:2], first_step, 4).zones[0].argmax
     box = FeasibleBox(
         l=0,
         G=((0, 0), (1, 2), (2, 3), (6, 7)),
-        zones=(Zone(members=(1, 2, 3), lo=1, hi=7),),
+        zones=(Zone(regions=(1, 2, 3, 4), lo=1, hi=7),),
     )
     with pytest.raises(EmptyFeasibleSet):
         worst_case_energy(fn, g, box, 4)
+
+
+def _random_fn(rng, lo, hi):
+    """A piecewise constant function over about [lo, hi], breakpoint
+    denominators 1-9."""
+    cuts = sorted({Fraction(rng.randint((lo - 1) * q, (hi + 1) * q), q)
+                   for q in (rng.randint(1, 9) for _ in range(rng.randint(2, 6)))})
+    if len(cuts) < 2:
+        cuts.append(cuts[0] + 1)
+    return PiecewiseFunction(tuple(cuts), tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in cuts[1:]))
+
+
+def _forced_outcome(fn, g, box, zone, resolution):
+    """The kernel on a member-less zone, with the reference integral it must equal."""
+    pieces = oracle._pieces(fn, zone.lo, zone.hi)
+    want = span_energy_reference(*pieces, amp(g, *zone.regions))
+    return oracle._zone_extremes(*pieces, g, box, zone, resolution), oracle.ZoneOutcome((), want, want, ())
+
+
+def test_forced_span_energy_matches_the_piece_integral():
+    # a member-less zone has one energy, integrated on integers; a point
+    # stretch has none
+    rng = random.Random(41)
+    box = FeasibleBox(l=0, G=((0, 0),), zones=())
+    points = nonzero = 0
+    for _ in range(300):
+        lo = rng.randint(-8, 6)
+        zone = Zone(regions=(rng.randint(0, 4),), lo=lo, hi=lo + rng.randint(0, 4))
+        fn = _random_fn(rng, zone.lo, zone.hi)
+        g = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3))
+        for resolution in (2, 12, 50):
+            got, want = _forced_outcome(fn, g, box, zone, resolution)
+            assert got == want, (fn, g, zone)
+        points += zone.lo == zone.hi
+        nonzero += want.max_energy != 0
+        if zone.lo == zone.hi:
+            assert want.max_energy == 0
+    assert points and nonzero
+
+
+def test_forced_span_outcomes_match_the_piece_integral_on_random_specs():
+    # every forced span of the box, under its own estimate (which copies the
+    # truth there, so 0) and under a random function, and the worst case's
+    # const sums them
+    rng = random.Random(43)
+    spans = 0
+    for _ in range(200):
+        spec = random_spec(rng, m_range=(1, 6), n_range=(2, 3))
+        patterns = enumerate_atlas(spec).patterns
+        k = rng.randrange(len(patterns))
+        observed = (patterns, [patterns[k]], list(patterns[k:k + 2]))[rng.randrange(3)]
+        model = infer_model(ObservationSet.of(observed, spec.g), rng.randint(0, spec.m))
+        try:
+            est = estimate_partial(model, spec.g)
+        except AssertionError:   # the known inverted forced-span defect
+            continue
+        box = est.box
+        lo, hi = est.span
+        other = _random_fn(rng, lo, hi)
+        const = Fraction(0)
+        for zone in box.stretches:
+            if zone.members:
+                continue
+            got, want = _forced_outcome(est.fn, spec.g, box, zone, 12)
+            assert got == want and want.max_energy == 0
+            got, want = _forced_outcome(other, spec.g, box, zone, 12)
+            assert got == want
+            const += want.max_energy
+            spans += 1
+        assert worst_case_energy(other, spec.g, box, 12).const == const
+    assert spans > 400
 
 
 def _reference_auto_deltas(est, g, n):
@@ -471,13 +542,14 @@ def _reference_probes(est, g, box, resolution, include_known):
     zone (or anywhere, with include_known), the estimate altered on that
     cell, and the whole worst case searched again."""
     base = worst_case_energy(est, g, box, resolution)
-    gammas = est.gammas
+    lo, hi = est.span
     probes = []
-    for n in sorted(gammas):
+    for n in range(lo + 1, hi + 1):
         if not include_known and not any(z.lo <= n - 1 and n <= z.hi for z in box.zones):
             continue
+        gamma = est.fn.evaluate(Fraction(2 * n - 1, 2))
         for delta in _reference_auto_deltas(est, g, n):
-            value = worst_case_energy(with_value(est.fn, n - 1, n, gammas[n] + delta), g, box, resolution).value
+            value = worst_case_energy(with_value(est.fn, n - 1, n, gamma + delta), g, box, resolution).value
             probes.append(oracle.PerturbationProbe(n, delta, value, value >= base.value, value > base.value))
     return oracle.PerturbationReport(base, tuple(probes))
 
