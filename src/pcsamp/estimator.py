@@ -184,11 +184,11 @@ def closed_form_energy(
 ) -> Optional[Fraction]:
     """Worst-case error energy in closed form, when one is known.
 
-    Width-one intervals contribute ((g_i - g_{i+1}) / 2)^2 each and
-    width-two intervals outside chains contribute twice that.  With chains
-    present there is no closed form and None is returned.  The jumps are
-    summed as integers over D, the amplitudes' common denominator, and one
-    Fraction is built at the end.
+    Each discontinuity i contributes width_i * ((g_i - g_{i+1}) / 2)^2,
+    width_i being the width of its interval ``model.G[i]``: 1 or 2, and 0
+    for the reference.  With chains present there is no closed form and
+    None is returned.  The terms are summed as integers over D, the
+    amplitudes' common denominator, and one Fraction is built at the end.
     """
     g = tuple(as_rational(a) for a in amplitudes)
     if len(g) != model.m:
@@ -197,13 +197,8 @@ def closed_form_energy(
         return None
     D = math.lcm(*(a.denominator for a in g))
     scaled = [0, *(a.numerator * (D // a.denominator) for a in g), 0]   # D * g_i, zero padded
-
-    def jump_sq(i: int) -> int:
-        return (scaled[i] - scaled[i + 1]) ** 2
-
-    ones = sum(jump_sq(i) for i in model.Ucomp)
-    twos = sum(jump_sq(i) for i in model.U)
-    return Fraction(ones + 2 * twos, 4 * D * D)
+    total = sum((hi - lo) * (scaled[i] - scaled[i + 1]) ** 2 for i, (lo, hi) in enumerate(model.G))
+    return Fraction(total, 4 * D * D)
 
 
 def best_reference(amplitudes: Sequence[RationalLike]) -> int:

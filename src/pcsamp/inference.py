@@ -129,17 +129,17 @@ class ChainStructure:
 class UncertaintyModel:
     """Everything known about discontinuity positions for one reference.
 
-    ``C[i]`` is the anchor integer of discontinuity i's interval
-    (``C[l] == 0``), ``U`` the indices known only to width two, ``Ucomp``
-    the indices other than l known to width one, and ``G[i]`` the open
-    interval (in integer grid units) that must contain discontinuity i,
-    with ``G[l] == (0, 0)``.
+    ``G[i]`` is the open interval (in integer grid units) that must
+    contain discontinuity i, the one record of what the observations say
+    about it: its width is 1 or 2 grid steps, and ``G[l] == (0, 0)`` has
+    width 0.  ``C[i]`` is the interval's anchor integer, the larger
+    observed cumulative count (``C[l] == 0``), and ``U`` the indices
+    known only to width two.
     """
 
     l: int
     C: tuple[int, ...]
     U: frozenset[int]
-    Ucomp: frozenset[int]
     G: tuple[tuple[int, int], ...]
     chains: ChainStructure
 
@@ -226,10 +226,12 @@ def chain_analysis(
 def infer_model(obs: ObservationSet, l: int) -> UncertaintyModel:
     """Locate every discontinuity relative to reference l as far as possible.
 
-    Two observed cumulative values pin the anchor integer C_i and a
-    width-one interval; a single observed value leaves the anchor ambiguous
-    by one, widening the interval to two grid steps.  The chain structure
-    of the width-two indices is computed alongside.
+    One rule builds every interval.  With c = C_i the largest observed
+    cumulative count, discontinuity i lies in (c - 1, c) when two values
+    were seen and in (c - 1, c + 1) when only one was, measured outward
+    from the reference: right of l as is, left of l reflected to negative
+    positions.  The chain structure of the width-two indices is computed
+    alongside.
     """
     m = obs.m
     if not (0 <= l <= m):
@@ -241,27 +243,15 @@ def infer_model(obs: ObservationSet, l: int) -> UncertaintyModel:
         if i == l:
             continue
         vals = cumulative_values(obs, l, i)
-        if len(vals) == 2:
-            c = max(vals)
-            C[i] = c
-            G[i] = (-c, -(c - 1)) if i < l else (c - 1, c)
-        else:
-            s = vals.pop()
-            C[i] = s
+        c = C[i] = max(vals)
+        assert c - 1 >= 0, "interval must lie on the reference's correct side"
+        if len(vals) == 1:
             U.add(i)
-            G[i] = (-(s + 1), -(s - 1)) if i < l else (s - 1, s + 1)
-        lo, hi = G[i]
-        assert (hi <= 0) if i < l else (lo >= 0), "interval must lie on the reference's correct side"
+        lo, hi = c - 1, c + (len(vals) == 1)   # right of l; the left side is its reflection
+        G[i] = (-hi, -lo) if i < l else (lo, hi)
     U_frozen = frozenset(U)
     chains = chain_analysis(obs, l, U_frozen, G)
-    return UncertaintyModel(
-        l=l,
-        C=tuple(C),
-        U=U_frozen,
-        Ucomp=frozenset(range(m + 1)) - U_frozen - {l},
-        G=tuple(G),
-        chains=chains,
-    )
+    return UncertaintyModel(l=l, C=tuple(C), U=U_frozen, G=tuple(G), chains=chains)
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,8 @@ def _closed_form_reference(model, g):
     def term(i):
         return ((amp(g, i) - amp(g, i + 1)) / 2) ** 2
 
-    return sum((term(i) for i in model.Ucomp), Fraction(0)) + 2 * sum((term(i) for i in model.U), Fraction(0))
+    width_one = set(range(model.m + 1)) - model.U - {model.l}
+    return sum((term(i) for i in width_one), Fraction(0)) + 2 * sum((term(i) for i in model.U), Fraction(0))
 
 
 def test_closed_form_matches_fraction_sum():
@@ -300,7 +301,8 @@ def _side_rule_cells(model, g):
     m, l, G = model.m, model.l, model.G
     chains = model.chains.plus + model.chains.minus
     free = model.U - {i for c in chains for i in c.members}
-    independent = model.Ucomp | free | {l}
+    width_one = set(range(m + 1)) - model.U - {l}
+    independent = width_one | free | {l}
     left_ok = independent | {c.members[-1] for c in chains}
     right_ok = independent | {c.members[0] for c in chains}
     cells = []
@@ -314,7 +316,7 @@ def _side_rule_cells(model, g):
     def midpoint(i, lo, hi):
         return (lo, hi, (amp(g, i) + amp(g, i + 1)) / 2, "midpoint", (i, i + 1), False, False)
 
-    for i in sorted(model.Ucomp | free):
+    for i in sorted(width_one | free):
         cells.append(midpoint(i, *G[i]))
     for c in chains:
         first, last = c.members[0], c.members[-1]

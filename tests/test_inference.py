@@ -244,9 +244,21 @@ def test_width_one_intervals_are_disjoint():
         obs = _full_obs(spec)
         for l in range(spec.m + 1):
             model = infer_model(obs, l)
-            ordered = sorted(model.Ucomp)
+            ordered = sorted(set(range(spec.m + 1)) - model.U - {l})
             for a, b in zip(ordered, ordered[1:]):
                 assert model.G[a][1] <= model.G[b][0]
+
+
+def _assert_models_mirror(obs, mirrored_obs, m, l):
+    """The model at l and its mirror at m - l agree under i -> m - i, with
+    every interval reflected; returns the model at l."""
+    a = infer_model(obs, l)
+    b = infer_model(mirrored_obs, m - l)
+    for i in range(m + 1):
+        assert a.G[i] == (-b.G[m - i][1], -b.G[m - i][0])
+        assert a.C[i] == b.C[m - i]
+    assert {m - i for i in a.U} == set(b.U)
+    return a
 
 
 def test_mirrored_observations_mirror_the_model():
@@ -264,13 +276,15 @@ def test_mirrored_observations_mirror_the_model():
         mirrored_obs = ObservationSet.of(
             [tuple(reversed(p.eta)) for p in obs.patterns], mirror.g
         )
-        m = spec.m
-        for l in range(m + 1):
-            a = infer_model(obs, l)
-            b = infer_model(mirrored_obs, m - l)
-            for i in range(m + 1):
-                assert a.G[i] == (-b.G[m - i][1], -b.G[m - i][0])
-            assert {m - i for i in a.U} == set(b.U)
+        for l in range(spec.m + 1):
+            _assert_models_mirror(obs, mirrored_obs, spec.m, l)
+    # single patterns and adjacent pairs leave width-two intervals, and with
+    # l at either end they fall on both sides of the reference
+    sides = set()
+    for spec, _, obs, mirrored_obs, l in _chain_shaped_cases(47, 30):
+        model = _assert_models_mirror(obs, mirrored_obs, spec.m, l)
+        sides |= {i < l for i in model.U}
+    assert sides == {True, False}
 
 
 def _reflect_chain(zone, m):

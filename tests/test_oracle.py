@@ -222,8 +222,8 @@ def test_perturbations_never_improve_chain(observed, g, baseline, closed, includ
 def test_three_member_chain_is_not_minimax():
     # the known defect: the per-cell (min + max) / 2 rule is not minimax once
     # a chain has 3 members, and moving one cell lowers the worst case from 4
-    # to 91/25.  This pins ROADMAP item 2, as the inverted-span tests pin
-    # item 3, and must be updated when item 2 lands.
+    # to 91/25.  This pins ROADMAP item 3, as the inverted-span tests pin
+    # item 2, and must be updated when item 3 lands.
     g = tuple(map(Fraction, (-3, -1, -2)))
     est = estimate_partial(infer_model(ObservationSet.of([(3, 1, 1)], g), 0), g)
     report = perturbation_minimax_check(est, g, est.box, resolution=12)
@@ -332,8 +332,9 @@ def _check_against_brute_force(fn, g, box, resolution):
     energies = _brute_force_chain(fn, g, box, resolution)
     wc = worst_case_energy(fn, g, box, resolution)
     (zone,) = wc.zones
-    assert wc.const + zone.max_energy == wc.value == max(energies.values())
-    assert wc.const + zone.min_energy == min(energies.values())
+    const = sum(o.max_energy for o in wc.stretches if not o.members)   # the forced spans
+    assert const + zone.max_energy == wc.value == max(energies.values())
+    assert const + zone.min_energy == min(energies.values())
     # the witness is the best placement whose last member sits earliest,
     # then the one before it, and so on
     best = [path for path, energy in energies.items() if energy == wc.value]
@@ -491,7 +492,7 @@ def test_forced_span_energy_matches_the_piece_integral():
 def test_forced_span_outcomes_match_the_piece_integral_on_random_specs():
     # every forced span of the box, under its own estimate (which copies the
     # truth there, so 0) and under a random function, and the worst case's
-    # const sums them
+    # member-less outcomes sum them
     rng = random.Random(43)
     spans = 0
     for _ in range(200):
@@ -517,7 +518,8 @@ def test_forced_span_outcomes_match_the_piece_integral_on_random_specs():
             assert got == want
             const += want.max_energy
             spans += 1
-        assert worst_case_energy(other, spec.g, box, 12).const == const
+        forced = [o for o in worst_case_energy(other, spec.g, box, 12).stretches if not o.members]
+        assert sum(o.max_energy for o in forced) == const
     assert spans > 400
 
 
