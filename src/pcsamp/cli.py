@@ -347,13 +347,15 @@ def _verify_seed(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec, _ = load_scenario(args.scenario)
+    spec, scenario_obs = load_scenario(args.scenario)
     if args.trials < 1:
         raise ScenarioError("--trials must be at least 1")
     if args.trials > MAX_TRIALS:
         raise ScenarioError(f"--trials must be at most {MAX_TRIALS}")
     seed = _verify_seed(args)
-    results = [*verify_scenario(spec), exhaustive_consistency_sweep(args.trials, seed=seed)]
+    # the full atlas is checked at every reference already; explicit observations add a row
+    obs = None if scenario_obs == "all" else _resolve_observations(spec, scenario_obs, None)
+    results = [*verify_scenario(spec, obs), exhaustive_consistency_sweep(args.trials, seed=seed)]
     rows = [[r.name, "pass" if r.passed else "FAIL", r.detail] for r in results]
     passed = all(r.passed for r in results)
     payload = {"checks": [{"name": r[0], "status": r[1], "detail": r[2]} for r in rows], "passed": passed}

@@ -4,8 +4,8 @@ Given a set of count patterns and a reference discontinuity l, each other
 discontinuity i is located through the cumulative count of samples between
 it and the reference.  Observing both achievable values of that count pins
 the discontinuity to an open interval of width one grid step; observing a
-single value only pins it to width two.  Runs of width-two discontinuities
-coupled through regions that always show exactly one sample form chains;
+single value only pins it to width two.  Coupling is read from the
+intervals: a run of overlapping consecutive intervals is a chain, and
 :func:`chain_analysis` builds each chain once, as a coupled :class:`Zone`.
 
 :func:`feasible_box` turns a model into the one tiling of the estimate span
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate
 from operator import sub
 from typing import Iterable, Sequence
 
@@ -81,11 +81,6 @@ class ObservationSet:
         """Entry [i][p]: samples of pattern p in regions 1..i (row 0 is zeros)."""
         return tuple(zip(*(accumulate(p.eta, initial=0) for p in self.patterns)))
 
-    @cached_property
-    def _always_one(self) -> tuple[bool, ...]:
-        """Entry [r]: every pattern holds exactly one sample in region r+1."""
-        return tuple(all(p.eta[r] == 1 for p in self.patterns) for r in range(self.m))
-
 
 @dataclass(frozen=True)
 class Zone:
@@ -94,9 +89,9 @@ class Zone:
     ``regions`` are consecutive amplitude indices and ``members`` the
     discontinuities between them: ``(i,)`` is a forced span of region i,
     with no members; ``(i, i+1)`` the isolated interval of discontinuity
-    i; ``(a, ..., b+1)`` a chain, a coupled run of width-two
-    discontinuities a..b whose spacing the always-one-sample regions
-    between them tie.  ``lo`` and ``hi`` bound the stretch in grid units.
+    i; ``(a, ..., b+1)`` a chain, a run of discontinuities a..b whose
+    consecutive intervals overlap.  ``lo`` and ``hi`` bound the stretch in
+    grid units.
     """
 
     regions: tuple[int, ...]
@@ -132,24 +127,34 @@ class UncertaintyModel:
     ``G[i]`` is the open interval (in integer grid units) that must
     contain discontinuity i, the one record of what the observations say
     about it: its width is 1 or 2 grid steps, and ``G[l] == (0, 0)`` has
-    width 0.  ``C[i]`` is the interval's anchor integer, the larger
-    observed cumulative count (``C[l] == 0``), and ``U`` the indices
-    known only to width two.
+    width 0.  The rest is read from G: ``C[i]`` is the interval's anchor
+    integer, the larger observed cumulative count (``C[l] == 0``), ``U``
+    the indices known only to width two, and ``chains`` the runs of
+    overlapping intervals (:func:`chain_analysis`).
     """
 
     l: int
-    C: tuple[int, ...]
-    U: frozenset[int]
     G: tuple[tuple[int, int], ...]
-    chains: ChainStructure
 
     @property
     def m(self) -> int:
-        return len(self.C) - 1
+        return len(self.G) - 1
 
     def width(self, i: int) -> int:
         lo, hi = self.G[i]
         return hi - lo
+
+    @cached_property
+    def C(self) -> tuple[int, ...]:
+        return tuple(lo + 1 if i > self.l else 1 - hi if i < self.l else 0 for i, (lo, hi) in enumerate(self.G))
+
+    @cached_property
+    def U(self) -> frozenset[int]:
+        return frozenset(i for i, (lo, hi) in enumerate(self.G) if hi - lo == 2)
+
+    @cached_property
+    def chains(self) -> ChainStructure:
+        return chain_analysis(self.G)
 
 
 def cumulative_values(obs: ObservationSet, l: int, i: int) -> set[int]:
@@ -180,47 +185,31 @@ def cumulative_values(obs: ObservationSet, l: int, i: int) -> set[int]:
     return vals
 
 
-def chain_analysis(
-    obs: ObservationSet,
-    l: int,
-    U: frozenset[int],
-    G: Sequence[tuple[int, int]],
-) -> ChainStructure:
-    """Group width-two discontinuities into coupled runs.
+def chain_analysis(G: Sequence[tuple[int, int]]) -> ChainStructure:
+    """Group overlapping intervals into coupled runs.
 
-    Regions a+1 .. b (a < b) that every observation fills with exactly one
-    sample form a maximal run with members a .. b.  A run that lies wholly
-    on one side of the reference (a > l or b < l) is a chain when its two
-    members nearest the reference are both width two: (a, a+1) on the
-    right, (b-1, b) on the left.  The rule is the same on either side,
-    reflected; a chain whose other members are not all width two is
-    inconsistent.  Each chain is returned as a coupled :class:`Zone` from
-    G[a].lo to G[b].hi.
+    A chain is a maximal run a..b (a < b) of discontinuities whose
+    neighbouring intervals overlap, ``G[i-1].hi > G[i].lo``, returned as a
+    coupled :class:`Zone` from G[a].lo to G[b].hi.  Two intervals overlap
+    exactly when both are width two and the region between them always
+    holds one sample, which ties their spacing; the reference's interval
+    never overlaps a neighbour.  A run whose span ends at the reference
+    (lo == 0 or hi == 0) is not a chain: its members stay isolated
+    intervals, and ``FeasibleBox.stretches`` rejects the inverted forced
+    span between them (a known defect).
     """
-    runs: list[tuple[int, int]] = []
+    runs: list[Zone] = []
     a = 0
-    for one, group in groupby(obs._always_one):
-        b = a + len(list(group))
-        if one and (a > l or b < l):
-            runs.append((a, b))
-        a = b
-    # right side first, each side outward from the reference
-    runs.sort(key=lambda run: (run[0] < l, abs(run[0] - l)))
-
-    plus: list[Zone] = []
-    minus: list[Zone] = []
-    for a, b in runs:
-        near, side = ({a, a + 1}, plus) if a > l else ({b - 1, b}, minus)
-        if not near <= U:
-            continue
-        members = tuple(range(a, b + 1))
-        if not set(members) <= U:
-            raise InconsistentObservations(
-                f"coupled run {members} crosses a width-one discontinuity"
-            )
-        assert G[b][1] - G[a][0] == b - a + 2, "chain span must hold exactly length+2 unit cells"
-        side.append(Zone(regions=(*members, b + 1), lo=G[a][0], hi=G[b][1]))
-    return ChainStructure(plus=tuple(plus), minus=tuple(minus))
+    for b in range(len(G)):
+        if b + 1 == len(G) or G[b][1] <= G[b + 1][0]:   # the run a..b ends at b
+            if a < b:
+                runs.append(Zone(regions=tuple(range(a, b + 2)), lo=G[a][0], hi=G[b][1]))
+            a = b + 1
+    # each side outward from the reference
+    return ChainStructure(
+        plus=tuple(z for z in runs if z.lo > 0),
+        minus=tuple(z for z in reversed(runs) if z.hi < 0),
+    )
 
 
 def infer_model(obs: ObservationSet, l: int) -> UncertaintyModel:
@@ -230,28 +219,22 @@ def infer_model(obs: ObservationSet, l: int) -> UncertaintyModel:
     cumulative count, discontinuity i lies in (c - 1, c) when two values
     were seen and in (c - 1, c + 1) when only one was, measured outward
     from the reference: right of l as is, left of l reflected to negative
-    positions.  The chain structure of the width-two indices is computed
-    alongside.
+    positions.  The model keeps only l and these intervals; everything
+    else it reports is read from them.
     """
     m = obs.m
     if not (0 <= l <= m):
         raise IndexError(f"reference index {l} outside 0..{m}")
-    C = [0] * (m + 1)
     G: list[tuple[int, int]] = [(0, 0)] * (m + 1)
-    U: set[int] = set()
     for i in range(m + 1):
         if i == l:
             continue
         vals = cumulative_values(obs, l, i)
-        c = C[i] = max(vals)
+        c = max(vals)
         assert c - 1 >= 0, "interval must lie on the reference's correct side"
-        if len(vals) == 1:
-            U.add(i)
         lo, hi = c - 1, c + (len(vals) == 1)   # right of l; the left side is its reflection
         G[i] = (-hi, -lo) if i < l else (lo, hi)
-    U_frozen = frozenset(U)
-    chains = chain_analysis(obs, l, U_frozen, G)
-    return UncertaintyModel(l=l, C=tuple(C), U=U_frozen, G=tuple(G), chains=chains)
+    return UncertaintyModel(l=l, G=tuple(G))
 
 
 @dataclass(frozen=True)

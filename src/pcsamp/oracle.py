@@ -617,8 +617,40 @@ def _check_width2_energy(spec: SignalSpec, atlas: PatternAtlas) -> tuple[Optiona
     return None, f"{checked} adjacent-pair observation sets"
 
 
-def verify_scenario(spec: SignalSpec, delta_denominator: int = 120) -> list[CheckResult]:
-    """Run the full per-signal property suite and report each check."""
+def _check_observations(spec: SignalSpec, obs: ObservationSet) -> tuple[Optional[str], str]:
+    """The scenario's own observations, at every reference: the truth lies
+    strictly inside every interval, and where no chain is seen, the
+    estimate's error against the truth equals the closed form, since
+    midpoint cells make an isolated interval's energy independent of where
+    the discontinuity lies in it."""
+    energies = 0
+    for l in range(spec.m + 1):
+        model = infer_model(obs, l)
+        truth = translate(spec, l)
+        for i, (lo, hi) in enumerate(model.G):
+            if i != l and not lo < truth[i] < hi:
+                return f"l={l}: truth D_{i}={truth[i]} outside ({lo}, {hi})", ""
+        if not model.chains.empty:
+            continue
+        try:
+            est = estimate_partial(model, spec.g)
+        except AssertionError as exc:   # the known inverted forced-span defect
+            return f"l={l}: {exc}", ""
+        energy, closed = energy_between(est.fn, truth_function(spec, l)), closed_form_energy(model, spec.g)
+        if energy != closed:
+            return f"l={l}: truth energy {energy} != closed form {closed}", ""
+        energies += 1
+    return None, (
+        f"truth inside every interval at all {spec.m + 1} references; "
+        f"truth energy = closed form at {energies}"
+    )
+
+
+def verify_scenario(
+    spec: SignalSpec, obs: Optional[ObservationSet] = None, delta_denominator: int = 120
+) -> list[CheckResult]:
+    """Run the full per-signal property suite and report each check; with
+    ``obs``, the scenario's own observations are checked too."""
     spec = validate_spec(spec)
     atlas = enumerate_atlas(spec)
     full = _full_set(spec, atlas)
@@ -627,5 +659,6 @@ def verify_scenario(spec: SignalSpec, delta_denominator: int = 120) -> list[Chec
         ("minimax-worst-case-equality", _check_minimax(spec, full),
          f"all {spec.m + 1} references, placement independent, perturbations strict"),
         ("width-two-energy-equality", *_check_width2_energy(spec, atlas)),
+        *([("scenario-observations", *_check_observations(spec, obs))] if obs is not None else []),
     )
     return [CheckResult(name, failure is None, failure or detail) for name, failure, detail in table]

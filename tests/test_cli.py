@@ -319,6 +319,41 @@ def test_verify_reports_the_inverted_span_pair_as_a_fail_row(tmp_path, capsys):
     assert checks[4]["detail"] == "pair at cell 2, l=0: forced span for region 2 is inverted"
 
 
+def test_verify_checks_the_scenario_observations(capsys):
+    example6 = Path(__file__).resolve().parents[1] / "scenarios" / "example6.json"
+    assert main(["verify", str(example6), "--trials", "3", "--seed", "5", "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[-2] == {
+        "name": "scenario-observations", "status": "pass",
+        "detail": "truth inside every interval at all 4 references; truth energy = closed form at 4",
+    }
+
+
+def test_verify_reports_the_anchored_run_as_a_fail_row(tmp_path, capsys):
+    # the scenario's own pattern ties both discontinuities to the reference:
+    # the inverted forced span is one FAIL row, not a traceback
+    regions = [{"g": "-2", "n": 2, "f": "58/97"}, {"g": "4", "n": 2, "f": "40/97"}]
+    path = tmp_path / "anchored.json"
+    path.write_text(json.dumps({"T": "1", "regions": regions, "observations": [[1, 1]]}))
+    assert main(["verify", str(path), "--trials", "3", "--seed", "5", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = json.loads(captured.out)["checks"]
+    assert [c["status"] for c in checks] == ["pass"] * 5 + ["FAIL", "pass"]
+    assert checks[5] == {
+        "name": "scenario-observations", "status": "FAIL", "detail": "l=0: forced span for region 2 is inverted",
+    }
+
+
+def test_verify_unachievable_observation_exit3(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(RUNNING, observations=[[2, 3], [3, 3]])))
+    assert main(["verify", str(path), "--trials", "3", "--seed", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "InconsistentObservations: observed pattern [3, 3] is not achievable for this signal\n"
+
+
 @pytest.mark.parametrize("flag, ceiling", [("--trials", cli.MAX_TRIALS)])
 def test_verify_ceilings_exit2_before_any_work(running_file, capsys, monkeypatch, flag, ceiling):
     def refuse(*args, **kwargs):

@@ -189,9 +189,88 @@ def test_box_stretches_tile_the_span_once():
 
 
 def test_chain_analysis_direct_call():
-    obs = ObservationSet.of([(3, 1)], [4, 2])
-    structure = chain_analysis(obs, 0, frozenset({1, 2}), ((0, 0), (2, 4), (3, 5)))
-    assert structure.plus[0].members == (1, 2)
+    structure = chain_analysis(((0, 0), (2, 4), (3, 5)))
+    assert structure.plus == (Zone(regions=(1, 2, 3), lo=2, hi=5),)
+    assert structure.minus == ()
+    # the mirror image, left of the reference
+    assert chain_analysis(((-5, -3), (-4, -2), (0, 0))).minus == (Zone(regions=(0, 1, 2), lo=-5, hi=-2),)
+    # a run whose span ends at the reference is not a chain
+    assert chain_analysis(((0, 0), (0, 2), (1, 3))).empty
+
+
+def _always_one_chains(patterns, m, l):
+    """The chain rule stated on the patterns: (plus, minus, anchored).
+
+    Regions a+1..b (a < b) that every pattern fills with one sample form a
+    maximal run with members a..b.  It is a chain when it lies wholly on
+    one side of l (a > l or b < l) and its two members nearest l are width
+    two; then every member is width two.  A run that reaches l (a <= l <= b)
+    is anchored on a side where its two members nearest l exist and are
+    width two; ``anchored`` lists those (side, members)."""
+    def interval(i):
+        lo_r, hi_r = (l + 1, i) if i > l else (i + 1, l)
+        vals = {sum(p[lo_r - 1:hi_r]) for p in patterns}
+        c = max(vals)
+        lo, hi = c - 1, c + (len(vals) == 1)
+        return (-hi, -lo) if i < l else (lo, hi)
+
+    def wide(i):
+        lo, hi = interval(i)
+        return hi - lo == 2
+
+    one = [all(p[r] == 1 for p in patterns) for r in range(m)]   # one[r]: region r + 1
+    plus, minus, anchored = [], [], []
+    r = 0
+    while r < m:
+        if not one[r]:
+            r += 1
+            continue
+        a = r
+        while r < m and one[r]:
+            r += 1
+        b = r   # regions a+1..b, members a..b
+        if a > l or b < l:
+            near = (a, a + 1) if a > l else (b - 1, b)
+            if wide(near[0]) and wide(near[1]):
+                assert all(wide(i) for i in range(a, b + 1))
+                zone = Zone(regions=tuple(range(a, b + 2)), lo=interval(a)[0], hi=interval(b)[1])
+                (plus if a > l else minus).append(zone)
+        else:
+            if b >= l + 2 and wide(l + 1) and wide(l + 2):
+                anchored.append(("plus", (l + 1, l + 2)))
+            if a <= l - 2 and wide(l - 2) and wide(l - 1):
+                anchored.append(("minus", (l - 2, l - 1)))
+    return tuple(plus), tuple(reversed(minus)), anchored
+
+
+def test_chains_match_the_always_one_rule():
+    """Chains read from overlapping intervals equal the rule stated on the
+    patterns, and a run anchored at the reference occurs exactly where the
+    estimate meets the inverted forced span."""
+    rng = random.Random(61)
+    seen = {"models": 0, "chains": 0, "anchored": 0}
+    for _ in range(300):
+        spec = random_spec(rng, m_range=(2, 7), n_range=(2, 3))
+        patterns = list(enumerate_atlas(spec).patterns)
+        for _ in range(3):
+            subset = rng.sample(patterns, rng.randint(1, min(3, len(patterns))))
+            obs = ObservationSet.of(subset, spec.g)
+            etas = [p.eta for p in obs.patterns]
+            for l in range(spec.m + 1):
+                model = infer_model(obs, l)
+                plus, minus, anchored = _always_one_chains(etas, spec.m, l)
+                assert (model.chains.plus, model.chains.minus) == (plus, minus)
+                try:
+                    estimate_partial(model, spec.g)
+                    raised = False
+                except AssertionError as exc:
+                    assert str(exc).endswith("is inverted")
+                    raised = True
+                assert raised == bool(anchored), (etas, l)
+                seen["models"] += 1
+                seen["chains"] += len(plus) + len(minus)
+                seen["anchored"] += raised
+    assert seen["chains"] > 1000 and seen["anchored"] > 60, seen
 
 
 def test_round_trip_strict_containment_random():
@@ -342,16 +421,3 @@ def test_partial_estimates_reflect_between_sides():
         a = outcome(infer_model(obs, l), spec.g, reflect=False)
         b = outcome(infer_model(mirrored_obs, spec.m - l), mirror_g, reflect=True)
         assert a == b
-
-
-def test_chain_with_a_width_one_member_is_inconsistent():
-    # regions 2 and 3 always hold one sample: members 1, 2, 3 right of l = 0
-    right = ObservationSet.of([(3, 1, 1)], [4, 2, 1])
-    G = ((0, 0), (2, 4), (3, 5), (4, 6))
-    with pytest.raises(InconsistentObservations, match=r"\(1, 2, 3\)"):
-        chain_analysis(right, 0, frozenset({1, 2}), G)
-    # the mirror image: members 0, 1, 2 left of l = 3
-    left = ObservationSet.of([(1, 1, 3)], [1, 2, 4])
-    G = ((-6, -4), (-5, -3), (-4, -2), (0, 0))
-    with pytest.raises(InconsistentObservations, match=r"\(0, 1, 2\)"):
-        chain_analysis(left, 3, frozenset({1, 2}), G)

@@ -296,6 +296,43 @@ def test_verify_scenario_green(running_spec):
     assert "width-two-energy-equality" in names
 
 
+def test_verify_checks_the_scenario_observations(example6_spec):
+    obs = ObservationSet.of([(3, 3, 2), (3, 3, 1)], example6_spec.g)
+    results = verify_scenario(example6_spec, obs, delta_denominator=8)
+    assert all(r.passed for r in results), results
+    assert results[-1] == CheckResult(
+        "scenario-observations", True,
+        "truth inside every interval at all 4 references; truth energy = closed form at 4",
+    )
+    truth_energies = [
+        energy_between(estimate_partial(infer_model(obs, l), example6_spec.g).fn, truth_function(example6_spec, l))
+        for l in range(4)
+    ]
+    assert truth_energies == [Fraction(11, 4), Fraction(35, 4), Fraction(41, 4), Fraction(21, 4)]
+    # the chain at l = 0 is checked for containment only
+    chain = validate_spec(SignalSpec.from_columns(g=[4, 2], n=[3, 2], f=["1/3", "1/4"]))
+    assert verify_scenario(chain, ObservationSet.of([(3, 1)], chain.g), delta_denominator=8)[-1] == CheckResult(
+        "scenario-observations", True,
+        "truth inside every interval at all 3 references; truth energy = closed form at 2",
+    )
+
+
+def test_verify_scenario_observations_fail_rows(running_spec, monkeypatch):
+    # a pattern of another signal places the truth outside its interval
+    results = verify_scenario(running_spec, ObservationSet.of([(3, 1)], running_spec.g), delta_denominator=8)
+    assert results[-1] == CheckResult("scenario-observations", False, "l=0: truth D_1=7/4 outside (2, 4)")
+    # a closed form off by one no longer matches the truth's energy
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "closed_form_energy", lambda model, g: closed_form_energy(model, g) + 1)
+        results = verify_scenario(running_spec, ObservationSet.of([(2, 3)], running_spec.g), delta_denominator=8)
+    assert results[-1] == CheckResult("scenario-observations", False, "l=0: truth energy 4 != closed form 5")
+    # a run anchored at the reference meets the known inverted forced-span defect
+    spec = validate_spec(SignalSpec.from_columns(g=[-2, 4], n=[2, 2], f=["58/97", "40/97"]))
+    results = verify_scenario(spec, ObservationSet.of([(1, 1)], spec.g), delta_denominator=8)
+    assert results[-1] == CheckResult("scenario-observations", False, "l=0: forced span for region 2 is inverted")
+    assert all(r.passed for r in results[:-1])
+
+
 def _brute_force_chain(fn, g, box, resolution):
     """Energies of every feasible grid placement of a box with one coupled zone.
 
