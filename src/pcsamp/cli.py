@@ -174,16 +174,6 @@ def _fmt(value, as_float: bool) -> str:
     return str(value)
 
 
-def _jsonable(obj, as_float: bool):
-    if isinstance(obj, Fraction):
-        return _float(obj) if as_float else str(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v, as_float) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v, as_float) for v in obj]
-    return obj
-
-
 def _render(args, payload: dict, headers: list[str], rows: list[list], notes: Sequence[str] = ()) -> None:
     """Print one result as ``args.format`` asks.
 
@@ -191,7 +181,8 @@ def _render(args, payload: dict, headers: list[str], rows: list[list], notes: Se
     aligned table prints them too, followed by the table-only ``notes``.
     """
     if args.format == "json":
-        print(json.dumps(_jsonable(payload, args.float), indent=2))
+        # json calls default on each Fraction, the one type it cannot encode
+        print(json.dumps(payload, indent=2, default=_float if args.float else str))
         return
     cells = [[_fmt(v, args.float) for v in row] for row in rows]
     if args.format == "csv":

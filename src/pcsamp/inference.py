@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import sub
 from typing import Iterable, Sequence
 
 from .sampler import PatternAtlas, SamplingPattern
@@ -38,7 +37,15 @@ class InconsistentObservations(ValueError):
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Distinct observed count patterns plus the known region amplitudes."""
+    """Distinct observed count patterns plus the known region amplitudes.
+
+    Every count is an int of at least one.  :meth:`of` turns plain
+    sequences into patterns and rejects a count in them that is not an
+    int (a float or a bool) instead of truncating it.  The set keeps one
+    table that every reference reads, ``_levels``: for each index i, the
+    distinct counts of samples in regions 1..i, each with a bitmask of
+    the patterns that show it.
+    """
 
     patterns: tuple[SamplingPattern, ...]
     amplitudes: tuple[Fraction, ...]
@@ -50,7 +57,7 @@ class ObservationSet:
         for p in self.patterns:
             if p.m != m:
                 raise ValueError(f"pattern {p.eta} has {p.m} regions, expected {m}")
-            if any(e < 1 for e in p.eta):
+            if m and min(p.eta) < 1:
                 raise ValueError(f"pattern {p.eta} has a non-positive count; every region holds a sample")
 
     @classmethod
@@ -59,10 +66,13 @@ class ObservationSet:
         patterns: Iterable[Sequence[int] | SamplingPattern],
         amplitudes: Sequence[RationalLike],
     ) -> "ObservationSet":
-        canonical = {
-            p if isinstance(p, SamplingPattern) else SamplingPattern(tuple(int(e) for e in p))
-            for p in patterns
-        }
+        canonical = set()
+        for p in patterns:
+            if not isinstance(p, SamplingPattern):
+                p = SamplingPattern(tuple(p))
+                if not set(map(type, p.eta)) <= {int}:   # bool and float are not counts
+                    raise ValueError(f"pattern {p.eta} has a count that is not an int")
+            canonical.add(p)
         return cls(
             patterns=tuple(sorted(canonical)),
             amplitudes=tuple(as_rational(a) for a in amplitudes),
@@ -77,9 +87,25 @@ class ObservationSet:
         return len(self.amplitudes)
 
     @cached_property
-    def _prefix_counts(self) -> tuple[tuple[int, ...], ...]:
-        """Entry [i][p]: samples of pattern p in regions 1..i (row 0 is zeros)."""
-        return tuple(zip(*(accumulate(p.eta, initial=0) for p in self.patterns)))
+    def _levels(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Entry [i]: each distinct count of samples in regions 1..i, paired
+        with a bitmask of the patterns that show it (bit j for pattern j).
+        A count that every pattern shares, as row 0's always is, needs no
+        pass over the patterns: its mask is all of them."""
+        P = len(self.patterns)
+        every = (1 << P) - 1
+        levels = []
+        for row in zip(*(accumulate(p.eta, initial=0) for p in self.patterns)):
+            if row.count(row[0]) == P:
+                levels.append(((row[0], every),))
+                continue
+            masks: dict[int, int] = {}
+            bit = 1
+            for count in row:
+                masks[count] = masks.get(count, 0) | bit
+                bit <<= 1
+            levels.append(tuple(masks.items()))
+        return tuple(levels)
 
 
 @dataclass(frozen=True)
@@ -162,11 +188,14 @@ def cumulative_values(obs: ObservationSet, l: int, i: int) -> set[int]:
 
     For i > l this is eta_{l+1} + ... + eta_i, for i < l it is
     eta_{i+1} + ... + eta_l.  Consistent observations yield one value or
-    two consecutive values; anything else is rejected.  Each value is a
-    difference of two rows of ``obs._prefix_counts``, so a call costs one
-    step per observed pattern.
+    two consecutive values; anything else is rejected.  Each value is the
+    difference of two levels of ``obs._levels`` that some pattern shows
+    both of, found by ANDing their masks: a call costs one AND of two
+    P-bit masks per pair of levels, four pairs at most for consistent
+    observations, instead of one step per observed pattern.
     """
-    m = obs.m
+    levels = obs._levels
+    m = len(levels) - 1
     if not (0 <= i <= m and 0 <= l <= m):
         raise IndexError(f"indices i={i}, l={l} outside 0..{m}")
     if i == l:
@@ -175,8 +204,11 @@ def cumulative_values(obs: ObservationSet, l: int, i: int) -> set[int]:
         lo_r, hi_r = l + 1, i
     else:
         lo_r, hi_r = i + 1, l
-    prefix = obs._prefix_counts
-    vals = set(map(sub, prefix[hi_r], prefix[lo_r - 1]))
+    vals = set()
+    for a, mask in levels[hi_r]:
+        for b, other in levels[lo_r - 1]:
+            if mask & other:
+                vals.add(a - b)
     if len(vals) > 2 or (len(vals) == 2 and max(vals) - min(vals) != 1):
         raise InconsistentObservations(
             f"cumulative counts over regions {lo_r}..{hi_r} take values {sorted(vals)}; "

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import NamedTuple
 
 from .signal_core import (
@@ -162,15 +163,17 @@ def enumerate_atlas(spec: SignalSpec) -> PatternAtlas:
 
     The cumulative count over regions 1..k drops by one exactly when the
     first offset reaches the threshold 1 + kappa(1, k-1) - sum(f_1..f_k).
-    Sorting the m thresholds partitions [0, 1) into m + 1 cells, each
-    carrying the pattern obtained by differencing the cumulative counts.
-    Thresholds are guaranteed distinct and interior for a validated
-    signal; a collision is reported defensively.
+    Sorting the m thresholds partitions [0, 1) into m + 1 cells.  Cell 0
+    carries the differences of the nominal cumulative counts; crossing
+    threshold k moves one sample from region k to region k + 1, or out of
+    the support when k = m, so each later cell copies the pattern before
+    it with one sample moved.  Thresholds are guaranteed distinct and
+    interior for a validated signal; a collision is reported defensively.
     """
     m = spec.m
     L, prefix_f = spec.lattice.L, spec.lattice.f_prefix
     thresholds = []  # L * threshold
-    nominal = []  # nominal cumulative counts over regions 1..k
+    nominal = [0]  # nominal cumulative counts over regions 1..k
     for k in range(1, m + 1):
         kappa = prefix_f[k] // L
         thresholds.append(L * (1 + kappa) - prefix_f[k])
@@ -178,16 +181,18 @@ def enumerate_atlas(spec: SignalSpec) -> PatternAtlas:
     if len(set(thresholds)) != m or not all(0 < theta < L for theta in thresholds):
         raise GenericityViolation(1, m - 1, Fraction(prefix_f[m], L))
 
-    edges = [0] + sorted(thresholds) + [L]
-    cells = []
-    for lo, hi in zip(edges, edges[1:]):
-        cumulative = [0]
-        for k in range(1, m + 1):
-            dropped = thresholds[k - 1] <= lo
-            cumulative.append(nominal[k - 1] - (1 if dropped else 0))
-        eta = tuple(cumulative[k] - cumulative[k - 1] for k in range(1, m + 1))
-        cells.append(
-            AtlasCell(delta_lo=Fraction(lo, L), delta_hi=Fraction(hi, L), pattern=SamplingPattern(eta))
-        )
-    assert len({c.pattern for c in cells}) == m + 1, "atlas cells must carry distinct patterns"
-    return PatternAtlas(cells=tuple(cells))
+    order = sorted(range(m), key=thresholds.__getitem__)
+    edges = [Fraction(e, L) for e in (0, *(thresholds[k] for k in order), L)]
+    eta = list(map(sub, nominal[1:], nominal))   # cell 0: no count has dropped
+    patterns = [SamplingPattern(tuple(eta))]
+    for k in order:   # threshold k + 1: region k + 1 gives one sample to region k + 2
+        eta[k] -= 1
+        if k + 1 < m:
+            eta[k + 1] += 1
+        patterns.append(SamplingPattern(tuple(eta)))
+    cells = tuple(
+        AtlasCell(delta_lo=lo, delta_hi=hi, pattern=pattern)
+        for lo, hi, pattern in zip(edges, edges[1:], patterns)
+    )
+    assert len(set(patterns)) == m + 1, "atlas cells must carry distinct patterns"
+    return PatternAtlas(cells=cells)

@@ -1,8 +1,10 @@
 """Locating discontinuities from observed pattern sets."""
 
 import random
+import re
 
 import pytest
+from conftest import wide_spec
 
 from pcsamp import (
     InconsistentObservations,
@@ -42,9 +44,37 @@ def test_cumulative_values_rejects_spread():
         cumulative_values(obs, 0, 1)
 
 
+def _check_against_slice_sums(obs) -> tuple[int, int]:
+    """``cumulative_values`` at every (l, i) against the slice-sum
+    definition: the same values, or the same InconsistentObservations
+    message.  Returns how many calls returned and how many raised."""
+    returned = raised = 0
+    for l in range(obs.m + 1):
+        for i in range(obs.m + 1):
+            if i == l:
+                continue
+            lo_r, hi_r = (l + 1, i) if i > l else (i + 1, l)
+            vals = {sum(p.eta[lo_r - 1:hi_r]) for p in obs.patterns}
+            if len(vals) > 2 or max(vals) - min(vals) > 1:
+                message = (
+                    f"cumulative counts over regions {lo_r}..{hi_r} take values {sorted(vals)}; "
+                    "a single signal allows only one value or two consecutive ones"
+                )
+                with pytest.raises(InconsistentObservations) as info:
+                    cumulative_values(obs, l, i)
+                assert str(info.value) == message
+                raised += 1
+            else:
+                assert cumulative_values(obs, l, i) == vals
+                returned += 1
+    return returned, raised
+
+
 def test_cumulative_values_match_slice_sums():
-    """Prefix-count differences against the slice-sum definition, on random
-    small count tables, consistent or not, for every (l, i)."""
+    """Level differences against the slice-sum definition for every (l, i):
+    on random small count tables, consistent or not, and, with masks of
+    more than one machine word, on full atlases at m = 70..96 and on a
+    mixture of two signals' atlases at m = 80."""
     rng = random.Random(23)
     returned = raised = 0
     for _ in range(400):
@@ -55,26 +85,33 @@ def test_cumulative_values_match_slice_sums():
             [rng.randint(1, 5) if loose else rng.choice((k - 1, k)) for k in n]
             for _ in range(rng.randint(1, 6))
         ]
-        obs = ObservationSet.of(table, [1] * m)
-        for l in range(m + 1):
-            for i in range(m + 1):
-                if i == l:
-                    continue
-                lo_r, hi_r = (l + 1, i) if i > l else (i + 1, l)
-                vals = {sum(p.eta[lo_r - 1:hi_r]) for p in obs.patterns}
-                if len(vals) > 2 or max(vals) - min(vals) > 1:
-                    message = (
-                        f"cumulative counts over regions {lo_r}..{hi_r} take values {sorted(vals)}; "
-                        "a single signal allows only one value or two consecutive ones"
-                    )
-                    with pytest.raises(InconsistentObservations) as info:
-                        cumulative_values(obs, l, i)
-                    assert str(info.value) == message
-                    raised += 1
-                else:
-                    assert cumulative_values(obs, l, i) == vals
-                    returned += 1
+        counts = _check_against_slice_sums(ObservationSet.of(table, [1] * m))
+        returned += counts[0]
+        raised += counts[1]
     assert returned > 1000 and raised > 1000
+
+    for m in (70, 83, 96):
+        obs = _full_obs(wide_spec(rng, m))
+        assert len(obs.patterns) == m + 1
+        assert _check_against_slice_sums(obs) == (m * (m + 1), 0)
+    first, second = (enumerate_atlas(wide_spec(rng, 80)).patterns for _ in range(2))
+    obs = ObservationSet.of(rng.sample(first, 60) + rng.sample(second, 30), [1] * 80)
+    returned, raised = _check_against_slice_sums(obs)
+    assert returned > 100 and raised > 1000
+
+
+def test_observation_counts_must_be_ints():
+    """A float or bool count is rejected, not truncated by int()."""
+    for table, bad in (([(2.7, 3), (True, 3)], (2.7, 3)), ([(2, 3), (True, 3)], (True, 3))):
+        with pytest.raises(ValueError, match=re.escape(f"pattern {bad} has a count that is not an int")):
+            ObservationSet.of(table, [4, 2])
+    assert [p.eta for p in ObservationSet.of([[2, 3], (3, 2)], [4, 2]).patterns] == [(2, 3), (3, 2)]
+
+
+def test_observation_set_without_regions():
+    """m = 0: patterns are empty, so there is no count to check."""
+    obs = ObservationSet.of([()], [])
+    assert obs.m == 0 and infer_model(obs, 0).G == ((0, 0),)
 
 
 def test_infer_full_atlas_running(running_spec):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import delta_chain_reference
+from conftest import delta_chain_reference, wide_spec
 
 from pcsamp import (
     SignalSpec,
@@ -102,8 +102,9 @@ def test_atlas_single_region():
 
 def test_atlas_cardinality_and_midpoints_random():
     rng = random.Random(11)
-    for _ in range(40):
-        spec = random_spec(rng)
+    specs = [random_spec(rng) for _ in range(40)]
+    specs += [wide_spec(rng, m) for m in (*range(1, 96, 5), 96)]   # up to the cli workload's m = 96
+    for spec in specs:
         atlas = enumerate_atlas(spec)
         assert len(atlas.cells) == spec.m + 1
         assert len(set(atlas.patterns)) == spec.m + 1
