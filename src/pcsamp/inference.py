@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain as chained
 from typing import Iterable, Sequence
 
 from .sampler import PatternAtlas, SamplingPattern
@@ -39,12 +39,12 @@ class InconsistentObservations(ValueError):
 class ObservationSet:
     """Distinct observed count patterns plus the known region amplitudes.
 
-    Every count is an int of at least one.  :meth:`of` turns plain
-    sequences into patterns and rejects a count in them that is not an
-    int (a float or a bool) instead of truncating it.  The set keeps one
-    table that every reference reads, ``_levels``: for each index i, the
-    distinct counts of samples in regions 1..i, each with a bitmask of
-    the patterns that show it.
+    Every count is an int of at least one: a count that is not an int (a
+    float or a bool) is rejected, not truncated, however the set is built.
+    The patterns are kept distinct and sorted, and :meth:`of` also takes
+    plain sequences.  The set keeps one table that every reference reads,
+    ``_levels``: for each index i, the distinct counts of samples in
+    regions 1..i, each with a bitmask of the patterns that show it.
     """
 
     patterns: tuple[SamplingPattern, ...]
@@ -53,6 +53,11 @@ class ObservationSet:
     def __post_init__(self):
         if not self.patterns:
             raise ValueError("at least one observed pattern is required")
+        # one C-level pass over every count; bool and float are not counts
+        if not set(map(type, chained.from_iterable(chained.from_iterable(self.patterns)))) <= {int}:
+            bad = next(p for p in self.patterns if not set(map(type, p.eta)) <= {int})
+            raise ValueError(f"pattern {bad.eta} has a count that is not an int")
+        object.__setattr__(self, "patterns", tuple(sorted(set(self.patterns))))
         m = len(self.amplitudes)
         for p in self.patterns:
             if p.m != m:
@@ -66,15 +71,8 @@ class ObservationSet:
         patterns: Iterable[Sequence[int] | SamplingPattern],
         amplitudes: Sequence[RationalLike],
     ) -> "ObservationSet":
-        canonical = set()
-        for p in patterns:
-            if not isinstance(p, SamplingPattern):
-                p = SamplingPattern(tuple(p))
-                if not set(map(type, p.eta)) <= {int}:   # bool and float are not counts
-                    raise ValueError(f"pattern {p.eta} has a count that is not an int")
-            canonical.add(p)
         return cls(
-            patterns=tuple(sorted(canonical)),
+            patterns=tuple(p if isinstance(p, SamplingPattern) else SamplingPattern(tuple(p)) for p in patterns),
             amplitudes=tuple(as_rational(a) for a in amplitudes),
         )
 

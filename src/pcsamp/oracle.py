@@ -14,15 +14,17 @@ coupled runs where an always-one-sample region forces the spacing of
 consecutive discontinuities into [1, 2) grid steps.  Joint constraints
 beyond that are intentionally out of scope.
 
-The search runs on integers.  Inside a stretch every position is an
-integer over N, the lcm of the grid resolution R and the denominators of
-the estimate's breakpoints there, and every integral of (c - estimate)^2
-is an integer over N * D^2, D the common denominator of the amplitudes
-and the estimate's values; Fractions are built only for the results.
-Between the estimate's cuts the energy is linear in each discontinuity,
-and the constraints are integer bounds and differences, so every extreme
-sits at a vertex of the grid's feasible set.  The sweep visits only those
-candidate vertices, a few per member, and its cost does not grow with R.
+The search runs on integers, on one lattice per search: every position
+is an integer over N, the lcm of the grid resolution R and the
+denominators of the estimate's breakpoints, every value one over D, the
+common denominator of the amplitudes and the estimate's values, and every
+integral of (c - estimate)^2 one over N * D^2.  The perturbation probes
+share one lattice with D scaled by 10.  Fractions are built only for the
+results.  Between the estimate's cuts the energy is linear in each
+discontinuity, and the constraints are integer bounds and differences, so
+every extreme sits at a vertex of the grid's feasible set.  The sweep
+visits only those candidate vertices, a few per member, and its cost does
+not grow with R.
 :func:`energy_between` integrates with Fractions and stays the
 independent cross-check.
 """
@@ -147,30 +149,41 @@ def energy_between(a: PiecewiseFunction, b: PiecewiseFunction) -> Fraction:
     return total
 
 
-def _fn_of(est: Union[Estimate, PiecewiseFunction]) -> PiecewiseFunction:
-    return est.fn if isinstance(est, Estimate) else est
+def _on(v: Fraction, d: int) -> int:
+    """``v`` as an integer over ``d``, which its denominator divides."""
+    return v.numerator * (d // v.denominator)
 
 
-def _pieces(fn: PiecewiseFunction, lo: int, hi: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """fn on [lo, hi] as pieces: the cuts lo, fn's breakpoints inside (lo, hi)
-    and hi, and fn's value between each two consecutive cuts."""
-    bps = fn.breakpoints
-    first, last = bisect_right(bps, lo), bisect_left(bps, hi)
-    vals = tuple(fn.values[j] if 0 <= j < len(fn.values) else Fraction(0) for j in range(first - 1, last))
-    return (lo, *bps[first:last], hi), vals
+def _lattice(fn: PiecewiseFunction, g: Sequence[Fraction], resolution: int, d_scale: int = 1) -> tuple:
+    """(N, D, breakpoints, values, amplitudes): fn's breakpoints over N, the
+    lcm of R and their denominators, and fn's values and the amplitudes over
+    D, ``d_scale`` times the lcm of their denominators.  The values carry
+    fn's zero on either side and the amplitudes the padding g_0 = g_{m+1} = 0."""
+    N = math.lcm(resolution, *(x.denominator for x in fn.breakpoints))
+    D = d_scale * math.lcm(*(v.denominator for v in (*g, *fn.values)))
+    xs = [_on(x, N) for x in fn.breakpoints]
+    return N, D, xs, [0, *(_on(v, D) for v in fn.values), 0], [0, *(_on(c, D) for c in g), 0]
+
+
+def _pieces(lattice: tuple, zone: Zone) -> tuple[list[int], list[int], list[int]]:
+    """fn on the zone as pieces: the cuts lo, fn's breakpoints inside (lo, hi)
+    and hi, fn's value between each two consecutive cuts, and the amplitudes
+    of ``zone.regions``, all on the lattice."""
+    N, _, xs, fs, cs = lattice
+    lo, hi = zone.lo * N, zone.hi * N
+    first, last = bisect_right(xs, lo), bisect_left(xs, hi)
+    amps = [cs[i] if 0 <= i < len(cs) else 0 for i in zone.regions]
+    return [lo, *xs[first:last], hi], fs[first:last + 1], amps
 
 
 def _zone_extremes(
-    cuts: Sequence[Fraction],
-    vals: Sequence[Fraction],
-    amplitudes: Sequence[Fraction],
-    box: FeasibleBox,
-    zone: Zone,
-    resolution: int,
-) -> ZoneOutcome:
+    cuts: Sequence[int], vals: Sequence[int], amps: Sequence[int],
+    box: FeasibleBox, zone: Zone, resolution: int, N: int,
+) -> tuple[int, int, tuple[int, ...]]:
     """Exact maximum and minimum of the zone's error energy over the grid,
-    for the estimate's pieces on the zone (``cuts`` and ``vals``, see
-    :func:`_pieces`).
+    and the grid indices of a maximal placement, for the estimate's pieces
+    on the zone (see :func:`_pieces`): ``cuts`` over N, ``vals`` and
+    ``amps`` over D, and energies over N * D^2.
 
     Within a zone the truth takes the amplitudes of ``zone.regions`` in
     order, each up to the next member discontinuity.  A zone without
@@ -188,28 +201,19 @@ def _zone_extremes(
     its grid or the grid index on either side of a cut inside its
     interval -- moved by |k - j| spacings of R or 2R - 1 and clipped to
     each member's grid on the way.  The forward sweep visits only those
-    candidates, so its cost does not grow with R.
-
-    Energies are integers over N * D^2, N the lcm of R and the cuts'
-    denominators and D that of the amplitudes and ``vals``.  Among the
-    maximal placements the witness puts the last member earliest, then
-    the one before it, and so on.
+    candidates, so its cost does not grow with R.  Among the maximal
+    placements the witness puts the last member earliest, then the one
+    before it, and so on.
     """
-    members, r = zone.members, resolution
+    members, r, step = zone.members, resolution, N // resolution
     assert all(
         zone.lo <= box.G[i][0] and box.G[i][1] <= zone.hi for i in members
     ), "zone members must lie inside the zone"
-    amps = [amp(amplitudes, i) for i in zone.regions]
-    N = math.lcm(r, *(x.denominator for x in cuts))
-    D = math.lcm(*(v.denominator for v in (*amps, *vals)))
-    xs = [x.numerator * (N // x.denominator) for x in cuts]
-    fs = [v.numerator * (D // v.denominator) for v in vals]
-    cs = [c.numerator * (D // c.denominator) for c in amps]
 
     def integral(c: int, x: int) -> int:
         """(c - f)^2 integrated from the zone's start to x/N, over N * D^2."""
         total = 0
-        for a, b, v in zip(xs, xs[1:], fs):
+        for a, b, v in zip(cuts, cuts[1:], vals):
             if x <= a:
                 break
             total += (c - v) ** 2 * (min(x, b) - a)
@@ -217,19 +221,18 @@ def _zone_extremes(
 
     def weight(k: int, y: int) -> int:
         """Member k's term at grid index y: amps[k] on its left, amps[k+1] on its right."""
-        x = y * (N // r)
-        return integral(cs[k], x) - integral(cs[k + 1], x)
+        x = y * step
+        return integral(amps[k], x) - integral(amps[k + 1], x)
 
-    scale, tail = N * D * D, integral(cs[-1], xs[-1])
+    tail = integral(amps[-1], cuts[-1])
     if not members:
-        energy = Fraction(tail, scale)
-        return ZoneOutcome(members=members, max_energy=energy, min_energy=energy, argmax=())
+        return tail, tail, ()
 
     grids = [(box.G[i][0] * r + 1, box.G[i][1] * r - 1) for i in members]
     own = [
         {lo, hi, *(min(max(y, lo), hi)
-                   for c in cuts if box.G[i][0] < c < box.G[i][1]
-                   for y in (math.floor(c * r), math.ceil(c * r)))}
+                   for x in cuts if box.G[i][0] * N < x < box.G[i][1] * N
+                   for y in (x // step, -(-x // step)))}
         for i, (lo, hi) in zip(members, grids)
     ]
     candidates: list[set[int]] = [set() for _ in members]
@@ -266,12 +269,7 @@ def _zone_extremes(
     path = [max(hi_state, key=hi_state.__getitem__)]
     for back in reversed(backs):
         path.append(back[path[-1]])
-    return ZoneOutcome(
-        members=members,
-        max_energy=Fraction(hi_state[path[0]] + tail, scale),
-        min_energy=Fraction(min(lo_state.values()) + tail, scale),
-        argmax=tuple(Fraction(y, r) for y in reversed(path)),
-    )
+    return hi_state[path[0]] + tail, min(lo_state.values()) + tail, tuple(reversed(path))
 
 
 def worst_case_energy(
@@ -289,29 +287,28 @@ def worst_case_energy(
     the supremum: ``[(3, 1)]`` with g = (4, 2) and l = 0 gives 26/5,
     148/25 and 1499/250 at resolutions 5, 50 and 1000, against a supremum
     of 6.  The total is one term per stretch of ``box.stretches``, each
-    from :func:`_zone_extremes`: a forced span's energy does not depend on
-    the placement, and each zone is searched independently (jointly inside
-    coupled runs).  Positions are integers over the stretch's lattice N,
-    the lcm of ``resolution`` and the denominators of the estimate's
-    breakpoints inside it, and Fractions are built only for the results.
-    A zone visits only the grid's candidate vertices: its cost depends on
-    its number of members and the estimate's breakpoints inside it, not
-    on ``resolution``.  A forced span costs one term per piece of the
-    estimate on it, however long the span, and a point span, which has no
-    measure, is skipped.  ``stretches`` keeps every outcome.
+    from :func:`_zone_extremes` on the call's one lattice (:func:`_lattice`):
+    a forced span's energy does not depend on the placement, and each zone
+    is searched independently (jointly inside coupled runs).  A zone's cost
+    depends on its members and the estimate's breakpoints inside it, not on
+    ``resolution``; a forced span costs one term per piece of the estimate
+    on it, however long the span, and a point span, which has no measure,
+    is skipped.  ``stretches`` keeps every outcome.
     """
     if resolution < 2:
         raise ValueError("need at least 2 grid points per unit interval")
-    fn = _fn_of(est)
-    g = tuple(amplitudes)
-    outcomes = tuple(
-        _zone_extremes(*_pieces(fn, z.lo, z.hi), g, box, z, resolution) for z in box.stretches if z.lo < z.hi
-    )
-    witness: dict[int, Fraction] = {box.l: Fraction(0)}
-    for outcome in outcomes:
-        witness.update(zip(outcome.members, outcome.argmax))
-    value = sum((o.max_energy for o in outcomes), Fraction(0))
-    return WorstCase(value=value, witness=witness, stretches=outcomes)
+    lattice = _lattice(est.fn if isinstance(est, Estimate) else est, tuple(amplitudes), resolution)
+    N, D = lattice[:2]
+    scale = N * D * D
+    total, outcomes, witness = 0, [], {box.l: Fraction(0)}
+    for z in box.stretches:
+        if z.lo < z.hi:
+            top, bottom, path = _zone_extremes(*_pieces(lattice, z), box, z, resolution, N)
+            argmax = tuple(Fraction(y, resolution) for y in path)
+            outcomes.append(ZoneOutcome(z.members, Fraction(top, scale), Fraction(bottom, scale), argmax))
+            witness.update(zip(z.members, argmax))
+            total += top
+    return WorstCase(value=Fraction(total, scale), witness=witness, stretches=tuple(outcomes))
 
 
 def _auto_deltas(est: Estimate, g: tuple[Fraction, ...], n: int) -> tuple[Fraction, ...]:
@@ -345,29 +342,32 @@ def perturbation_minimax_check(
     with ``include_known`` its forced spans too.  A probe sets the cell
     inside the pieces of the stretch that holds it, and only that stretch
     is searched again by :func:`_zone_extremes`, its unperturbed energy
-    read from ``WorstCase.stretches``.  A worst case that decreases is
-    recorded as a violation, not raised.
+    read from ``WorstCase.stretches``.  The probes share the search's
+    lattice with D scaled by 10, on which every shifted value lies, and
+    compare integers.  A worst case that decreases is recorded as a
+    violation, not raised.
     """
     g = tuple(amplitudes)
     base = worst_case_energy(est, g, box, resolution)
+    lattice = _lattice(est.fn, g, resolution, 10)
+    N, D = lattice[:2]
+    scale = N * D * D
+    total = _on(base.value, scale)
     probes: list[PerturbationProbe] = []
     for z, outcome in zip((z for z in box.stretches if z.lo < z.hi), base.stretches):
         if not (z.members or include_known):
             continue
-        cuts, vals = _pieces(est.fn, z.lo, z.hi)
-        rest = base.value - outcome.max_energy   # the worst case outside this stretch
+        cuts, vals, amps = _pieces(lattice, z)
+        own = _on(outcome.max_energy, scale)   # this stretch's share of the worst case
         for n in range(z.lo + 1, z.hi + 1):
-            gamma = est.fn.evaluate(Fraction(2 * n - 1, 2))
-            a, b = bisect_left(cuts, n - 1), bisect_right(cuts, n)
+            lo, hi = (n - 1) * N, n * N
+            a, b = bisect_left(cuts, lo), bisect_right(cuts, hi)
+            gamma = vals[bisect_right(cuts, (lo + hi) // 2) - 1]   # the value at the cell's midpoint
             for delta in _auto_deltas(est, g, n):
-                probed = (*cuts[:a], n - 1, n, *cuts[b:]), (*vals[:a], gamma + delta, *vals[b - 1:])
-                value = rest + _zone_extremes(*probed, g, box, z, resolution).max_energy
-                probes.append(
-                    PerturbationProbe(
-                        cell=n, delta=delta, worst=value,
-                        ok=value >= base.value, strict=value > base.value,
-                    )
-                )
+                probed = (*cuts[:a], lo, hi, *cuts[b:]), (*vals[:a], gamma + _on(delta, D), *vals[b - 1:])
+                top = _zone_extremes(*probed, amps, box, z, resolution, N)[0]
+                worst = Fraction(total - own + top, scale)
+                probes.append(PerturbationProbe(cell=n, delta=delta, worst=worst, ok=top >= own, strict=top > own))
     return PerturbationReport(worst=base, probes=tuple(probes))
 
 

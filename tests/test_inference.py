@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from conftest import wide_spec
@@ -9,6 +10,7 @@ from conftest import wide_spec
 from pcsamp import (
     InconsistentObservations,
     ObservationSet,
+    SamplingPattern,
     SignalSpec,
     Zone,
     chain_analysis,
@@ -106,6 +108,19 @@ def test_observation_counts_must_be_ints():
         with pytest.raises(ValueError, match=re.escape(f"pattern {bad} has a count that is not an int")):
             ObservationSet.of(table, [4, 2])
     assert [p.eta for p in ObservationSet.of([[2, 3], (3, 2)], [4, 2]).patterns] == [(2, 3), (3, 2)]
+
+
+def test_pattern_counts_must_be_ints_however_the_set_is_built():
+    """SamplingPattern instances passed to ``of`` and a directly built set
+    are checked too, and the patterns come out distinct and sorted."""
+    with pytest.raises(ValueError, match=re.escape("pattern (2.5, 3) has a count that is not an int")):
+        ObservationSet.of([SamplingPattern((2.5, 3))], [4, 2])
+    with pytest.raises(ValueError, match=re.escape("pattern (True, 3) has a count that is not an int")):
+        ObservationSet(patterns=(SamplingPattern((True, 3)),), amplitudes=(4, 2))
+    direct = ObservationSet(patterns=(SamplingPattern((3, 2)), SamplingPattern((2, 3)), SamplingPattern((3, 2))),
+                            amplitudes=(Fraction(4), Fraction(2)))
+    assert direct == ObservationSet.of([(2, 3), [3, 2]], [4, 2])
+    assert [p.eta for p in direct.patterns] == [(2, 3), (3, 2)]
 
 
 def test_observation_set_without_regions():

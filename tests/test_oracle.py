@@ -1,5 +1,6 @@
 """Brute-force energies, worst-case search, and perturbation probes."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -499,10 +500,21 @@ def _random_fn(rng, lo, hi):
 
 
 def _forced_outcome(fn, g, box, zone, resolution):
-    """The kernel on a member-less zone, with the reference integral it must equal."""
-    pieces = oracle._pieces(fn, zone.lo, zone.hi)
-    want = span_energy_reference(*pieces, amp(g, *zone.regions))
-    return oracle._zone_extremes(*pieces, g, box, zone, resolution), oracle.ZoneOutcome((), want, want, ())
+    """The kernel on a member-less zone, with the reference integral it must
+    equal.  The pieces are built here by definition (the cuts lo, fn's
+    breakpoints inside and hi, fn's value at each midpoint) and put on
+    integers: cuts over N, values and the amplitude over D."""
+    cuts = [Fraction(zone.lo), *(x for x in fn.breakpoints if zone.lo < x < zone.hi), Fraction(zone.hi)]
+    vals = [fn.evaluate((a + b) / 2) for a, b in zip(cuts, cuts[1:])]
+    c = amp(g, *zone.regions)
+    want = span_energy_reference(cuts, vals, c)
+    N = math.lcm(resolution, *(x.denominator for x in cuts))
+    D = math.lcm(*(v.denominator for v in (c, *vals)))
+    top, bottom, argmax = oracle._zone_extremes(
+        [int(x * N) for x in cuts], [int(v * D) for v in vals], [int(c * D)], box, zone, resolution, N // resolution
+    )
+    got = oracle.ZoneOutcome(zone.members, Fraction(top, N * D * D), Fraction(bottom, N * D * D), argmax)
+    return got, oracle.ZoneOutcome((), want, want, ())
 
 
 def test_forced_span_energy_matches_the_piece_integral():
@@ -628,6 +640,38 @@ def test_probe_walk_matches_the_unit_cell_scan():
             assert _outcome(
                 lambda: perturbation_minimax_check(est, g, box, resolution=4, include_known=include_known)
             ) == _outcome(lambda: _reference_probes(est, g, box, 4, include_known))
+
+
+def test_probes_with_fractional_amplitudes_match_the_unit_cell_scan():
+    # amplitudes with denominators 2-9 give the cell values and the gaps a
+    # common denominator D > 1, so a probed value gamma + gap/10 or
+    # gamma + gap/2 lies on 10 D and on no coarser lattice
+    rng = random.Random(29)
+    cases = []
+    while len(cases) < 36:
+        drawn = random_spec(rng, m_range=(1, 4), n_range=(2, 3))
+        g = []
+        while len(g) < drawn.m:
+            c = Fraction(rng.randint(-30, 30), rng.randint(2, 9))
+            if c and (not g or c != g[-1]):
+                g.append(c)
+        spec = validate_spec(SignalSpec.from_columns(g=g, n=drawn.n, f=drawn.f))
+        patterns = enumerate_atlas(spec).patterns
+        k = rng.randrange(len(patterns))
+        observed = (patterns, [patterns[k]], list(patterns[k:k + 2]))[len(cases) % 3]
+        try:
+            model = infer_model(ObservationSet.of(observed, spec.g), rng.randint(0, spec.m))
+            est = estimate_partial(model, spec.g)
+        except AssertionError:   # the known inverted forced-span defect
+            continue
+        cases.append((est, spec.g, feasible_box(model)))
+    assert {v.denominator for est, _, _ in cases for v in est.fn.values} > {1}
+    for est, g, box in cases:
+        for resolution in (2, 3, 7, 12):
+            for include_known in (False, True):
+                assert _outcome(
+                    lambda: perturbation_minimax_check(est, g, box, resolution, include_known)
+                ) == _outcome(lambda: _reference_probes(est, g, box, resolution, include_known))
 
 
 def test_probes_rebuild_no_function(running_spec, monkeypatch):
