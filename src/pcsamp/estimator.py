@@ -3,15 +3,15 @@
 The estimate fills the model's feasible box
 (:func:`pcsamp.inference.feasible_box`) in one pass over its stretches,
 the one tiling of the estimate span.  Each stretch lists the amplitudes
-the truth can take on it, and each cell takes the Chebyshev centre,
-(min + max) / 2, of the amplitudes it can meet.  On a forced span there is
-one, so the estimate copies the known value.  Inside an isolated
-uncertainty interval there are two, and the midpoint minimizes the
-worst-case energy.  Inside a coupled run the interval contents interact:
-the run's boundary unit cells meet two amplitudes, and each interior unit
-cell can see three consecutive ones.  The estimate is minimax on forced
-spans, isolated intervals and chains of two members, but not on chains of
-three or more.
+the truth can take on it.  A coupled run splits into unit cells, unit
+cell j meeting the run's regions j-1, j and j+1 (two at either end);
+every other stretch is one cell meeting all of its regions.  One rule
+fills every cell: it takes the Chebyshev centre, (min + max) / 2, of the
+amplitudes it can meet.  On a forced span there is one, so the estimate
+copies the known value; inside an isolated uncertainty interval there are
+two, and the midpoint minimizes the worst-case energy.  The estimate is
+minimax on forced spans, isolated intervals and chains of two members,
+but not on chains of three or more.
 
 Estimates are piecewise constant on integer grid cells; energies are in
 units of amplitude squared times one grid step.
@@ -49,19 +49,21 @@ def amp(amplitudes: Sequence[Fraction], i: int) -> Fraction:
 class EstimateCell:
     """One constant span of the estimate with its provenance.
 
-    ``indices`` are the amplitude indices that set the value: (i,) for a
-    copied known span, (i, i+1) for a midpoint cell over discontinuity i,
-    and the three consecutive indices for a coupled-run interior cell.
-    Known spans own their endpoints (closed); all other cells are open.
+    ``indices`` are the amplitudes the truth can take on the cell, and
+    ``value`` is their centre, (min + max) / 2.  The ``tag`` is read from
+    their number: (i,) is a copied known span, (i, i+1) a midpoint cell
+    over discontinuity i, and three consecutive indices a coupled-run
+    interior cell.
     """
 
     lo: Fraction
     hi: Fraction
     value: Fraction
-    tag: str
     indices: tuple[int, ...]
-    closed_lo: bool = False
-    closed_hi: bool = False
+
+    @property
+    def tag(self) -> str:
+        return (KNOWN, MIDPOINT, CHAIN_INTERIOR)[len(self.indices) - 1]
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,10 @@ class Estimate:
     point.
 
     ``fn`` is the measure-level function (half-open cells) used for
-    integration; ``value_at`` additionally honors closed known spans so
-    grid-point queries reproduce the forced signal values exactly.
+    integration.  ``value_at`` agrees with it inside cells and lets a known
+    cell own both of its ends, so grid-point queries reproduce the forced
+    signal values exactly; the reference point 0 belongs to the region
+    right of the reference, where the signal takes that region's amplitude.
     """
 
     cells: tuple[EstimateCell, ...]
@@ -101,11 +105,10 @@ class Estimate:
         j = bisect_left(los, t)   # cells[:j] start left of t
         if j and t < cells[j - 1].hi:
             return cells[j - 1].value
-        # t is a cell bound or outside the span: a known cell owning it wins
+        # t is a cell bound or outside the span: a known cell owns both its
+        # ends, but the reference point 0 belongs to region l + 1 alone
         for cell in cells[max(j - 1, 0):bisect_right(los, t)]:
-            if cell.tag == KNOWN and (
-                (t == cell.lo and cell.closed_lo) or (t == cell.hi and cell.closed_hi)
-            ):
+            if cell.tag == KNOWN and t in (cell.lo, cell.hi) and (t != 0 or cell.indices == (self.l + 1,)):
                 return cell.value
         lo, hi = self.span
         if t <= lo or t >= hi:
@@ -115,34 +118,19 @@ class Estimate:
         return self.fn.evaluate(t)
 
 
-def _center_cell(lo: int, hi: int, indices: tuple[int, ...], amplitudes: Sequence[Fraction]) -> EstimateCell:
-    """An open cell at the Chebyshev centre, (min + max) / 2, of the amplitudes
-    it can meet: the midpoint of two, or a chain interior's three."""
-    reachable = [amp(amplitudes, j) for j in indices]
-    if len(reachable) == 2:
-        value, tag = (reachable[0] + reachable[1]) / 2, MIDPOINT
-    else:
-        value, tag = (min(reachable) + max(reachable)) / 2, CHAIN_INTERIOR
-    return EstimateCell(lo=Fraction(lo), hi=Fraction(hi), value=value, tag=tag, indices=indices)
-
-
 def _build_cells(box: FeasibleBox, amplitudes: Sequence[Fraction]) -> tuple[EstimateCell, ...]:
     # one pass over the box's stretches, which come in order, so the cells do too
     cells = []
     for z in box.stretches:
-        if not z.members:   # a forced span; a point span still fixes its grid point's value
-            (i,) = z.regions
-            cells.append(EstimateCell(
-                lo=Fraction(z.lo), hi=Fraction(z.hi), value=amp(amplitudes, i), tag=KNOWN,
-                indices=z.regions, closed_lo=True, closed_hi=(i != box.l),
-            ))
-        elif not z.coupled:   # an isolated interval: one midpoint cell
-            cells.append(_center_cell(z.lo, z.hi, z.regions, amplitudes))
-        else:   # k members hold k + 1 unit cells, cell j meeting regions[j-1:j+2]
-            cells += [
-                _center_cell(z.lo + j, z.lo + j + 1, z.regions[max(j - 1, 0):j + 2], amplitudes)
-                for j in range(len(z.members) + 1)
-            ]
+        if z.coupled:   # k members hold k + 1 unit cells, cell j meeting regions[j-1:j+2]
+            spans = [(z.lo + j, z.lo + j + 1, z.regions[max(j - 1, 0):j + 2]) for j in range(len(z.regions))]
+        else:   # a forced span, a point span included, or an isolated interval
+            spans = [(z.lo, z.hi, z.regions)]
+        for lo, hi, indices in spans:
+            met = [amp(amplitudes, i) for i in indices]
+            low, high = min(met), max(met)
+            value = low if low == high else (low + high) / 2   # the centre of the amplitudes met
+            cells.append(EstimateCell(lo=Fraction(lo), hi=Fraction(hi), value=value, indices=indices))
     return tuple(cells)
 
 

@@ -290,13 +290,15 @@ class FeasibleBox:
         for zone in (*self.zones, None):
             for i in range(first, zone.regions[0] + 1 if zone else self.m + 1):
                 lo, hi = self.G[i - 1][1], self.G[i][0]
-                assert lo <= hi, f"forced span for region {i} is inverted"
+                if lo > hi:   # raised, not asserted, so that it holds under python -O
+                    raise AssertionError(f"forced span for region {i} is inverted")
                 stretches.append(Zone(regions=(i,), lo=lo, hi=hi))
             if zone:
                 stretches.append(zone)
                 first = zone.regions[-1]
         ends = [self.G[0][0], *(z.hi for z in stretches)]   # each stretch starts where the one before ends
-        assert ends == [*(z.lo for z in stretches), self.G[-1][1]], "zones and forced spans must tile the span"
+        if ends != [*(z.lo for z in stretches), self.G[-1][1]]:
+            raise AssertionError("zones and forced spans must tile the span")
         return tuple(stretches)
 
 

@@ -41,7 +41,6 @@ from typing import Iterator, Optional, Sequence, Union
 from .estimator import (
     KNOWN,
     Estimate,
-    amp,
     best_reference,
     closed_form_energy,
     estimate_full,
@@ -311,20 +310,21 @@ def worst_case_energy(
     return WorstCase(value=Fraction(total, scale), witness=witness, stretches=tuple(outcomes))
 
 
-def _auto_deltas(est: Estimate, g: tuple[Fraction, ...], n: int) -> tuple[Fraction, ...]:
-    """Probe magnitudes for unit cell (n-1, n), scaled to the local jump."""
+def _auto_deltas(est: Estimate, amps: Sequence[int], n: int) -> tuple[int, ...]:
+    """Probe shifts for unit cell (n-1, n), scaled to the local jump, on the
+    probe lattice: ``amps`` are the padded amplitudes over D, which 10 divides."""
     k = bisect_right(est.cells, n - 1, key=lambda cell: cell.lo)   # cells[:k] start at or left of n-1
     if not k or est.cells[k - 1].hi < n:
         raise ValueError(f"unit cell ({n - 1}, {n}) lies outside the estimate span")
     cell = est.cells[k - 1]
     if cell.tag == KNOWN:   # the largest jump to a neighbour
         i = cell.indices[0]
-        gap = max(abs(amp(g, i) - amp(g, i - 1)), abs(amp(g, i) - amp(g, i + 1)))
+        gap = max(abs(amps[i] - amps[i - 1]), abs(amps[i] - amps[i + 1]))
     else:   # the spread of the amplitudes the cell can meet
-        reachable = [amp(g, j) for j in cell.indices]
+        reachable = [amps[j] for j in cell.indices]
         gap = max(reachable) - min(reachable)
     assert gap != 0
-    return (gap / 10, -gap / 10, gap / 2, -gap / 2)
+    return (gap // 10, -gap // 10, gap // 2, -gap // 2)
 
 
 def perturbation_minimax_check(
@@ -343,14 +343,14 @@ def perturbation_minimax_check(
     inside the pieces of the stretch that holds it, and only that stretch
     is searched again by :func:`_zone_extremes`, its unperturbed energy
     read from ``WorstCase.stretches``.  The probes share the search's
-    lattice with D scaled by 10, on which every shifted value lies, and
-    compare integers.  A worst case that decreases is recorded as a
-    violation, not raised.
+    lattice with D scaled by 10, on which every shifted value lies: the
+    shifts are read from its amplitudes, and the probes compare integers.
+    A worst case that decreases is recorded as a violation, not raised.
     """
     g = tuple(amplitudes)
     base = worst_case_energy(est, g, box, resolution)
     lattice = _lattice(est.fn, g, resolution, 10)
-    N, D = lattice[:2]
+    N, D, *_, padded = lattice   # padded: the amplitudes over D, zero padded
     scale = N * D * D
     total = _on(base.value, scale)
     probes: list[PerturbationProbe] = []
@@ -363,11 +363,13 @@ def perturbation_minimax_check(
             lo, hi = (n - 1) * N, n * N
             a, b = bisect_left(cuts, lo), bisect_right(cuts, hi)
             gamma = vals[bisect_right(cuts, (lo + hi) // 2) - 1]   # the value at the cell's midpoint
-            for delta in _auto_deltas(est, g, n):
-                probed = (*cuts[:a], lo, hi, *cuts[b:]), (*vals[:a], gamma + _on(delta, D), *vals[b - 1:])
+            for shift in _auto_deltas(est, padded, n):
+                probed = (*cuts[:a], lo, hi, *cuts[b:]), (*vals[:a], gamma + shift, *vals[b - 1:])
                 top = _zone_extremes(*probed, amps, box, z, resolution, N)[0]
                 worst = Fraction(total - own + top, scale)
-                probes.append(PerturbationProbe(cell=n, delta=delta, worst=worst, ok=top >= own, strict=top > own))
+                probes.append(PerturbationProbe(
+                    cell=n, delta=Fraction(shift, D), worst=worst, ok=top >= own, strict=top > own,
+                ))
     return PerturbationReport(worst=base, probes=tuple(probes))
 
 
