@@ -54,7 +54,6 @@ from .estimator import (
     EstimateCell,
     PartialObservations,
     absolute_error_bound,
-    amp,
     best_reference,
     closed_form_energy,
     estimate_full,

@@ -13,6 +13,9 @@ two, and the midpoint minimizes the worst-case energy.  The estimate is
 minimax on forced spans, isolated intervals and chains of two members,
 but not on chains of three or more.
 
+Every function here reads the amplitudes once, checked to number one per
+region, as integers D * g_i over their common denominator D, zero padded.
+
 Estimates are piecewise constant on integer grid cells; energies are in
 units of amplitude squared times one grid step.
 """
@@ -38,11 +41,14 @@ class PartialObservations(ValueError):
     """A full-pattern-set operation received width-two uncertainty."""
 
 
-def amp(amplitudes: Sequence[Fraction], i: int) -> Fraction:
-    """Region amplitude g_i with the zero padding g_0 = g_{m+1} = 0."""
-    if 1 <= i <= len(amplitudes):
-        return amplitudes[i - 1]
-    return Fraction(0)
+def _on_integers(amplitudes: Sequence[RationalLike], m: int) -> tuple[int, list[int]]:
+    """D, the amplitudes' common denominator, and D * g_i for i = 0..m+1,
+    zero padded; raises unless there are exactly m amplitudes."""
+    g = [as_rational(a) for a in amplitudes]
+    if len(g) != m:
+        raise ValueError(f"expected {m} amplitudes, got {len(g)}")
+    D = math.lcm(*(a.denominator for a in g))
+    return D, [0, *(a.numerator * (D // a.denominator) for a in g), 0]
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,7 @@ class Estimate:
         return self.fn.evaluate(t)
 
 
-def _build_cells(box: FeasibleBox, amplitudes: Sequence[Fraction]) -> tuple[EstimateCell, ...]:
+def _build_cells(box: FeasibleBox, D: int, scaled: Sequence[int]) -> tuple[EstimateCell, ...]:
     # one pass over the box's stretches, which come in order, so the cells do too
     cells = []
     for z in box.stretches:
@@ -127,9 +133,8 @@ def _build_cells(box: FeasibleBox, amplitudes: Sequence[Fraction]) -> tuple[Esti
         else:   # a forced span, a point span included, or an isolated interval
             spans = [(z.lo, z.hi, z.regions)]
         for lo, hi, indices in spans:
-            met = [amp(amplitudes, i) for i in indices]
-            low, high = min(met), max(met)
-            value = low if low == high else (low + high) / 2   # the centre of the amplitudes met
+            met = [scaled[i] for i in indices]
+            value = Fraction(min(met) + max(met), 2 * D)   # the centre of the amplitudes met
             cells.append(EstimateCell(lo=Fraction(lo), hi=Fraction(hi), value=value, indices=indices))
     return tuple(cells)
 
@@ -143,11 +148,9 @@ def estimate_partial(model: UncertaintyModel, amplitudes: Sequence[RationalLike]
     Handles the degenerate all-width-one case identically to
     :func:`estimate_full`.
     """
-    g = tuple(as_rational(a) for a in amplitudes)
-    if len(g) != model.m:
-        raise ValueError(f"expected {model.m} amplitudes, got {len(g)}")
+    D, scaled = _on_integers(amplitudes, model.m)
     box = feasible_box(model)
-    cells = _build_cells(box, g)
+    cells = _build_cells(box, D, scaled)
     wide = [c for c in cells if c.lo < c.hi]
     breakpoints = tuple([wide[0].lo] + [c.hi for c in wide])
     fn = PiecewiseFunction(breakpoints=breakpoints, values=tuple(c.value for c in wide))
@@ -175,16 +178,12 @@ def closed_form_energy(
     Each discontinuity i contributes width_i * ((g_i - g_{i+1}) / 2)^2,
     width_i being the width of its interval ``model.G[i]``: 1 or 2, and 0
     for the reference.  With chains present there is no closed form and
-    None is returned.  The terms are summed as integers over D, the
-    amplitudes' common denominator, and one Fraction is built at the end.
+    None is returned.  The terms are summed over the estimator's integer
+    amplitude table, D * g_i, and one Fraction is built at the end.
     """
-    g = tuple(as_rational(a) for a in amplitudes)
-    if len(g) != model.m:
-        raise ValueError(f"expected {model.m} amplitudes, got {len(g)}")
+    D, scaled = _on_integers(amplitudes, model.m)
     if not model.chains.empty:
         return None
-    D = math.lcm(*(a.denominator for a in g))
-    scaled = [0, *(a.numerator * (D // a.denominator) for a in g), 0]   # D * g_i, zero padded
     total = sum((hi - lo) * (scaled[i] - scaled[i + 1]) ** 2 for i, (lo, hi) in enumerate(model.G))
     return Fraction(total, 4 * D * D)
 
@@ -196,13 +195,9 @@ def best_reference(amplitudes: Sequence[RationalLike]) -> int:
     k = 0..m (with zero padding outside the support); ties go to the
     smallest index.
     """
-    g = tuple(as_rational(a) for a in amplitudes)
-    best_k, best_jump = 0, None
-    for k in range(len(g) + 1):
-        jump = abs(amp(g, k) - amp(g, k + 1))
-        if best_jump is None or jump > best_jump:
-            best_k, best_jump = k, jump
-    return best_k
+    _, scaled = _on_integers(amplitudes, len(amplitudes))
+    # max returns the first of equal keys, so ties go to the smallest index
+    return max(range(len(scaled) - 1), key=lambda k: abs(scaled[k] - scaled[k + 1]))
 
 
 def absolute_error_bound(
@@ -219,12 +214,12 @@ def absolute_error_bound(
     """
     if model.U:
         raise PartialObservations("the absolute-error bound assumes width-one intervals throughout")
-    g = tuple(as_rational(a) for a in amplitudes)
+    D, scaled = _on_integers(amplitudes, model.m)
     expected = {i for i in range(model.m + 1) if i != model.l}
     if set(ghat) != expected:
         raise ValueError(f"need one constant per index in {sorted(expected)}")
-    total = Fraction(0)
+    total = Fraction(0)   # over D
     for i in expected:
-        c = as_rational(ghat[i])
-        total += max(abs(c - amp(g, i)), abs(c - amp(g, i + 1)))
-    return total
+        c = D * as_rational(ghat[i])
+        total += max(abs(c - scaled[i]), abs(c - scaled[i + 1]))
+    return total / D

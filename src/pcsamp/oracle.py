@@ -205,9 +205,8 @@ def _zone_extremes(
     before it, and so on.
     """
     members, r, step = zone.members, resolution, N // resolution
-    assert all(
-        zone.lo <= box.G[i][0] and box.G[i][1] <= zone.hi for i in members
-    ), "zone members must lie inside the zone"
+    if not all(zone.lo <= box.G[i][0] and box.G[i][1] <= zone.hi for i in members):
+        raise ValueError("zone members must lie inside the zone")
 
     def integral(c: int, x: int) -> int:
         """(c - f)^2 integrated from the zone's start to x/N, over N * D^2."""
@@ -323,7 +322,8 @@ def _auto_deltas(est: Estimate, amps: Sequence[int], n: int) -> tuple[int, ...]:
     else:   # the spread of the amplitudes the cell can meet
         reachable = [amps[j] for j in cell.indices]
         gap = max(reachable) - min(reachable)
-    assert gap != 0
+    if gap == 0:
+        raise ValueError(f"unit cell ({n - 1}, {n}) meets no amplitude jump to scale its probes to")
     return (gap // 10, -gap // 10, gap // 2, -gap // 2)
 
 

@@ -23,6 +23,13 @@ def F(*args) -> Fraction:
     return Fraction(*args)
 
 
+def amp(amplitudes, i: int) -> Fraction:
+    """Region amplitude g_i with the zero padding g_0 = g_{m+1} = 0."""
+    if 1 <= i <= len(amplitudes):
+        return amplitudes[i - 1]
+    return Fraction(0)
+
+
 def with_value(fn: PiecewiseFunction, lo, hi, value) -> PiecewiseFunction:
     """``fn`` forced to ``value`` on [lo, hi), by definition: split at every
     breakpoint and both ends, and override each piece whose midpoint lies

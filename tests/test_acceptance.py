@@ -12,12 +12,12 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import amp
 
 from pcsamp import (
     ObservationSet,
     SignalSpec,
     absolute_error_bound,
-    amp,
     best_reference,
     closed_form_energy,
     count_direct,

@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import amp
 
 from pcsamp import (
     ObservationSet,
     PartialObservations,
     SignalSpec,
     absolute_error_bound,
-    amp,
     best_reference,
     closed_form_energy,
     energy_between,
@@ -157,9 +157,20 @@ def test_closed_form_matches_fraction_sum():
     assert all(count > 50 for count in kinds.values()), kinds
 
 
-def test_closed_form_needs_one_amplitude_per_region(running_spec):
-    with pytest.raises(ValueError, match="expected 2 amplitudes, got 1"):
-        closed_form_energy(_full_model(running_spec, 0), [4])
+def _bound_at_midpoints(model, g):
+    return absolute_error_bound(model, g, {1: 3, 2: 1})   # the midpoints for g = (4, 2)
+
+
+@pytest.mark.parametrize("g", [[4], [4, 2, 7]], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "read",
+    [estimate_partial, closed_form_energy, _bound_at_midpoints],
+    ids=["estimate_partial", "closed_form_energy", "absolute_error_bound"],
+)
+def test_closed_form_needs_one_amplitude_per_region(running_spec, read, g):
+    # every reader of the amplitudes checks their count against the regions
+    with pytest.raises(ValueError, match=f"expected 2 amplitudes, got {len(g)}"):
+        read(_full_model(running_spec, 0), g)
 
 
 def test_closed_form_unavailable_with_chains():
@@ -171,6 +182,7 @@ def test_best_reference_examples():
     assert best_reference([4, 2]) == 0      # jumps 4, 2, 2
     assert best_reference([1, 5]) == 2      # jumps 1, 4, 5
     assert best_reference([5]) == 0         # symmetric jumps tie to the smallest index
+    assert best_reference(["1/2", "1", "1/2"]) == 0   # four jumps of 1/2 tie
 
 
 def test_best_reference_matches_energy_argmin():
@@ -368,22 +380,26 @@ def _cells_or_error(build):
 
 
 def test_cells_fill_the_box_as_the_side_rule_did():
-    rng = random.Random(29)
+    # the signal's own integer amplitudes, and fractional ones with
+    # denominators 2-9 on the same models (inference reads only the patterns)
+    rng, amp_rng = random.Random(29), random.Random(31)
     seen = {"raised": 0, "chain": 0, "point": 0}
     for _ in range(60):
         spec = random_spec(rng, m_range=(1, 6), n_range=(2, 4))
+        fractional = tuple(Fraction(amp_rng.randint(-9, 9), amp_rng.randint(2, 9)) for _ in range(spec.m))
         patterns = enumerate_atlas(spec).patterns
         observed = [patterns] + [[p] for p in patterns] + [patterns[k:k + 2] for k in range(len(patterns) - 1)]
         for subset in observed:
             obs = ObservationSet.of(subset, spec.g)
             for l in range(spec.m + 1):
                 model = infer_model(obs, l)
-                got = _cells_or_error(lambda: [
-                    (c.lo, c.hi, c.value, c.tag, c.indices)
-                    for c in estimate_partial(model, spec.g).cells
-                ])
-                want = _cells_or_error(lambda: _side_rule_cells(model, spec.g))
-                assert got == want, (spec, subset, l)
+                for g in (spec.g, fractional):
+                    got = _cells_or_error(lambda: [
+                        (c.lo, c.hi, c.value, c.tag, c.indices)
+                        for c in estimate_partial(model, g).cells
+                    ])
+                    want = _cells_or_error(lambda: _side_rule_cells(model, g))
+                    assert got == want, (spec, g, subset, l)
                 seen["raised"] += isinstance(want, str)
                 seen["chain"] += not model.chains.empty
                 seen["point"] += not isinstance(want, str) and any(c[0] == c[1] for c in want)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import span_energy_reference, with_value
+from conftest import amp, span_energy_reference, with_value
 
 from pcsamp import (
     CheckResult,
@@ -32,7 +32,7 @@ from pcsamp import (
     worst_case_energy,
 )
 from pcsamp import estimator, oracle
-from pcsamp.estimator import CHAIN_INTERIOR, MIDPOINT, amp
+from pcsamp.estimator import CHAIN_INTERIOR, MIDPOINT
 
 
 def _full_model(spec, l):
@@ -489,6 +489,18 @@ def test_empty_feasible_set_on_the_second_step():
         worst_case_energy(fn, g, box, 4)
 
 
+def test_zone_member_outside_its_zone_raises():
+    # member 2's interval (1, 10) runs past the zone's end at 4
+    box = FeasibleBox(
+        l=0,
+        G=((0, 0), (1, 2), (1, 10), (3, 4)),
+        zones=(Zone(regions=(1, 2, 3, 4), lo=1, hi=4),),
+    )
+    fn = PiecewiseFunction((Fraction(0), Fraction(4)), (Fraction(1),))
+    with pytest.raises(ValueError, match="zone members must lie inside the zone"):
+        worst_case_energy(fn, (Fraction(2), Fraction(1), Fraction(3)), box, 4)
+
+
 def _random_fn(rng, lo, hi):
     """A piecewise constant function over about [lo, hi], breakpoint
     denominators 1-9."""
@@ -705,6 +717,14 @@ def test_probe_of_a_box_cell_no_estimate_cell_covers(running_spec):
     )
     with pytest.raises(ValueError, match=rf"unit cell \({zone.hi - 1}, {zone.hi}\) lies outside"):
         perturbation_minimax_check(gap, running_spec.g, box, resolution=4)
+
+
+def test_probe_of_a_cell_with_no_amplitude_jump_raises():
+    # the interval between two equal amplitudes has no jump to scale a probe to
+    g = (Fraction(2), Fraction(2))
+    est = estimate_partial(infer_model(ObservationSet.of([(3, 1), (3, 2)], g), 0), g)
+    with pytest.raises(ValueError, match=r"unit cell \(2, 3\) meets no amplitude jump"):
+        perturbation_minimax_check(est, g, est.box)
 
 
 _PASSED = {
