@@ -4,7 +4,9 @@ One scenario JSON file per invocation; subcommands cover each pipeline
 stage.  All numeric output is exact rational text unless --float asks for
 12-significant-digit decimals.  Each subcommand builds its result once, a
 JSON payload plus table rows, and :func:`_render` prints it as JSON, CSV
-or an aligned table.
+or an aligned table.  JSON output keeps the layout of ``json.dumps``
+with ``indent=2``, one value per line, so it reads in a terminal and
+diffs line by line; :func:`_json_text` writes that text in one pass.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid scenario,
 3 inconsistent observations.
@@ -18,6 +20,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
 from .estimator import best_reference, closed_form_energy, estimate_partial
@@ -174,6 +177,38 @@ def _fmt(value, as_float: bool) -> str:
     return str(value)
 
 
+def _json_text(value, default, pad: str = "\n") -> str:
+    """The text of ``json.dumps`` with ``indent=2`` and ``default``, in one pass.
+
+    ``json.dumps`` with ``indent`` set always runs the pure-Python encoder.
+    Dicts (with str keys) and lists recurse; strings go through the
+    escaper that ``json.dumps`` itself uses, ints through ``int.__repr__``
+    (a list of ints, such as a pattern, in one ``map``), floats, bools and
+    None through the stdlib, and anything else through ``default`` first.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple, dict)):
+        if not value:
+            return "[]" if isinstance(value, (list, tuple)) else "{}"
+        inner = pad + "  "
+        sep = "," + inner
+        if isinstance(value, dict):
+            body = sep.join(f"{encode_basestring_ascii(k)}: {_json_text(v, default, inner)}"
+                            for k, v in value.items())
+            return f"{{{inner}{body}{pad}}}"
+        if set(map(type, value)) == {int}:
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join(_json_text(v, default, inner) for v in value)
+        return f"[{inner}{body}{pad}]"
+    if type(value) is int:
+        return int.__repr__(value)
+    if value is None or isinstance(value, (int, float)):   # bools are ints
+        return json.dumps(value)
+    return _json_text(default(value), default, pad)
+
+
 def _render(args, payload: dict, headers: list[str], rows: list[list], notes: Sequence[str] = ()) -> None:
     """Print one result as ``args.format`` asks.
 
@@ -181,8 +216,8 @@ def _render(args, payload: dict, headers: list[str], rows: list[list], notes: Se
     aligned table prints them too, followed by the table-only ``notes``.
     """
     if args.format == "json":
-        # json calls default on each Fraction, the one type it cannot encode
-        print(json.dumps(payload, indent=2, default=_float if args.float else str))
+        # default is called on each Fraction, the one type JSON cannot encode
+        print(_json_text(payload, _float if args.float else str))
         return
     cells = [[_fmt(v, args.float) for v in row] for row in rows]
     if args.format == "csv":
@@ -422,8 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("estimate", help="build the piecewise constant estimate")
     _add_common(sub)
-    sub.add_argument("--ref", type=int, help="reference discontinuity index")
-    sub.add_argument("--sweep", action="store_true", help="tabulate energies for every reference")
+    ref_or_sweep = sub.add_mutually_exclusive_group()
+    ref_or_sweep.add_argument("--ref", type=int, help="reference discontinuity index")
+    ref_or_sweep.add_argument("--sweep", action="store_true", help="tabulate energies for every reference")
     sub.add_argument("--observations", help='"all" or a JSON/CSV observations file')
     sub.set_defaults(func=cmd_estimate)
 

@@ -4,6 +4,8 @@ import contextlib
 import csv
 import io
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -197,6 +199,33 @@ def test_estimate_csv_columns(running_file, capsys):
 
 def test_estimate_needs_ref_or_sweep(running_file, capsys):
     assert main(["estimate", running_file]) == 2
+    assert capsys.readouterr().err == "ScenarioError estimate needs --ref L or --sweep\n"
+
+
+@pytest.mark.parametrize("flags", [["--sweep", "--ref", "99"], ["--ref", "0", "--sweep"]])
+def test_estimate_ref_and_sweep_are_exclusive(running_file, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", running_file, *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
+def test_repeated_calls_in_one_process_leak_no_state(running_file, capsys):
+    first = ["sweep-ref", running_file, "--format", "json"]
+    assert main(first) == 0
+    swept = capsys.readouterr().out
+    assert main(["estimate", running_file, "--ref", "0", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "cells" in payload and "energies" not in payload
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["infer", running_file])
+        assert exc.value.code == 2
+        assert "required: --ref" in capsys.readouterr().err
+    assert main(first) == 0
+    assert capsys.readouterr().out == swept
 
 
 def test_estimate_sweep(running_file, capsys):
@@ -239,6 +268,40 @@ def test_float_rendering(running_file, capsys):
     out = capsys.readouterr().out
     assert "0.75" in out
     assert "3/4" not in out
+
+
+def _leaf_pairs(exact, approx):
+    if isinstance(exact, dict):
+        assert approx.keys() == exact.keys()
+        for key in exact:
+            yield from _leaf_pairs(exact[key], approx[key])
+    elif isinstance(exact, list):
+        assert len(approx) == len(exact)
+        for pair in zip(exact, approx):
+            yield from _leaf_pairs(*pair)
+    else:
+        yield exact, approx
+
+
+@pytest.mark.parametrize("argv", [["patterns"], ["estimate", "--ref", "0"]])
+def test_float_json_numbers_are_the_exact_fractions(running_file, capsys, argv):
+    command = [argv[0], running_file, *argv[1:], "--format", "json"]
+    assert main(command) == 0
+    exact = json.loads(capsys.readouterr().out)
+    assert main([*command, "--float"]) == 0
+    approx = json.loads(capsys.readouterr().out)
+    floats = 0
+    for e, a in _leaf_pairs(exact, approx):
+        try:
+            value = Fraction(e) if isinstance(e, str) else None
+        except ValueError:
+            value = None
+        if value is None:
+            assert a == e and type(a) is type(e)
+        else:
+            assert type(a) is float and a == float(value)
+            floats += 1
+    assert floats > 0
 
 
 @pytest.mark.parametrize("flags", [["--ref", "0"], ["--sweep", "--format", "json"]])
@@ -486,3 +549,29 @@ def test_any_observations_file_exits_cleanly(running_dir, content, suffix):
         code = main(["infer", str(running_dir / "running.json"), "--ref", "0",
                      "--observations", str(obs)])
     assert code in (0, 2, 3)
+
+
+_JSON_LEAVES = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(['"', "\\", '"\\"\n\t\x00\x1f', "é€😀", "\u2028"]),
+    st.fractions(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300]),
+    st.lists(st.integers(), min_size=1),
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@pytest.mark.parametrize("default", [str, float])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(value=_JSON_TREES)
+def test_json_writer_equals_the_stdlib(default, value):
+    assert cli._json_text(value, default) == json.dumps(value, indent=2, default=default)
