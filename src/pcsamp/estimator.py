@@ -14,7 +14,8 @@ minimax on forced spans, isolated intervals and chains of two members,
 but not on chains of three or more.
 
 Every function here reads the amplitudes once, checked to number one per
-region, as integers D * g_i over their common denominator D, zero padded.
+region, as integers D * g_i over their common denominator D, zero padded;
+the oracle's searches read the same table.
 
 Estimates are piecewise constant on integer grid cells; energies are in
 units of amplitude squared times one grid step.
@@ -22,7 +23,6 @@ units of amplitude squared times one grid step.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .inference import FeasibleBox, UncertaintyModel, feasible_box
-from .signal_core import PiecewiseFunction, RationalLike, as_rational
+from .signal_core import PiecewiseFunction, RationalLike, as_rational, on_lattice
 
 KNOWN = "known"
 MIDPOINT = "midpoint"
@@ -47,8 +47,8 @@ def _on_integers(amplitudes: Sequence[RationalLike], m: int) -> tuple[int, list[
     g = [as_rational(a) for a in amplitudes]
     if len(g) != m:
         raise ValueError(f"expected {m} amplitudes, got {len(g)}")
-    D = math.lcm(*(a.denominator for a in g))
-    return D, [0, *(a.numerator * (D // a.denominator) for a in g), 0]
+    D, scaled = on_lattice(g)
+    return D, [0, *scaled, 0]
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,10 @@ The search runs on integers, on one lattice per search: every position
 is an integer over N, the lcm of the grid resolution R and the
 denominators of the estimate's breakpoints, every value one over D, the
 common denominator of the amplitudes and the estimate's values, and every
-integral of (c - estimate)^2 one over N * D^2.  The perturbation probes
-share one lattice with D scaled by 10.  Fractions are built only for the
+integral of (c - estimate)^2 one over N * D^2.  The amplitudes are the
+estimator's checked, zero-padded table, rescaled onto D, and
+:func:`pcsamp.signal_core.on_lattice` builds every lattice.  The
+perturbation probes share one lattice with D scaled by 10.  Fractions are built only for the
 results.  Between the estimate's cuts the energy is linear in each
 discontinuity, and the constraints are integer bounds and differences, so
 every extreme sits at a vertex of the grid's feasible set.  The sweep
@@ -41,6 +43,7 @@ from typing import Iterator, Optional, Sequence, Union
 from .estimator import (
     KNOWN,
     Estimate,
+    _on_integers,
     best_reference,
     closed_form_energy,
     estimate_full,
@@ -53,6 +56,7 @@ from .signal_core import (
     PiecewiseFunction,
     SignalSpec,
     find_genericity_violation,
+    on_lattice,
     translate,
     truth_function,
     validate_spec,
@@ -148,20 +152,19 @@ def energy_between(a: PiecewiseFunction, b: PiecewiseFunction) -> Fraction:
     return total
 
 
-def _on(v: Fraction, d: int) -> int:
-    """``v`` as an integer over ``d``, which its denominator divides."""
-    return v.numerator * (d // v.denominator)
-
-
-def _lattice(fn: PiecewiseFunction, g: Sequence[Fraction], resolution: int, d_scale: int = 1) -> tuple:
+def _lattice(
+    fn: PiecewiseFunction, amplitudes: Sequence[Fraction], box: FeasibleBox, resolution: int, d_scale: int = 1,
+) -> tuple:
     """(N, D, breakpoints, values, amplitudes): fn's breakpoints over N, the
     lcm of R and their denominators, and fn's values and the amplitudes over
     D, ``d_scale`` times the lcm of their denominators.  The values carry
-    fn's zero on either side and the amplitudes the padding g_0 = g_{m+1} = 0."""
-    N = math.lcm(resolution, *(x.denominator for x in fn.breakpoints))
-    D = d_scale * math.lcm(*(v.denominator for v in (*g, *fn.values)))
-    xs = [_on(x, N) for x in fn.breakpoints]
-    return N, D, xs, [0, *(_on(v, D) for v in fn.values), 0], [0, *(_on(c, D) for c in g), 0]
+    fn's zero on either side; the amplitudes are the estimator's checked,
+    zero-padded table (one per region of ``box``), rescaled onto D."""
+    Dg, amps = _on_integers(amplitudes, box.m)
+    N, xs = on_lattice(fn.breakpoints, resolution)
+    Dv, vals = on_lattice(fn.values, Dg)
+    D = d_scale * Dv
+    return N, D, xs, [0, *(d_scale * v for v in vals), 0], [a * (D // Dg) for a in amps]
 
 
 def _pieces(lattice: tuple, zone: Zone) -> tuple[list[int], list[int], list[int]]:
@@ -171,8 +174,7 @@ def _pieces(lattice: tuple, zone: Zone) -> tuple[list[int], list[int], list[int]
     N, _, xs, fs, cs = lattice
     lo, hi = zone.lo * N, zone.hi * N
     first, last = bisect_right(xs, lo), bisect_left(xs, hi)
-    amps = [cs[i] if 0 <= i < len(cs) else 0 for i in zone.regions]
-    return [lo, *xs[first:last], hi], fs[first:last + 1], amps
+    return [lo, *xs[first:last], hi], fs[first:last + 1], [cs[i] for i in zone.regions]
 
 
 def _zone_extremes(
@@ -295,7 +297,7 @@ def worst_case_energy(
     """
     if resolution < 2:
         raise ValueError("need at least 2 grid points per unit interval")
-    lattice = _lattice(est.fn if isinstance(est, Estimate) else est, tuple(amplitudes), resolution)
+    lattice = _lattice(est.fn if isinstance(est, Estimate) else est, amplitudes, box, resolution)
     N, D = lattice[:2]
     scale = N * D * D
     total, outcomes, witness = 0, [], {box.l: Fraction(0)}
@@ -349,16 +351,17 @@ def perturbation_minimax_check(
     """
     g = tuple(amplitudes)
     base = worst_case_energy(est, g, box, resolution)
-    lattice = _lattice(est.fn, g, resolution, 10)
+    lattice = _lattice(est.fn, g, box, resolution, 10)
     N, D, *_, padded = lattice   # padded: the amplitudes over D, zero padded
     scale = N * D * D
-    total = _on(base.value, scale)
+    # the worst case and each stretch's share of it as integers over scale, which their denominators divide
+    parts = (base.value, *(o.max_energy for o in base.stretches))
+    total, *shares = (v.numerator * (scale // v.denominator) for v in parts)
     probes: list[PerturbationProbe] = []
-    for z, outcome in zip((z for z in box.stretches if z.lo < z.hi), base.stretches):
+    for z, own in zip((z for z in box.stretches if z.lo < z.hi), shares):
         if not (z.members or include_known):
             continue
         cuts, vals, amps = _pieces(lattice, z)
-        own = _on(outcome.max_energy, scale)   # this stretch's share of the worst case
         for n in range(z.lo + 1, z.hi + 1):
             lo, hi = (n - 1) * N, n * N
             a, b = bisect_left(cuts, lo), bisect_right(cuts, hi)

@@ -4,7 +4,8 @@ All positions and lengths are kept in units of the sampling interval, so
 every quantity is a `fractions.Fraction` and every comparison is exact.
 Hot paths work on the signal's lattice instead: positions scaled by L,
 the lcm of the fractional parts' denominators, are plain integers (see
-:attr:`SignalSpec.lattice`).  The physical interval only matters when
+:attr:`SignalSpec.lattice`); :func:`on_lattice` builds this lattice and
+every other one in the package.  The physical interval only matters when
 results are rendered back to scenario units, which is the command-line
 layer's job.
 
@@ -25,6 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -75,16 +77,11 @@ class GenericityViolation(SpecViolation):
         )
 
 
-def lattice_prefix(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """Common denominator L of ``values`` and their prefix sums on the 1/L lattice.
-
-    Returns (L, (L*0, L*v_1, L*(v_1+v_2), ...)) with every entry an int.
-    """
-    L = math.lcm(*(v.denominator for v in values))
-    pts = [0]
-    for v in values:
-        pts.append(pts[-1] + v.numerator * (L // v.denominator))
-    return L, tuple(pts)
+def on_lattice(values: Sequence[Fraction], multiple: int = 1) -> tuple[int, list[int]]:
+    """L, the lcm of ``multiple`` and the denominators of ``values``, and
+    each value as an integer over L: (L, [L*v_1, L*v_2, ...])."""
+    L = math.lcm(multiple, *(v.denominator for v in values))
+    return L, [v.numerator * (L // v.denominator) for v in values]
 
 
 class Lattice(NamedTuple):
@@ -139,7 +136,8 @@ class SignalSpec:
     @cached_property
     def lattice(self) -> Lattice:
         """L with L * (f_1 + ... + f_k) and L * P_k for k = 0..m, all as ints."""
-        L, f_prefix = lattice_prefix(self.f)
+        L, f = on_lattice(self.f)
+        f_prefix = tuple(accumulate(f, initial=0))
         return Lattice(
             L, f_prefix, tuple(L * nk - fk for nk, fk in zip(self.n_prefix, f_prefix))
         )
@@ -147,10 +145,7 @@ class SignalSpec:
     @cached_property
     def n_prefix(self) -> tuple[int, ...]:
         """Prefix sums of the integer parts for k = 0..m."""
-        pts = [0]
-        for ni in self.n:
-            pts.append(pts[-1] + ni)
-        return tuple(pts)
+        return tuple(accumulate(self.n, initial=0))
 
     @cached_property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -168,7 +163,8 @@ def find_genericity_violation(fractions: Sequence[Fraction]) -> Optional[tuple[i
     its two bounding prefix sums agree mod L, so one right-to-left pass
     remembering the nearest later index of each residue finds it in O(m).
     """
-    L, prefix = lattice_prefix(fractions)
+    L, f = on_lattice(fractions)
+    prefix = list(accumulate(f, initial=0))
     nearest: dict[int, int] = {}
     hit = None
     for start in range(len(prefix) - 1, -1, -1):

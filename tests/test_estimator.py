@@ -18,10 +18,12 @@ from pcsamp import (
     estimate_full,
     estimate_partial,
     infer_model,
+    perturbation_minimax_check,
     random_spec,
     translate,
     truth_function,
     validate_spec,
+    worst_case_energy,
 )
 
 
@@ -161,11 +163,27 @@ def _bound_at_midpoints(model, g):
     return absolute_error_bound(model, g, {1: 3, 2: 1})   # the midpoints for g = (4, 2)
 
 
-@pytest.mark.parametrize("g", [[4], [4, 2, 7]], ids=["short", "long"])
+def _worst_case_of_the_right_estimate(model, g):
+    est = estimate_full(model, [4, 2])
+    return worst_case_energy(est, g, est.box, 12)
+
+
+def _probes_of_the_right_estimate(model, g):
+    est = estimate_full(model, [4, 2])
+    return perturbation_minimax_check(est, g, est.box, resolution=12)
+
+
+@pytest.mark.parametrize("g", [[4], [4, 2, 7], []], ids=["short", "long", "empty"])
 @pytest.mark.parametrize(
     "read",
-    [estimate_partial, closed_form_energy, _bound_at_midpoints],
-    ids=["estimate_partial", "closed_form_energy", "absolute_error_bound"],
+    [
+        estimate_partial, closed_form_energy, _bound_at_midpoints,
+        _worst_case_of_the_right_estimate, _probes_of_the_right_estimate,
+    ],
+    ids=[
+        "estimate_partial", "closed_form_energy", "absolute_error_bound",
+        "worst_case_energy", "perturbation_minimax_check",
+    ],
 )
 def test_closed_form_needs_one_amplitude_per_region(running_spec, read, g):
     # every reader of the amplitudes checks their count against the regions

@@ -266,6 +266,19 @@ def test_empty_feasible_set():
         worst_case_energy(fn, (Fraction(2), Fraction(1)), box, 4)
 
 
+@pytest.mark.parametrize(
+    "resolution, error",
+    [(0, ValueError), (1, ValueError), (True, ValueError), (12.0, TypeError)],
+    ids=["zero", "one", "bool", "float"],
+)
+@pytest.mark.parametrize("search", [worst_case_energy, perturbation_minimax_check])
+def test_searches_reject_a_bad_resolution(running_spec, search, resolution, error):
+    # fewer than 2 grid points per unit, or a float, which would build an inexact lattice
+    est = estimate_full(_full_model(running_spec, 0), running_spec.g)
+    with pytest.raises(error):
+        search(est, running_spec.g, est.box, resolution)
+
+
 def test_verify_scenario_never_raises():
     rng = random.Random(0)
     for _ in range(100):

@@ -17,6 +17,7 @@ from pcsamp import (
     truth_function,
     validate_spec,
 )
+from pcsamp.signal_core import on_lattice
 
 
 def test_smallest_legal_signal_validates():
@@ -62,6 +63,21 @@ def test_genericity_matches_brute_force():
         hits += expected is not None
         assert find_genericity_violation(fractions) == expected
     assert 100 < hits < 390
+
+
+def test_on_lattice_is_the_least_common_lattice():
+    rng = random.Random(23)
+    for _ in range(200):
+        values = [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(rng.randint(0, 5))]
+        multiple = rng.randint(1, 6)
+        L, ints = on_lattice(values, multiple)
+        assert [Fraction(k, L) for k in ints] == values
+        # L is a common multiple of multiple and the denominators, and no L // p is
+        divisors = [multiple, *(v.denominator for v in values)]
+        assert all(L % d == 0 for d in divisors)
+        assert not any(all(L // p % d == 0 for d in divisors) for p in (2, 3, 5, 7, 11) if L % p == 0)
+    with pytest.raises(TypeError):   # a float multiple would build an inexact lattice
+        on_lattice([Fraction(1, 2)], 12.0)
 
 
 def test_running_signal_validates(running_spec):
