@@ -18,6 +18,13 @@ Internally positions are integers on the signal's 1/L lattice
 integers; :func:`delta_chain` works on the common lattice M = lcm(L, q)
 of the signal and the offset.  Fractions appear only in arguments and
 results.
+
+The carry rule lives in one place.  :func:`cumulative_count`,
+:func:`kappa_d` and :func:`enumerate_atlas` read the signal's run table
+(:attr:`SignalSpec.run_table`), whose row i holds the integer pair
+(d, L * threshold) of every run i..i+K.  Rows are cached per signal and
+built per starting region on first use, so a count is two index reads and
+one integer comparison, and the atlas builds row 1 only.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .signal_core import (
     RationalLike,
     SignalSpec,
     as_rational,
+    find_genericity_violation,
 )
 
 
@@ -98,6 +106,28 @@ def count_direct(spec: SignalSpec, delta1: RationalLike) -> SamplingPattern:
     return SamplingPattern(tuple(hi - lo for lo, hi in zip(below, below[1:])))
 
 
+def _run_row(spec: SignalSpec, i: int) -> tuple[tuple[int, int], ...]:
+    """Row i of :attr:`SignalSpec.run_table`, built on its first use.
+
+    Entry K is (d, L * threshold) for the run i..i+K.  With the run's
+    fractional parts summing to kappa + r/L (0 <= r < L), d is its summed
+    integer parts minus kappa and the threshold 1 + kappa - sum(f) is
+    (L - r)/L.  The caller checks 1 <= i <= m.
+    """
+    L, rows = spec.run_table
+    row = rows[i]
+    if row is None:
+        f_prefix = spec.lattice.f_prefix
+        n_prefix = spec.n_prefix
+        f0, n0 = f_prefix[i - 1], n_prefix[i - 1]
+        entries = []
+        for fj, nj in zip(f_prefix[i:], n_prefix[i:]):
+            kappa, r = divmod(fj - f0, L)
+            entries.append((nj - n0 - kappa, L - r))
+        row = rows[i] = tuple(entries)
+    return row
+
+
 def kappa_d(spec: SignalSpec, i: int, span: int) -> tuple[int, int]:
     """Integer carry and nominal count for regions i .. i+span (1-based).
 
@@ -105,13 +135,12 @@ def kappa_d(spec: SignalSpec, i: int, span: int) -> tuple[int, int]:
     summed integer parts minus kappa.  The cumulative sample count over
     the run is always d or d - 1.
     """
-    L, f_prefix, _ = spec.lattice
-    j = i + span
-    if i < 1 or span < 0 or j >= len(f_prefix):
-        raise IndexError(f"region run i={i}, K={span} outside 1..{spec.m}")
-    kappa = (f_prefix[j] - f_prefix[i - 1]) // L
     n_prefix = spec.n_prefix
-    return kappa, n_prefix[j] - n_prefix[i - 1] - kappa
+    j = i + span
+    if i < 1 or span < 0 or j >= len(n_prefix):
+        raise IndexError(f"region run i={i}, K={span} outside 1..{spec.m}")
+    d = _run_row(spec, i)[span][0]
+    return n_prefix[j] - n_prefix[i - 1] - d, d
 
 
 def cumulative_count(spec: SignalSpec, i: int, span: int, delta_i: RationalLike) -> int:
@@ -122,22 +151,22 @@ def cumulative_count(spec: SignalSpec, i: int, span: int, delta_i: RationalLike)
     1 + kappa - sum(f), and drops by one at and beyond it (ties take the
     lower branch, matching the half-open placement rule).
     """
-    # the hot call of every count check: one coercion, one range check and
-    # one bounds check, inline
-    delta = as_rational(delta_i)
+    # the hot call of every count check: the checks come first, so a call
+    # that raises builds no row; then two index reads and one comparison.
+    # An exact Fraction, the usual offset, skips the call to as_rational.
+    delta = delta_i if type(delta_i) is Fraction else as_rational(delta_i)
     p, q = delta.as_integer_ratio()
     if not 0 <= p < q:
         raise ValueError(f"grid offset must lie in [0, 1), got {delta}")
-    L, f_prefix, _ = spec.lattice
-    j = i + span
-    if i < 1 or span < 0 or j >= len(f_prefix):
+    L, rows = spec.run_table
+    if i < 1 or span < 0 or i + span >= len(rows):
         raise IndexError(f"region run i={i}, K={span} outside 1..{spec.m}")
-    f_sum = f_prefix[j] - f_prefix[i - 1]
-    kappa = f_sum // L
-    n_prefix = spec.n_prefix
-    d = n_prefix[j] - n_prefix[i - 1] - kappa
-    # p/q < (L * (1 + kappa) - f_sum) / L, cross-multiplied
-    return d if p * L < (L * (1 + kappa) - f_sum) * q else d - 1
+    row = rows[i]
+    if row is None:
+        row = _run_row(spec, i)
+    d, theta = row[span]
+    # p/q < theta/L, cross-multiplied
+    return d if p * L < theta * q else d - 1
 
 
 def delta_chain(spec: SignalSpec, delta1: RationalLike) -> list[Fraction]:
@@ -167,19 +196,19 @@ def enumerate_atlas(spec: SignalSpec) -> PatternAtlas:
     carries the differences of the nominal cumulative counts; crossing
     threshold k moves one sample from region k to region k + 1, or out of
     the support when k = m, so each later cell copies the pattern before
-    it with one sample moved.  Thresholds are guaranteed distinct and
-    interior for a validated signal; a collision is reported defensively.
+    it with one sample moved.  The thresholds and nominal counts are row 1
+    of the run table, so the atlas costs O(m).  They are distinct and
+    below 1 for a validated signal.  Two that collide, or one at 1, mean
+    two prefix sums of f agree mod 1, so the first run with an integer
+    sum is reported, the one :func:`validate_spec` names.
     """
     m = spec.m
-    L, prefix_f = spec.lattice.L, spec.lattice.f_prefix
-    thresholds = []  # L * threshold
-    nominal = [0]  # nominal cumulative counts over regions 1..k
-    for k in range(1, m + 1):
-        kappa = prefix_f[k] // L
-        thresholds.append(L * (1 + kappa) - prefix_f[k])
-        nominal.append(spec.n_prefix[k] - kappa)
-    if len(set(thresholds)) != m or not all(0 < theta < L for theta in thresholds):
-        raise GenericityViolation(1, m - 1, Fraction(prefix_f[m], L))
+    L = spec.lattice.L
+    row = _run_row(spec, 1) if m else ()
+    thresholds = [theta for _, theta in row]  # L * threshold, in (0, L]
+    nominal = [0, *(d for d, _ in row)]  # nominal cumulative counts over regions 1..k
+    if len(set(thresholds)) != m or L in thresholds:
+        raise GenericityViolation(*find_genericity_violation(spec.f))
 
     order = sorted(range(m), key=thresholds.__getitem__)
     edges = [Fraction(e, L) for e in (0, *(thresholds[k] for k in order), L)]

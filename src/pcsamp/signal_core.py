@@ -143,6 +143,18 @@ class SignalSpec:
         )
 
     @cached_property
+    def run_table(self) -> tuple[int, list[Optional[tuple[tuple[int, int], ...]]]]:
+        """The closed-form count's run table: L and one row per starting region.
+
+        Row i (1-based; slot 0 is unused) holds, for K = 0..m-i, the
+        integer pair (d, L * threshold) of the run i..i+K on this signal's
+        1/L lattice.  A row is None until :mod:`pcsamp.sampler` builds it
+        on its first use, so a call costs O(m - i), never O(m^2).  L sits
+        beside the rows so that a count reads one cached attribute.
+        """
+        return self.lattice.L, [None] * len(self.n_prefix)
+
+    @cached_property
     def n_prefix(self) -> tuple[int, ...]:
         """Prefix sums of the integer parts for k = 0..m."""
         return tuple(accumulate(self.n, initial=0))

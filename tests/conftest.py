@@ -46,11 +46,11 @@ def span_energy_reference(cuts, vals, c) -> Fraction:
     return sum(((c - v) ** 2 * (b - a) for a, b, v in zip(cuts, cuts[1:], vals)), Fraction(0))
 
 
-def wide_spec(rng, m: int) -> SignalSpec:
-    """A valid signal with m < 101 regions, for sizes where ``random_spec``'s
-    redraws stall: distinct nonzero prefix residues r_k mod the prime D set
-    f_k = ((r_k - r_{k-1}) mod D) / D, so no run of f sums to an integer."""
-    D = 101
+def wide_spec(rng, m: int, D: int = 101) -> SignalSpec:
+    """A valid signal with m < D regions (D prime), for sizes where
+    ``random_spec``'s redraws stall: distinct nonzero prefix residues r_k
+    mod D set f_k = ((r_k - r_{k-1}) mod D) / D, so no run of f sums to an
+    integer."""
     residues = [0, *rng.sample(range(1, D), m)]
     f = [Fraction((b - a) % D, D) for a, b in zip(residues, residues[1:])]
     n = [rng.randint(2, 5) for _ in range(m)]

@@ -2,12 +2,15 @@
 
 import math
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from conftest import delta_chain_reference, wide_spec
 
 from pcsamp import (
+    GenericityViolation,
     SignalSpec,
     count_direct,
     cumulative_count,
@@ -182,3 +185,97 @@ def test_formula_equals_direct_counting_everywhere():
                 for span in range(spec.m - i + 1):
                     direct = cumulative[i + span] - cumulative[i - 1]
                     assert direct == cumulative_count(spec, i, span, offsets[i - 1])
+
+
+def _built_rows(spec):
+    """Starting regions whose run-table row has been built."""
+    return [i for i, row in enumerate(spec.run_table[1]) if row is not None]
+
+
+def test_run_table_entries_equal_their_definition():
+    rng = random.Random(37)
+    specs = [random_spec(rng) for _ in range(40)]
+    specs += [wide_spec(rng, m) for m in (*range(1, 96, 5), 96)]   # up to the cli workload's m = 96
+    for spec in specs:
+        L, rows = spec.run_table
+        for i in range(1, spec.m + 1):
+            f_sum, n_sum = Fraction(0), 0
+            for span in range(spec.m - i + 1):
+                f_sum += spec.f[i + span - 1]
+                n_sum += spec.n[i + span - 1]
+                kappa = math.floor(f_sum)
+                assert kappa_d(spec, i, span) == (kappa, n_sum - kappa)
+                assert rows[i][span] == (n_sum - kappa, L * (1 + kappa - f_sum))
+            assert all(type(x) is int for entry in rows[i] for x in entry)
+
+
+def test_cumulative_count_on_fresh_and_filled_tables():
+    rng = random.Random(41)
+    for _ in range(30):
+        spec = random_spec(rng, m_range=(1, 6))
+        for j in range(0, 101, 7):
+            delta1 = Fraction(j, 101)
+            eta = count_direct(spec, delta1).eta
+            offsets = delta_chain(spec, delta1)
+            for i in range(1, spec.m + 1):
+                for span in range(spec.m - i + 1):
+                    direct = sum(eta[i - 1:i + span])
+                    fresh = replace(spec)   # same signal, empty table
+                    assert cumulative_count(fresh, i, span, offsets[i - 1]) == direct
+                    assert _built_rows(fresh) == [i]
+                    assert cumulative_count(spec, i, span, offsets[i - 1]) == direct
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        None,   # m = 5000 regions, a prefix-residue signal over the prime 5003
+        {"g": [4, 2], "n": [10**9, 3], "f": ["1/4", "1/2"]},   # one huge region
+    ],
+    ids=["m=5000", "n=10**9"],
+)
+def test_one_count_builds_one_row(columns):
+    if columns is None:
+        spec = wide_spec(random.Random(43), 5000, D=5003)
+    else:
+        spec = validate_spec(SignalSpec.from_columns(**columns))
+    delta = Fraction(4, 5)
+    start = time.perf_counter()
+    count = cumulative_count(spec, 1, spec.m - 1, delta)
+    assert time.perf_counter() - start < 1
+    assert _built_rows(spec) == [1]
+    assert count == sum(count_direct(spec, delta).eta)
+
+
+def test_a_rejected_call_builds_no_row(running_spec):
+    spec = replace(running_spec)
+    calls = [
+        (IndexError, cumulative_count, (0, 0, Fraction(1, 10))),
+        (IndexError, cumulative_count, (1, 2, Fraction(1, 10))),
+        (IndexError, cumulative_count, (2, -1, Fraction(1, 10))),
+        (ValueError, cumulative_count, (1, 1, Fraction(5, 4))),
+        (ValueError, cumulative_count, (1, 0, 1)),
+        (TypeError, cumulative_count, (1, 0, 0.3)),
+        (TypeError, cumulative_count, (1, 0, True)),
+        (IndexError, kappa_d, (1, 2)),
+        (IndexError, kappa_d, (0, 1)),
+    ]
+    for error, call, args in calls:
+        with pytest.raises(error):
+            call(spec, *args)
+    assert _built_rows(spec) == []
+
+
+@pytest.mark.parametrize(
+    "f,i,span",
+    [(["1/3", "2/3", "1/2"], 1, 1), (["1/2", "1/3", "2/3"], 2, 1)],
+    ids=["threshold-at-one", "thresholds-collide"],
+)
+def test_atlas_names_the_first_integer_run(f, i, span):
+    spec = SignalSpec.from_columns(g=[1, 2, 3], n=[2, 2, 2], f=f)
+    with pytest.raises(GenericityViolation) as atlas_err:
+        enumerate_atlas(spec)
+    with pytest.raises(GenericityViolation) as validate_err:
+        validate_spec(spec)
+    assert (atlas_err.value.i, atlas_err.value.K, atlas_err.value.total) == (i, span, 1)
+    assert str(atlas_err.value) == str(validate_err.value)
