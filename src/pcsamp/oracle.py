@@ -9,10 +9,12 @@ The search runs over the stretches of the feasible box of
 :mod:`pcsamp.inference`, the same tiling the estimator fills, and one
 kernel, :func:`_zone_extremes`, integrates each of them: a forced span, a
 zone without members, whose energy does not depend on the placement, and
-the zones.  Uncertainty intervals form an independent box, except inside
-coupled runs where an always-one-sample region forces the spacing of
-consecutive discontinuities into [1, 2) grid steps.  Joint constraints
-beyond that are intentionally out of scope.
+the zones.  The kernel is one candidate generator, :func:`_zone_terms`,
+and one sweep, :func:`_sweep`, and the perturbation probes share both.
+Uncertainty intervals form an independent box, except inside coupled runs
+where an always-one-sample region forces the spacing of consecutive
+discontinuities into [1, 2) grid steps.  Joint constraints beyond that
+are intentionally out of scope.
 
 The search runs on integers, on one lattice per search: every position
 is an integer over N, the lcm of the grid resolution R and the
@@ -21,12 +23,21 @@ common denominator of the amplitudes and the estimate's values, and every
 integral of (c - estimate)^2 one over N * D^2.  The amplitudes are the
 estimator's checked, zero-padded table, rescaled onto D, and
 :func:`pcsamp.signal_core.on_lattice` builds every lattice.  The
-perturbation probes share one lattice with D scaled by 10.  Fractions are built only for the
-results.  Between the estimate's cuts the energy is linear in each
-discontinuity, and the constraints are integer bounds and differences, so
-every extreme sits at a vertex of the grid's feasible set.  The sweep
-visits only those candidate vertices, a few per member, and its cost does
-not grow with R.
+perturbation probes share one lattice with D scaled by 10.  Fractions are
+built only for the results.  Between the estimate's cuts the energy is
+linear in each discontinuity, and the constraints are integer bounds and
+differences, so every extreme sits at a vertex of the grid's feasible set.
+The sweep visits only those candidate vertices, a few per member, and its
+cost does not grow with R.
+
+A probe sets unit cell C to gamma + s, gamma the value at C's midpoint.  At
+each placement y the stretch's energy is then
+E(y) + s^2 |C| - 2 s J(y), where E is the energy with C at gamma and
+J(y), the integral of (truth - gamma) over C, is (a_last - gamma) |C| plus
+one term per member k, (a_k - a_{k+1}) times the length of C left of it.
+So each probed cell's stretch is searched once, with C at gamma and C's
+ends as cuts, and each of its four shifts reruns only the sweep.
+
 :func:`energy_between` integrates with Fractions and stays the
 independent cross-check.
 """
@@ -177,6 +188,102 @@ def _pieces(lattice: tuple, zone: Zone) -> tuple[list[int], list[int], list[int]
     return [lo, *xs[first:last], hi], fs[first:last + 1], [cs[i] for i in zone.regions]
 
 
+def _integral(cuts: Sequence[int], vals: Sequence[int], c: int, x: int) -> int:
+    """(c - f)^2 integrated from the first cut to x, over N * D^2, for f's
+    pieces ``cuts`` and ``vals`` (see :func:`_pieces`)."""
+    total = 0
+    for a, b, v in zip(cuts, cuts[1:], vals):
+        if x <= a:
+            break
+        total += (c - v) ** 2 * (min(x, b) - a)
+    return total
+
+
+def _term(cuts: Sequence[int], vals: Sequence[int], c: int, d: int, x: int) -> int:
+    """(c - f)^2 - (d - f)^2 integrated from the first cut to x, as
+    :func:`_integral` but in one pass: the integrand is (c - d)(c + d - 2f)."""
+    total = 0
+    for a, b, v in zip(cuts, cuts[1:], vals):
+        if x <= a:
+            break
+        total += (c + d - 2 * v) * (min(x, b) - a)
+    return (c - d) * total
+
+
+def _zone_terms(
+    cuts: Sequence[int], vals: Sequence[int], amps: Sequence[int],
+    box: FeasibleBox, zone: Zone, resolution: int, N: int,
+) -> tuple[int, list[list[int]], list[list[int]]]:
+    """The zone's energy as (tail, candidates, weights): the energy is
+    ``tail`` plus, for each member k, ``weights[k][i]`` at the member's
+    grid index ``candidates[k][i]``.  The candidates ascend, and a zone
+    without members has none; the arguments are those of
+    :func:`_zone_extremes`."""
+    members, r, step = zone.members, resolution, N // resolution
+    if not all(zone.lo <= box.G[i][0] and box.G[i][1] <= zone.hi for i in members):
+        raise ValueError("zone members must lie inside the zone")
+    tail = _integral(cuts, vals, amps[-1], cuts[-1])
+    if not members:
+        return tail, [], []
+    grids = [(box.G[i][0] * r + 1, box.G[i][1] * r - 1) for i in members]
+    own = [
+        {lo, hi, *(min(max(y, lo), hi)
+                   for x in cuts if box.G[i][0] * N < x < box.G[i][1] * N
+                   for y in (x // step, -(-x // step)))}
+        for i, (lo, hi) in zip(members, grids)
+    ]
+    found: list[set[int]] = [set() for _ in members]
+    for order, sign in ((range(len(members)), 1), (range(len(members) - 1, -1, -1), -1)):
+        moved: set[int] = set()
+        for k in order:
+            lo, hi = grids[k]
+            moved = own[k] | {min(max(y + sign * s, lo), hi) for y in moved for s in (r, 2 * r - 1)}
+            found[k] |= moved
+    candidates = [sorted(ys) for ys in found]
+    # member k's term at grid index y: amps[k] on its left, amps[k+1] on its right
+    weights = [
+        [_term(cuts, vals, amps[k], amps[k + 1], y * step) for y in ys]
+        for k, ys in enumerate(candidates)
+    ]
+    return tail, candidates, weights
+
+
+def _sweep(
+    candidates: Sequence[Sequence[int]], weights: Sequence[Sequence[int]], zone: Zone, resolution: int,
+) -> tuple[int, int, tuple[int, ...]]:
+    """The largest and smallest sum of the members' weights over the
+    placements a coupled step allows (R <= q - p < 2R between consecutive
+    members, R = ``resolution``), and the grid indices of a largest one,
+    the witness of :func:`_zone_extremes`, for a zone with members."""
+    r = resolution
+    # per reached candidate of the current member, in ascending order: the
+    # largest and smallest sum of the terms up to that member
+    hi_state = dict(zip(candidates[0], weights[0]))
+    lo_state = dict(hi_state)
+    backs = []
+    for qs, ws in zip(candidates[1:], weights[1:]):
+        hi_next: dict[int, int] = {}
+        lo_next: dict[int, int] = {}
+        back: dict[int, int] = {}
+        for q, w in zip(qs, ws):
+            reach = [p for p in hi_state if r <= q - p < 2 * r]
+            if reach:
+                back[q] = max(reach, key=hi_state.__getitem__)   # the earliest on ties
+                hi_next[q] = hi_state[back[q]] + w
+                lo_next[q] = min(lo_state[p] for p in reach) + w
+        if not back:
+            raise EmptyFeasibleSet(
+                f"no grid placement satisfies the spacing constraints in zone {zone.members}"
+            )
+        hi_state, lo_state = hi_next, lo_next
+        backs.append(back)
+
+    path = [max(hi_state, key=hi_state.__getitem__)]
+    for back in reversed(backs):
+        path.append(back[path[-1]])
+    return hi_state[path[0]], min(lo_state.values()), tuple(reversed(path))
+
+
 def _zone_extremes(
     cuts: Sequence[int], vals: Sequence[int], amps: Sequence[int],
     box: FeasibleBox, zone: Zone, resolution: int, N: int,
@@ -187,7 +294,9 @@ def _zone_extremes(
     ``amps`` over D, and energies over N * D^2.
 
     Within a zone the truth takes the amplitudes of ``zone.regions`` in
-    order, each up to the next member discontinuity.  A zone without
+    order, each up to the next member discontinuity.  The search is one
+    candidate generator, :func:`_zone_terms`, and one sweep,
+    :func:`_sweep`, which the perturbation probes share.  A zone without
     members, a forced span, has one energy, returned before any candidate
     is generated.  Otherwise positions are grid indices y, the placement
     y/R (R = ``resolution``), strictly inside each member's interval; a
@@ -206,70 +315,11 @@ def _zone_extremes(
     placements the witness puts the last member earliest, then the one
     before it, and so on.
     """
-    members, r, step = zone.members, resolution, N // resolution
-    if not all(zone.lo <= box.G[i][0] and box.G[i][1] <= zone.hi for i in members):
-        raise ValueError("zone members must lie inside the zone")
-
-    def integral(c: int, x: int) -> int:
-        """(c - f)^2 integrated from the zone's start to x/N, over N * D^2."""
-        total = 0
-        for a, b, v in zip(cuts, cuts[1:], vals):
-            if x <= a:
-                break
-            total += (c - v) ** 2 * (min(x, b) - a)
-        return total
-
-    def weight(k: int, y: int) -> int:
-        """Member k's term at grid index y: amps[k] on its left, amps[k+1] on its right."""
-        x = y * step
-        return integral(amps[k], x) - integral(amps[k + 1], x)
-
-    tail = integral(amps[-1], cuts[-1])
-    if not members:
+    tail, candidates, weights = _zone_terms(cuts, vals, amps, box, zone, resolution, N)
+    if not candidates:   # a forced span
         return tail, tail, ()
-
-    grids = [(box.G[i][0] * r + 1, box.G[i][1] * r - 1) for i in members]
-    own = [
-        {lo, hi, *(min(max(y, lo), hi)
-                   for x in cuts if box.G[i][0] * N < x < box.G[i][1] * N
-                   for y in (x // step, -(-x // step)))}
-        for i, (lo, hi) in zip(members, grids)
-    ]
-    candidates: list[set[int]] = [set() for _ in members]
-    for order, sign in ((range(len(members)), 1), (range(len(members) - 1, -1, -1), -1)):
-        moved: set[int] = set()
-        for k in order:
-            lo, hi = grids[k]
-            moved = own[k] | {min(max(y + sign * s, lo), hi) for y in moved for s in (r, 2 * r - 1)}
-            candidates[k] |= moved
-
-    # per reached candidate of the current member, in ascending order: the
-    # largest and smallest sum of the terms up to that member
-    hi_state = {y: weight(0, y) for y in sorted(candidates[0])}
-    lo_state = dict(hi_state)
-    backs = []
-    for k in range(1, len(members)):
-        hi_next: dict[int, int] = {}
-        lo_next: dict[int, int] = {}
-        back: dict[int, int] = {}
-        for q in sorted(candidates[k]):
-            reach = [p for p in hi_state if r <= q - p < 2 * r]
-            if reach:
-                back[q] = max(reach, key=hi_state.__getitem__)   # the earliest on ties
-                w = weight(k, q)
-                hi_next[q] = hi_state[back[q]] + w
-                lo_next[q] = min(lo_state[p] for p in reach) + w
-        if not back:
-            raise EmptyFeasibleSet(
-                f"no grid placement satisfies the spacing constraints in zone {members}"
-            )
-        hi_state, lo_state = hi_next, lo_next
-        backs.append(back)
-
-    path = [max(hi_state, key=hi_state.__getitem__)]
-    for back in reversed(backs):
-        path.append(back[path[-1]])
-    return hi_state[path[0]] + tail, min(lo_state.values()) + tail, tuple(reversed(path))
+    top, bottom, path = _sweep(candidates, weights, zone, resolution)
+    return top + tail, bottom + tail, path
 
 
 def worst_case_energy(
@@ -293,11 +343,20 @@ def worst_case_energy(
     depends on its members and the estimate's breakpoints inside it, not on
     ``resolution``; a forced span costs one term per piece of the estimate
     on it, however long the span, and a point span, which has no measure,
-    is skipped.  ``stretches`` keeps every outcome.
+    is skipped.  ``stretches`` keeps every outcome.  An :class:`Estimate`
+    must fill ``box``: a box of another reference or other intervals
+    raises ``ValueError``; a bare :class:`PiecewiseFunction` is searched on
+    any box.
     """
     if resolution < 2:
         raise ValueError("need at least 2 grid points per unit interval")
-    lattice = _lattice(est.fn if isinstance(est, Estimate) else est, amplitudes, box, resolution)
+    if isinstance(est, Estimate):
+        if box is not est.box and (box.l, box.G) != (est.box.l, est.box.G):
+            raise ValueError(
+                f"the box (l={box.l}, G={box.G}) is not the estimate's (l={est.box.l}, G={est.box.G})"
+            )
+        est = est.fn
+    lattice = _lattice(est, amplitudes, box, resolution)
     N, D = lattice[:2]
     scale = N * D * D
     total, outcomes, witness = 0, [], {box.l: Fraction(0)}
@@ -314,7 +373,7 @@ def worst_case_energy(
 def _auto_deltas(est: Estimate, amps: Sequence[int], n: int) -> tuple[int, ...]:
     """Probe shifts for unit cell (n-1, n), scaled to the local jump, on the
     probe lattice: ``amps`` are the padded amplitudes over D, which 10 divides."""
-    k = bisect_right(est.cells, n - 1, key=lambda cell: cell.lo)   # cells[:k] start at or left of n-1
+    k = bisect_right(est._cell_los, n - 1)   # cells[:k] start at or left of n-1
     if not k or est.cells[k - 1].hi < n:
         raise ValueError(f"unit cell ({n - 1}, {n}) lies outside the estimate span")
     cell = est.cells[k - 1]
@@ -341,19 +400,24 @@ def perturbation_minimax_check(
     Every adjustable unit cell (n-1, n) gets its value shifted by four
     deltas scaled to the governing amplitude jump, and the worst case is
     recomputed.  The probes walk ``box.stretches`` in order: its zones, and
-    with ``include_known`` its forced spans too.  A probe sets the cell
-    inside the pieces of the stretch that holds it, and only that stretch
-    is searched again by :func:`_zone_extremes`, its unperturbed energy
-    read from ``WorstCase.stretches``.  The probes share the search's
-    lattice with D scaled by 10, on which every shifted value lies: the
-    shifts are read from its amplitudes, and the probes compare integers.
-    A worst case that decreases is recorded as a violation, not raised.
+    with ``include_known`` its forced spans too.  Only the stretch that
+    holds the cell changes, and its unperturbed energy is read from
+    ``WorstCase.stretches``.  That stretch is searched once per cell: its
+    candidates and member terms come from :func:`_zone_terms` with the cell
+    at its midpoint value gamma, and a shift s adds s^2 |C| - 2 s J(y),
+    J(y) the integral of (truth - gamma) over the cell (see the module
+    docstring), so each shift reruns only :func:`_sweep`.  The probes share
+    the search's lattice with D scaled by 10, on which every shifted value
+    lies: the shifts are read from its amplitudes, and the probes compare
+    integers.  A worst case that decreases is recorded as a violation, not
+    raised.  ``box`` must be the box the estimate fills, as for
+    :func:`worst_case_energy`.
     """
     g = tuple(amplitudes)
     base = worst_case_energy(est, g, box, resolution)
     lattice = _lattice(est.fn, g, box, resolution, 10)
     N, D, *_, padded = lattice   # padded: the amplitudes over D, zero padded
-    scale = N * D * D
+    scale, step = N * D * D, N // resolution
     # the worst case and each stretch's share of it as integers over scale, which their denominators divide
     parts = (base.value, *(o.max_energy for o in base.stretches))
     total, *shares = (v.numerator * (scale // v.denominator) for v in parts)
@@ -366,9 +430,20 @@ def perturbation_minimax_check(
             lo, hi = (n - 1) * N, n * N
             a, b = bisect_left(cuts, lo), bisect_right(cuts, hi)
             gamma = vals[bisect_right(cuts, (lo + hi) // 2) - 1]   # the value at the cell's midpoint
+            # the stretch searched once with the cell at gamma; a shift s adds
+            # s^2 N - 2 s J(y), J(y) the integral of (truth - gamma) over the cell
+            tail, candidates, weights = _zone_terms(
+                (*cuts[:a], lo, hi, *cuts[b:]), (*vals[:a], gamma, *vals[b - 1:]), amps, box, z, resolution, N,
+            )
+            inside = [   # member k's part of J: its jump times the cell's length left of it
+                [(amps[k] - amps[k + 1]) * min(max(y * step - lo, 0), N) for y in ys]
+                for k, ys in enumerate(candidates)
+            ]
             for shift in _auto_deltas(est, padded, n):
-                probed = (*cuts[:a], lo, hi, *cuts[b:]), (*vals[:a], gamma + shift, *vals[b - 1:])
-                top = _zone_extremes(*probed, amps, box, z, resolution, N)[0]
+                t = 2 * shift
+                moved = [[w - t * j for w, j in zip(ws, js)] for ws, js in zip(weights, inside)]
+                fixed = tail + (shift * shift - t * (amps[-1] - gamma)) * N   # s^2 N and J's constant part
+                top = fixed + (_sweep(candidates, moved, z, resolution)[0] if candidates else 0)
                 worst = Fraction(total - own + top, scale)
                 probes.append(PerturbationProbe(
                     cell=n, delta=Fraction(shift, D), worst=worst, ok=top >= own, strict=top > own,

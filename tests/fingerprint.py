@@ -11,6 +11,11 @@ print the same line:
 
     PYTHONPATH=src python tests/fingerprint.py
 
+The expected line is committed in ``tests/fingerprint.txt``, so a checkout
+is compared with it by
+
+    PYTHONPATH=src python tests/fingerprint.py | diff tests/fingerprint.txt -
+
 To find the model behind a mismatch, import :func:`record` and
 :func:`corpus` and compare the records of the two checkouts.
 """

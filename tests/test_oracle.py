@@ -279,6 +279,22 @@ def test_searches_reject_a_bad_resolution(running_spec, search, resolution, erro
         search(est, running_spec.g, est.box, resolution)
 
 
+def test_searches_reject_a_box_the_estimate_does_not_fill(running_spec):
+    # the estimate at l = 0 searched on the box of l = m: the worst case
+    # would read 161/3 against a closed form of 2, and the probes would name
+    # a unit cell outside the estimate span
+    est = estimate_full(_full_model(running_spec, 0), running_spec.g)
+    other = feasible_box(_full_model(running_spec, running_spec.m))
+    moved = FeasibleBox(l=0, G=tuple((lo + 1, hi + 1) for lo, hi in est.box.G), zones=())
+    for box in (other, moved):
+        for search in (worst_case_energy, perturbation_minimax_check):
+            with pytest.raises(ValueError, match=r"the box \(l=\d+, G=.*\) is not the estimate's \(l=0, G="):
+                search(est, running_spec.g, box, 12)
+    # an equal box is the estimate's, and a bare function is not checked
+    assert worst_case_energy(est, running_spec.g, feasible_box(_full_model(running_spec, 0)), 12).value == 2
+    assert worst_case_energy(est.fn, running_spec.g, other, 12).value == Fraction(161, 3)
+
+
 def test_verify_scenario_never_raises():
     rng = random.Random(0)
     for _ in range(100):
@@ -699,6 +715,22 @@ def test_probes_with_fractional_amplitudes_match_the_unit_cell_scan():
                 ) == _outcome(lambda: _reference_probes(est, g, box, resolution, include_known))
 
 
+def test_probe_finds_a_worst_case_at_its_own_cell_end(running_spec):
+    # a width-two interval (1, 3) between amplitudes 4 and 2, estimated at
+    # 5/2 instead of its midpoint 3: lifting unit cell (2, 3) by 1 to 7/2
+    # makes the worst case peak at the discontinuity placement 2, where the
+    # probed cell starts and the estimate itself has no cut
+    g = running_spec.g
+    observed = [enumerate_atlas(running_spec).patterns[0]]
+    est = estimate_partial(infer_model(ObservationSet.of(observed, g), 0), g)
+    assert (est.cells[1].lo, est.cells[1].hi, est.cells[1].value) == (1, 3, 3)
+    bent = Estimate(est.cells, with_value(est.fn, 1, 3, Fraction(5, 2)), est.box)
+    report = perturbation_minimax_check(bent, g, est.box, resolution=4)
+    assert repr(report) == repr(_reference_probes(bent, g, est.box, 4, False))
+    lifted = next(p for p in report.probes if (p.cell, p.delta) == (3, 1))
+    assert lifted.worst == Fraction(9, 2) + 2   # 9/4 on each unit cell, and the other zone's 2
+
+
 def test_probes_rebuild_no_function(running_spec, monkeypatch):
     # a probe sets its unit cell inside the pieces of its zone or forced
     # span; it never builds a whole altered estimate
@@ -717,6 +749,31 @@ def test_probes_rebuild_no_function(running_spec, monkeypatch):
             )
             assert report.probes
     assert built == []
+
+
+@pytest.mark.parametrize("include_known", [False, True])
+def test_each_probed_cell_is_searched_once(running_spec, monkeypatch, include_known):
+    # the base search builds one candidate table per zone, and the four
+    # shifts of a probed unit cell share one more: their worst cases are
+    # quadratics in the shift over the same candidates
+    built = []
+    real = oracle._zone_terms
+
+    def counted(*args):
+        out = real(*args)
+        built.append(bool(out[1]))   # a zone without members gets no candidates
+        return out
+    monkeypatch.setattr(oracle, "_zone_terms", counted)
+    cases = [(estimate_full(_full_model(running_spec, l), running_spec.g), running_spec.g, 12)
+             for l in range(running_spec.m + 1)]
+    g = (Fraction(4), Fraction(2))
+    cases.append((estimate_partial(infer_model(ObservationSet.of([(3, 1)], g), 0), g), g, 50))
+    for est, g, resolution in cases:
+        built.clear()
+        report = perturbation_minimax_check(est, g, est.box, resolution, include_known)
+        probed = {p.cell for p in report.probes if any(z.lo < p.cell <= z.hi for z in est.box.zones)}
+        assert probed and len(report.probes) >= 4 * len(probed)
+        assert sum(built) == len(est.box.zones) + len(probed)
 
 
 def test_probe_of_a_box_cell_no_estimate_cell_covers(running_spec):
