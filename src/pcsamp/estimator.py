@@ -127,6 +127,7 @@ class Estimate:
 def _build_cells(box: FeasibleBox, D: int, scaled: Sequence[int]) -> tuple[EstimateCell, ...]:
     # one pass over the box's stretches, which come in order, so the cells do too
     cells = []
+    bounds: dict[int, Fraction] = {}   # one Fraction per integer bound, shared by neighbouring cells
     for z in box.stretches:
         if z.coupled:   # k members hold k + 1 unit cells, cell j meeting regions[j-1:j+2]
             spans = [(z.lo + j, z.lo + j + 1, z.regions[max(j - 1, 0):j + 2]) for j in range(len(z.regions))]
@@ -135,7 +136,10 @@ def _build_cells(box: FeasibleBox, D: int, scaled: Sequence[int]) -> tuple[Estim
         for lo, hi, indices in spans:
             met = [scaled[i] for i in indices]
             value = Fraction(min(met) + max(met), 2 * D)   # the centre of the amplitudes met
-            cells.append(EstimateCell(lo=Fraction(lo), hi=Fraction(hi), value=value, indices=indices))
+            for x in (lo, hi):
+                if x not in bounds:
+                    bounds[x] = Fraction(x)
+            cells.append(EstimateCell(lo=bounds[lo], hi=bounds[hi], value=value, indices=indices))
     return tuple(cells)
 
 

@@ -23,12 +23,14 @@ common denominator of the amplitudes and the estimate's values, and every
 integral of (c - estimate)^2 one over N * D^2.  The amplitudes are the
 estimator's checked, zero-padded table, rescaled onto D, and
 :func:`pcsamp.signal_core.on_lattice` builds every lattice.  The
-perturbation probes share one lattice with D scaled by 10.  Fractions are
-built only for the results.  Between the estimate's cuts the energy is
-linear in each discontinuity, and the constraints are integer bounds and
-differences, so every extreme sits at a vertex of the grid's feasible set.
-The sweep visits only those candidate vertices, a few per member, and its
-cost does not grow with R.
+perturbation check builds one lattice, with D scaled by 10 so that every
+perturbed value lies on it, and runs its base search there: the Fractions
+of the results normalise, so they do not depend on the scale.  Fractions
+are built only for the results.  Between the estimate's cuts the energy
+is linear in each discontinuity, and the constraints are integer bounds
+and differences, so every extreme sits at a vertex of the grid's feasible
+set.  The sweep visits only those candidate vertices, a few per member,
+and its cost does not grow with R.
 
 A probe sets unit cell C to gamma + s, gamma the value at C's midpoint.  At
 each placement y the stretch's energy is then
@@ -36,7 +38,9 @@ E(y) + s^2 |C| - 2 s J(y), where E is the energy with C at gamma and
 J(y), the integral of (truth - gamma) over C, is (a_last - gamma) |C| plus
 one term per member k, (a_k - a_{k+1}) times the length of C left of it.
 So each probed cell's stretch is searched once, with C at gamma and C's
-ends as cuts, and each of its four shifts reruns only the sweep.
+ends as cuts, and each of its four shifts reruns only the sweep.  Where C's
+ends are already consecutive cuts of the stretch, as on every zone of a
+full-atlas estimate, that search is the base's, and its table is reused.
 
 :func:`energy_between` integrates with Fractions and stays the
 independent cross-check.
@@ -248,13 +252,16 @@ def _zone_terms(
     return tail, candidates, weights
 
 
-def _sweep(
-    candidates: Sequence[Sequence[int]], weights: Sequence[Sequence[int]], zone: Zone, resolution: int,
-) -> tuple[int, int, tuple[int, ...]]:
-    """The largest and smallest sum of the members' weights over the
-    placements a coupled step allows (R <= q - p < 2R between consecutive
-    members, R = ``resolution``), and the grid indices of a largest one,
-    the witness of :func:`_zone_extremes`, for a zone with members."""
+def _sweep(table: tuple, zone: Zone, resolution: int) -> tuple[int, int, tuple[int, ...]]:
+    """The largest and smallest energy of a zone's (tail, candidates,
+    weights) table (see :func:`_zone_terms`): the tail plus the members'
+    weights, over the placements a coupled step allows (R <= q - p < 2R
+    between consecutive members, R = ``resolution``), and the grid indices
+    of a largest one, the witness of :func:`_zone_extremes`.  A table
+    without candidates, a forced span's, has the one energy ``tail``."""
+    tail, candidates, weights = table
+    if not candidates:
+        return tail, tail, ()
     r = resolution
     # per reached candidate of the current member, in ascending order: the
     # largest and smallest sum of the terms up to that member
@@ -281,7 +288,7 @@ def _sweep(
     path = [max(hi_state, key=hi_state.__getitem__)]
     for back in reversed(backs):
         path.append(back[path[-1]])
-    return hi_state[path[0]], min(lo_state.values()), tuple(reversed(path))
+    return hi_state[path[0]] + tail, min(lo_state.values()) + tail, tuple(reversed(path))
 
 
 def _zone_extremes(
@@ -297,10 +304,10 @@ def _zone_extremes(
     order, each up to the next member discontinuity.  The search is one
     candidate generator, :func:`_zone_terms`, and one sweep,
     :func:`_sweep`, which the perturbation probes share.  A zone without
-    members, a forced span, has one energy, returned before any candidate
-    is generated.  Otherwise positions are grid indices y, the placement
-    y/R (R = ``resolution``), strictly inside each member's interval; a
-    coupled step keeps the spacing in [1, 2), that is R <= q - p < 2R.
+    members, a forced span, has one energy and no candidates.  Otherwise
+    positions are grid indices y, the placement y/R (R = ``resolution``),
+    strictly inside each member's interval; a coupled step keeps the
+    spacing in [1, 2), that is R <= q - p < 2R.
     The energy is the last amplitude's integral over the zone plus one
     term per member, each linear in its member between the estimate's
     cuts.  Restricted to one linear piece per member, the feasible set is
@@ -315,11 +322,45 @@ def _zone_extremes(
     placements the witness puts the last member earliest, then the one
     before it, and so on.
     """
-    tail, candidates, weights = _zone_terms(cuts, vals, amps, box, zone, resolution, N)
-    if not candidates:   # a forced span
-        return tail, tail, ()
-    top, bottom, path = _sweep(candidates, weights, zone, resolution)
-    return top + tail, bottom + tail, path
+    return _sweep(_zone_terms(cuts, vals, amps, box, zone, resolution, N), zone, resolution)
+
+
+def _fn_of(est: Union[Estimate, PiecewiseFunction], box: FeasibleBox, resolution: int) -> PiecewiseFunction:
+    """The function to search, once ``resolution`` and ``box`` pass the
+    checks both searches share: at least 2 grid points per unit interval,
+    and an :class:`Estimate` searched only on the box it fills."""
+    if resolution < 2:
+        raise ValueError("need at least 2 grid points per unit interval")
+    if not isinstance(est, Estimate):
+        return est
+    if box is not est.box and (box.l, box.G) != (est.box.l, est.box.G):
+        raise ValueError(
+            f"the box (l={box.l}, G={box.G}) is not the estimate's (l={est.box.l}, G={est.box.G})"
+        )
+    return est.fn
+
+
+def _search(lattice: tuple, box: FeasibleBox, resolution: int) -> tuple[WorstCase, list[tuple]]:
+    """The worst case over the grid, searched on ``lattice`` (see
+    :func:`_lattice`), and for each stretch with measure, in order, what
+    its search built: (pieces, table, top), its :func:`_pieces`, its
+    :func:`_zone_terms` table and its maximum over N * D^2."""
+    N, D = lattice[:2]
+    scale = N * D * D
+    total, outcomes, searched, witness = 0, [], [], {box.l: Fraction(0)}
+    for z in box.stretches:
+        if z.lo < z.hi:
+            pieces = _pieces(lattice, z)
+            table = _zone_terms(*pieces, box, z, resolution, N)
+            top, bottom, path = _sweep(table, z, resolution)
+            argmax = tuple(Fraction(y, resolution) for y in path)
+            high = Fraction(top, scale)
+            low = high if bottom == top else Fraction(bottom, scale)
+            outcomes.append(ZoneOutcome(z.members, high, low, argmax))
+            searched.append((pieces, table, top))
+            witness.update(zip(z.members, argmax))
+            total += top
+    return WorstCase(value=Fraction(total, scale), witness=witness, stretches=tuple(outcomes)), searched
 
 
 def worst_case_energy(
@@ -337,7 +378,8 @@ def worst_case_energy(
     the supremum: ``[(3, 1)]`` with g = (4, 2) and l = 0 gives 26/5,
     148/25 and 1499/250 at resolutions 5, 50 and 1000, against a supremum
     of 6.  The total is one term per stretch of ``box.stretches``, each
-    from :func:`_zone_extremes` on the call's one lattice (:func:`_lattice`):
+    from the generator and sweep of :func:`_zone_extremes` on the call's
+    one lattice (:func:`_lattice`):
     a forced span's energy does not depend on the placement, and each zone
     is searched independently (jointly inside coupled runs).  A zone's cost
     depends on its members and the estimate's breakpoints inside it, not on
@@ -348,26 +390,8 @@ def worst_case_energy(
     raises ``ValueError``; a bare :class:`PiecewiseFunction` is searched on
     any box.
     """
-    if resolution < 2:
-        raise ValueError("need at least 2 grid points per unit interval")
-    if isinstance(est, Estimate):
-        if box is not est.box and (box.l, box.G) != (est.box.l, est.box.G):
-            raise ValueError(
-                f"the box (l={box.l}, G={box.G}) is not the estimate's (l={est.box.l}, G={est.box.G})"
-            )
-        est = est.fn
-    lattice = _lattice(est, amplitudes, box, resolution)
-    N, D = lattice[:2]
-    scale = N * D * D
-    total, outcomes, witness = 0, [], {box.l: Fraction(0)}
-    for z in box.stretches:
-        if z.lo < z.hi:
-            top, bottom, path = _zone_extremes(*_pieces(lattice, z), box, z, resolution, N)
-            argmax = tuple(Fraction(y, resolution) for y in path)
-            outcomes.append(ZoneOutcome(z.members, Fraction(top, scale), Fraction(bottom, scale), argmax))
-            witness.update(zip(z.members, argmax))
-            total += top
-    return WorstCase(value=Fraction(total, scale), witness=witness, stretches=tuple(outcomes))
+    fn = _fn_of(est, box, resolution)
+    return _search(_lattice(fn, amplitudes, box, resolution), box, resolution)[0]
 
 
 def _auto_deltas(est: Estimate, amps: Sequence[int], n: int) -> tuple[int, ...]:
@@ -401,40 +425,50 @@ def perturbation_minimax_check(
     deltas scaled to the governing amplitude jump, and the worst case is
     recomputed.  The probes walk ``box.stretches`` in order: its zones, and
     with ``include_known`` its forced spans too.  Only the stretch that
-    holds the cell changes, and its unperturbed energy is read from
-    ``WorstCase.stretches``.  That stretch is searched once per cell: its
-    candidates and member terms come from :func:`_zone_terms` with the cell
-    at its midpoint value gamma, and a shift s adds s^2 |C| - 2 s J(y),
-    J(y) the integral of (truth - gamma) over the cell (see the module
-    docstring), so each shift reruns only :func:`_sweep`.  The probes share
-    the search's lattice with D scaled by 10, on which every shifted value
-    lies: the shifts are read from its amplitudes, and the probes compare
-    integers.  A worst case that decreases is recorded as a violation, not
-    raised.  ``box`` must be the box the estimate fills, as for
-    :func:`worst_case_energy`.
+    holds the cell changes.  The check builds one lattice, the search's
+    with D scaled by 10, on which every shifted value lies, and runs the
+    base search on it, which gives each stretch's unperturbed energy and
+    the same :class:`WorstCase` as :func:`worst_case_energy`.  A probed
+    cell's stretch is searched once: its candidates and member terms come
+    from :func:`_zone_terms` with the cell at its midpoint value gamma, and
+    a shift s adds s^2 |C| - 2 s J(y), J(y) the integral of (truth - gamma)
+    over the cell (see the module docstring), so each shift reruns only
+    :func:`_sweep`.  Where the cell's ends are consecutive cuts of the
+    stretch, its pieces are the stretch's own, and it reads the base
+    search's table instead.  The shifts are read from the lattice's
+    amplitudes, and the probes compare integers.  A worst case that
+    decreases is recorded as a violation, not raised.  ``est`` must be an
+    :class:`Estimate`, whose cells scale the shifts, and ``box`` the box it
+    fills, as for :func:`worst_case_energy`.
     """
-    g = tuple(amplitudes)
-    base = worst_case_energy(est, g, box, resolution)
-    lattice = _lattice(est.fn, g, box, resolution, 10)
+    if not isinstance(est, Estimate):
+        raise TypeError(
+            f"perturbation_minimax_check needs an Estimate to scale its probes, not {type(est).__name__}"
+        )
+    lattice = _lattice(_fn_of(est, box, resolution), amplitudes, box, resolution, 10)
     N, D, *_, padded = lattice   # padded: the amplitudes over D, zero padded
+    base, searched = _search(lattice, box, resolution)
     scale, step = N * D * D, N // resolution
-    # the worst case and each stretch's share of it as integers over scale, which their denominators divide
-    parts = (base.value, *(o.max_energy for o in base.stretches))
-    total, *shares = (v.numerator * (scale // v.denominator) for v in parts)
+    total = sum(top for *_, top in searched)
+    deltas: dict[int, Fraction] = {}   # one Fraction per shift
     probes: list[PerturbationProbe] = []
-    for z, own in zip((z for z in box.stretches if z.lo < z.hi), shares):
+    for z, ((cuts, vals, amps), table, own) in zip((z for z in box.stretches if z.lo < z.hi), searched):
         if not (z.members or include_known):
             continue
-        cuts, vals, amps = _pieces(lattice, z)
         for n in range(z.lo + 1, z.hi + 1):
             lo, hi = (n - 1) * N, n * N
             a, b = bisect_left(cuts, lo), bisect_right(cuts, hi)
-            gamma = vals[bisect_right(cuts, (lo + hi) // 2) - 1]   # the value at the cell's midpoint
-            # the stretch searched once with the cell at gamma; a shift s adds
-            # s^2 N - 2 s J(y), J(y) the integral of (truth - gamma) over the cell
-            tail, candidates, weights = _zone_terms(
-                (*cuts[:a], lo, hi, *cuts[b:]), (*vals[:a], gamma, *vals[b - 1:]), amps, box, z, resolution, N,
-            )
+            # the stretch searched once with the cell at gamma, the value at its
+            # midpoint; a shift s adds s^2 N - 2 s J(y), J(y) the integral of
+            # (truth - gamma) over the cell
+            if cuts[a:b] == [lo, hi]:   # the cell is one of the stretch's pieces
+                gamma = vals[a]
+                tail, candidates, weights = table
+            else:
+                gamma = vals[bisect_right(cuts, (lo + hi) // 2) - 1]
+                tail, candidates, weights = _zone_terms(
+                    (*cuts[:a], lo, hi, *cuts[b:]), (*vals[:a], gamma, *vals[b - 1:]), amps, box, z, resolution, N,
+                )
             inside = [   # member k's part of J: its jump times the cell's length left of it
                 [(amps[k] - amps[k + 1]) * min(max(y * step - lo, 0), N) for y in ys]
                 for k, ys in enumerate(candidates)
@@ -443,10 +477,12 @@ def perturbation_minimax_check(
                 t = 2 * shift
                 moved = [[w - t * j for w, j in zip(ws, js)] for ws, js in zip(weights, inside)]
                 fixed = tail + (shift * shift - t * (amps[-1] - gamma)) * N   # s^2 N and J's constant part
-                top = fixed + (_sweep(candidates, moved, z, resolution)[0] if candidates else 0)
-                worst = Fraction(total - own + top, scale)
+                top = _sweep((fixed, candidates, moved), z, resolution)[0]
+                if shift not in deltas:
+                    deltas[shift] = Fraction(shift, D)
                 probes.append(PerturbationProbe(
-                    cell=n, delta=Fraction(shift, D), worst=worst, ok=top >= own, strict=top > own,
+                    cell=n, delta=deltas[shift], worst=Fraction(total - own + top, scale),
+                    ok=top >= own, strict=top > own,
                 ))
     return PerturbationReport(worst=base, probes=tuple(probes))
 

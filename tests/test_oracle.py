@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import amp, span_energy_reference, with_value
+from corpus import corpus
 
 from pcsamp import (
     CheckResult,
@@ -293,6 +294,15 @@ def test_searches_reject_a_box_the_estimate_does_not_fill(running_spec):
     # an equal box is the estimate's, and a bare function is not checked
     assert worst_case_energy(est, running_spec.g, feasible_box(_full_model(running_spec, 0)), 12).value == 2
     assert worst_case_energy(est.fn, running_spec.g, other, 12).value == Fraction(161, 3)
+
+
+def test_check_rejects_a_bare_function_up_front(running_spec, monkeypatch):
+    # the probes scale their shifts by the estimate's cells, which a bare
+    # function lacks; the check says so before it searches anything
+    est = estimate_full(_full_model(running_spec, 0), running_spec.g)
+    monkeypatch.setattr(oracle, "_zone_terms", None)   # any search would now fail otherwise
+    with pytest.raises(TypeError, match=r"^perturbation_minimax_check needs an Estimate .* not PiecewiseFunction$"):
+        perturbation_minimax_check(est.fn, running_spec.g, est.box, 12)
 
 
 def test_verify_scenario_never_raises():
@@ -653,6 +663,29 @@ def _outcome(call):
         return f"{type(exc).__name__}: {exc}"
 
 
+def test_the_checks_base_is_the_public_worst_case():
+    # the check runs its base search on the probes' lattice, with D scaled by
+    # 10; its worst case, witness and stretches included, is the public one's.
+    # Every 12th draw's partial models, half of them with the amplitudes
+    # g/3 + 1/2, so that the estimate's values are fractional too
+    cases = []
+    for k, case in enumerate(c for c in corpus(step=12) if not c.full and c.estimate is not None):
+        if k % 2:
+            g = tuple(v / 3 + Fraction(1, 2) for v in case.spec.g)
+            cases.append((estimate_partial(case.model, g), g))
+        else:
+            cases.append((case.estimate, case.spec.g))
+    assert sum(any(z.coupled for z in est.box.zones) for est, _ in cases) > 100
+    assert {v.denominator for est, _ in cases for v in est.fn.values} > {1, 2}
+    for est, g in cases:
+        for resolution in (2, 12, 50):
+            want = _outcome(lambda: worst_case_energy(est, g, est.box, resolution))
+            for include_known in (False, True):
+                assert _outcome(
+                    lambda: perturbation_minimax_check(est, g, est.box, resolution, include_known).worst
+                ) == want
+
+
 def test_probe_walk_matches_the_unit_cell_scan():
     rng = random.Random(23)
     cases = []
@@ -751,11 +784,19 @@ def test_probes_rebuild_no_function(running_spec, monkeypatch):
     assert built == []
 
 
+def _adds_a_cut(est, zone, n):
+    """Whether unit cell (n-1, n) of ``zone`` splits the zone's pieces: an
+    end of the cell is not a cut of the zone, or a cut lies inside it."""
+    cuts = {zone.lo, zone.hi, *(x for x in est.fn.breakpoints if zone.lo < x < zone.hi)}
+    return not {n - 1, n} <= cuts or any(n - 1 < x < n for x in cuts)
+
+
 @pytest.mark.parametrize("include_known", [False, True])
 def test_each_probed_cell_is_searched_once(running_spec, monkeypatch, include_known):
     # the base search builds one candidate table per zone, and the four
     # shifts of a probed unit cell share one more: their worst cases are
-    # quadratics in the shift over the same candidates
+    # quadratics in the shift over the same candidates; a cell whose ends
+    # are consecutive cuts of its zone reads the base's table instead
     built = []
     real = oracle._zone_terms
 
@@ -768,12 +809,21 @@ def test_each_probed_cell_is_searched_once(running_spec, monkeypatch, include_kn
              for l in range(running_spec.m + 1)]
     g = (Fraction(4), Fraction(2))
     cases.append((estimate_partial(infer_model(ObservationSet.of([(3, 1)], g), 0), g), g, 50))
+    # the width-two intervals (1, 3) and (4, 6) are one estimate cell each, so each of their
+    # four unit cells adds a cut at its interval's middle
+    observed = [enumerate_atlas(running_spec).patterns[0]]
+    cases.append((estimate_partial(infer_model(ObservationSet.of(observed, running_spec.g), 0), running_spec.g),
+                  running_spec.g, 12))
+    cutting = []
     for est, g, resolution in cases:
         built.clear()
         report = perturbation_minimax_check(est, g, est.box, resolution, include_known)
-        probed = {p.cell for p in report.probes if any(z.lo < p.cell <= z.hi for z in est.box.zones)}
+        probed = {(z, p.cell) for p in report.probes for z in est.box.zones if z.lo < p.cell <= z.hi}
         assert probed and len(report.probes) >= 4 * len(probed)
-        assert sum(built) == len(est.box.zones) + len(probed)
+        cutting.append(sum(_adds_a_cut(est, z, n) for z, n in probed))
+        assert sum(built) == len(est.box.zones) + cutting[-1]
+    # every zone of a full-atlas estimate and of the [(3, 1)] chain is cut at every integer
+    assert cutting == [0] * (running_spec.m + 2) + [4]
 
 
 def test_probe_of_a_box_cell_no_estimate_cell_covers(running_spec):
@@ -914,7 +964,7 @@ def test_verify_cost_does_not_grow_with_region_length():
 
 
 def test_verify_derives_each_box_and_worst_case_once(running_spec, monkeypatch):
-    calls = {"feasible_box": 0, "estimate_partial": 0, "worst_case_energy": 0}
+    calls = {"feasible_box": 0, "estimate_partial": 0, "_search": 0}
 
     def count(module, name):
         real = getattr(module, name)
@@ -927,12 +977,12 @@ def test_verify_derives_each_box_and_worst_case_once(running_spec, monkeypatch):
     for module in (estimator, oracle):
         count(module, "feasible_box")
         count(module, "estimate_partial")
-    count(oracle, "worst_case_energy")
+    count(oracle, "_search")   # the one worst-case search, which the probe check runs too
     results = verify_scenario(running_spec, delta_denominator=8)
     assert all(r.passed for r in results), results
     pairs = int(results[-1].detail.split()[0])   # adjacent-pair sets, one worst case each
     assert calls["feasible_box"] == calls["estimate_partial"] == running_spec.m + 1 + pairs
-    assert calls["worst_case_energy"] == running_spec.m + 1 + pairs
+    assert calls["_search"] == running_spec.m + 1 + pairs
 
 
 def _first_grid_mismatch(spec, full, truth_of):
