@@ -12,9 +12,8 @@ import random
 from pcsamp import (
     ObservationSet,
     best_reference,
-    closed_form_energy,
+    closed_form_energies,
     enumerate_atlas,
-    infer_model,
     random_spec,
 )
 
@@ -25,10 +24,9 @@ print(f"jumps at discontinuities: "
 print()
 
 obs = ObservationSet.from_atlas(enumerate_atlas(spec), spec.g)
-energies = {}
-for l in range(spec.m + 1):
-    energies[l] = closed_form_energy(infer_model(obs, l), spec.g)
-    print(f"  reference l = {l}: worst-case energy {energies[l]}")
+energies = dict(enumerate(closed_form_energies(obs, spec.g)))   # every reference in one pass
+for l, energy in energies.items():
+    print(f"  reference l = {l}: worst-case energy {energy}")
 
 arg_min = min(energies, key=lambda l: (energies[l], l))
 law = best_reference(spec.g)

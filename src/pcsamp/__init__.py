@@ -55,6 +55,7 @@ from .estimator import (
     PartialObservations,
     absolute_error_bound,
     best_reference,
+    closed_form_energies,
     closed_form_energy,
     estimate_full,
     estimate_partial,

@@ -23,7 +23,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
-from .estimator import best_reference, closed_form_energy, estimate_partial
+from .estimator import best_reference, closed_form_energies, closed_form_energy, estimate_partial
 from .inference import InconsistentObservations, ObservationSet, infer_model
 from .oracle import exhaustive_consistency_sweep, verify_scenario
 from .sampler import SamplingPattern, enumerate_atlas
@@ -313,7 +313,7 @@ def cmd_estimate(args) -> int:
     spec, scenario_obs = load_scenario(args.scenario)
     obs = _resolve_observations(spec, scenario_obs, args.observations)
     if args.sweep:
-        energies = {l: closed_form_energy(infer_model(obs, l), spec.g) for l in range(spec.m + 1)}
+        energies = dict(enumerate(closed_form_energies(obs, spec.g)))
         available = {l: e for l, e in energies.items() if e is not None}
         arg_min = min(available, key=lambda l: (available[l], l)) if available else None
         law = best_reference(spec.g)

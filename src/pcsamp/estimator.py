@@ -24,12 +24,13 @@ units of amplitude squared times one grid step.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .inference import FeasibleBox, UncertaintyModel, feasible_box
+from .inference import FeasibleBox, ObservationSet, UncertaintyModel, feasible_box, infer_model
 from .signal_core import PiecewiseFunction, RationalLike, as_rational, on_lattice
 
 KNOWN = "known"
@@ -190,6 +191,31 @@ def closed_form_energy(
         return None
     total = sum((hi - lo) * (scaled[i] - scaled[i + 1]) ** 2 for i, (lo, hi) in enumerate(model.G))
     return Fraction(total, 4 * D * D)
+
+
+def closed_form_energies(
+    obs: ObservationSet, amplitudes: Sequence[RationalLike]
+) -> tuple[Optional[Fraction], ...]:
+    """Entry l is ``closed_form_energy(infer_model(obs, l), amplitudes)``,
+    for every l in one pass over the set's rank table
+    (``ObservationSet._ranks``).  Index i has width two from reference l
+    exactly when r_i = r_l, so with J_i = (D g_i - D g_{i+1})^2,
+    E(l) = (sum_{i != l} J_i + sum_{i != l, r_i = r_l} J_i) / 4D^2.  A
+    chain joins two width-two intervals, so only where l's rank class
+    holds another index is the model built, and None stands where it has
+    chains.
+    """
+    D, scaled = _on_integers(amplitudes, obs.m)
+    _, ranks = obs._ranks
+    jumps = [(a - b) ** 2 for a, b in zip(scaled, scaled[1:])]
+    total, size, by_rank = sum(jumps), Counter(ranks), defaultdict(int)
+    for r, j in zip(ranks, jumps):
+        by_rank[r] += j
+    return tuple(
+        None if size[r] > 1 and not infer_model(obs, l).chains.empty
+        else Fraction(total + by_rank[r] - 2 * j, 4 * D * D)
+        for l, (r, j) in enumerate(zip(ranks, jumps))
+    )
 
 
 def best_reference(amplitudes: Sequence[RationalLike]) -> int:

@@ -4,9 +4,14 @@ Given a set of count patterns and a reference discontinuity l, each other
 discontinuity i is located through the cumulative count of samples between
 it and the reference.  Observing both achievable values of that count pins
 the discontinuity to an open interval of width one grid step; observing a
-single value only pins it to width two.  Coupling is read from the
-intervals: a run of overlapping consecutive intervals is a chain, and
-:func:`chain_analysis` builds each chain once, as a coupled :class:`Zone`.
+single value only pins it to width two.  Every such count is read from one
+table per observation set, the rank of each index among the patterns'
+prefix counts (``ObservationSet._ranks``).  Building it decides once, for
+every reference, whether the patterns can come from one signal, and each
+reference then reads its intervals from two ints per index.  Coupling is
+read from the intervals: a run of overlapping consecutive intervals is a
+chain, and :func:`chain_analysis` builds each chain once, as a coupled
+:class:`Zone`.
 
 :func:`feasible_box` turns a model into the one tiling of the estimate span
 that the estimator fills and the oracle searches, ``FeasibleBox.stretches``.
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain as chained
+from operator import le, sub
 from typing import Iterable, Sequence
 
 from .sampler import PatternAtlas, SamplingPattern
@@ -43,8 +49,10 @@ class ObservationSet:
     float or a bool) is rejected, not truncated, however the set is built.
     The patterns are kept distinct and sorted, and :meth:`of` also takes
     plain sequences.  The set keeps one table that every reference reads,
-    ``_levels``: for each index i, the distinct counts of samples in
-    regions 1..i, each with a bitmask of the patterns that show it.
+    ``_ranks``: the first pattern's prefix counts S_0 and, for each index
+    i, the rank r_i of the key (S_p(i) - S_0(i)) over the patterns p.
+    Building it gives the verdict on the whole set, so a set is consistent,
+    or raises :class:`InconsistentObservations`, at every reference alike.
     """
 
     patterns: tuple[SamplingPattern, ...]
@@ -85,25 +93,36 @@ class ObservationSet:
         return len(self.amplitudes)
 
     @cached_property
-    def _levels(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Entry [i]: each distinct count of samples in regions 1..i, paired
-        with a bitmask of the patterns that show it (bit j for pattern j).
-        A count that every pattern shares, as row 0's always is, needs no
-        pass over the patterns: its mask is all of them."""
-        P = len(self.patterns)
-        every = (1 << P) - 1
-        levels = []
-        for row in zip(*(accumulate(p.eta, initial=0) for p in self.patterns)):
-            if row.count(row[0]) == P:
-                levels.append(((row[0], every),))
-                continue
-            masks: dict[int, int] = {}
-            bit = 1
-            for count in row:
-                masks[count] = masks.get(count, 0) | bit
-                bit <<= 1
-            levels.append(tuple(masks.items()))
-        return tuple(levels)
+    def _prefix(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """S_0, the first pattern's counts of samples in regions 1..i for
+        i = 0..m, and for each index i its key, (S_p(i) - S_0(i)) over the
+        patterns p; pattern p's count over regions a+1..b is
+        S_0(b) - S_0(a) + key(b)_p - key(a)_p."""
+        first = self.patterns[0].eta
+        keys = zip(*(accumulate(map(sub, p.eta, first), initial=0) for p in self.patterns))
+        return tuple(accumulate(first, initial=0)), tuple(keys)
+
+    @cached_property
+    def _ranks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """S_0 and each index's rank r_i among the distinct keys, ordered.
+
+        The patterns can come from one signal exactly when every count over
+        regions a+1..b takes one value or two consecutive ones, that is,
+        when the distinct keys form a componentwise chain whose top and
+        bottom differ by a 0/1 vector.  Otherwise this raises
+        :class:`InconsistentObservations` for one offending pair of
+        indices, in the words of :func:`cumulative_values`: two keys that
+        are not ordered, or the chain's bottom and top.
+        """
+        S0, keys = self._prefix
+        chain = sorted(dict.fromkeys(keys), key=sum)
+        for low, high in zip(chain, chain[1:]):
+            if not all(map(le, low, high)):   # between them one pattern gains and another loses: raises
+                _span_values(self, *sorted((keys.index(low), keys.index(high))))
+        if max(map(sub, chain[-1], chain[0])) > 1:   # a pattern gains two or more: raises
+            _span_values(self, *sorted((keys.index(chain[0]), keys.index(chain[-1]))))
+        rank = {key: r for r, key in enumerate(chain)}
+        return S0, tuple(map(rank.__getitem__, keys))
 
 
 @dataclass(frozen=True)
@@ -186,30 +205,27 @@ def cumulative_values(obs: ObservationSet, l: int, i: int) -> set[int]:
 
     For i > l this is eta_{l+1} + ... + eta_i, for i < l it is
     eta_{i+1} + ... + eta_l.  Consistent observations yield one value or
-    two consecutive values; anything else is rejected.  Each value is the
-    difference of two levels of ``obs._levels`` that some pattern shows
-    both of, found by ANDing their masks: a call costs one AND of two
-    P-bit masks per pair of levels, four pairs at most for consistent
-    observations, instead of one step per observed pattern.
+    two consecutive values; anything else is rejected.  Only this pair is
+    checked, so a pair of an inconsistent set may still return.  The
+    values are read from the set's prefix table, one per pattern.
     """
-    levels = obs._levels
-    m = len(levels) - 1
+    m = obs.m
     if not (0 <= i <= m and 0 <= l <= m):
         raise IndexError(f"indices i={i}, l={l} outside 0..{m}")
     if i == l:
         raise ValueError("the reference discontinuity has no cumulative count")
-    if i > l:
-        lo_r, hi_r = l + 1, i
-    else:
-        lo_r, hi_r = i + 1, l
-    vals = set()
-    for a, mask in levels[hi_r]:
-        for b, other in levels[lo_r - 1]:
-            if mask & other:
-                vals.add(a - b)
-    if len(vals) > 2 or (len(vals) == 2 and max(vals) - min(vals) != 1):
+    return _span_values(obs, min(i, l), max(i, l))
+
+
+def _span_values(obs: ObservationSet, a: int, b: int) -> set[int]:
+    """The patterns' counts of samples in regions a+1..b (a < b), raising
+    unless they are one value or two consecutive ones."""
+    S0, keys = obs._prefix
+    base = S0[b] - S0[a]
+    vals = {base + y - x for x, y in zip(keys[a], keys[b])}
+    if max(vals) - min(vals) > 1:
         raise InconsistentObservations(
-            f"cumulative counts over regions {lo_r}..{hi_r} take values {sorted(vals)}; "
+            f"cumulative counts over regions {a + 1}..{b} take values {sorted(vals)}; "
             "a single signal allows only one value or two consecutive ones"
         )
     return vals
@@ -245,25 +261,29 @@ def chain_analysis(G: Sequence[tuple[int, int]]) -> ChainStructure:
 def infer_model(obs: ObservationSet, l: int) -> UncertaintyModel:
     """Locate every discontinuity relative to reference l as far as possible.
 
-    One rule builds every interval.  With c = C_i the largest observed
-    cumulative count, discontinuity i lies in (c - 1, c) when two values
-    were seen and in (c - 1, c + 1) when only one was, measured outward
-    from the reference: right of l as is, left of l reflected to negative
-    positions.  The model keeps only l and these intervals; everything
-    else it reports is read from them.
+    One rule builds every interval from the set's rank table
+    (``ObservationSet._ranks``), with no per-pair count: right of l,
+    c = S_0(i) - S_0(l) + [r_i > r_l] is the largest observed cumulative
+    count, and discontinuity i lies in (c - 1, c) when two values were
+    seen (r_i != r_l) and in (c - 1, c + 1) when only one was
+    (r_i == r_l).  Left of l the same rule is reflected to negative
+    positions.  A set that no signal can produce raises
+    :class:`InconsistentObservations` at every reference.  The model
+    keeps only l and these intervals; everything else it reports is read
+    from them.
     """
     m = obs.m
     if not (0 <= l <= m):
         raise IndexError(f"reference index {l} outside 0..{m}")
+    S0, r = obs._ranks
+    s, rl = S0[l], r[l]
     G: list[tuple[int, int]] = [(0, 0)] * (m + 1)
-    for i in range(m + 1):
-        if i == l:
-            continue
-        vals = cumulative_values(obs, l, i)
-        c = max(vals)
-        assert c - 1 >= 0, "interval must lie on the reference's correct side"
-        lo, hi = c - 1, c + (len(vals) == 1)   # right of l; the left side is its reflection
-        G[i] = (-hi, -lo) if i < l else (lo, hi)
+    for i in range(l + 1, m + 1):
+        c = S0[i] - s + (r[i] > rl)
+        G[i] = (c - 1, c + (r[i] == rl))
+    for i in range(l):   # the reflection of (c - 1, c + [r_i == r_l])
+        c = s - S0[i] + (rl > r[i])
+        G[i] = (-c - (r[i] == rl), 1 - c)
     return UncertaintyModel(l=l, G=tuple(G))
 
 

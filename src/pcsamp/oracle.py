@@ -7,10 +7,10 @@ cells and checking the worst case never improves.
 
 The search runs over the stretches of the feasible box of
 :mod:`pcsamp.inference`, the same tiling the estimator fills, and one
-kernel, :func:`_zone_extremes`, integrates each of them: a forced span, a
-zone without members, whose energy does not depend on the placement, and
-the zones.  The kernel is one candidate generator, :func:`_zone_terms`,
-and one sweep, :func:`_sweep`, and the perturbation probes share both.
+kernel integrates each of them: a forced span, a zone without members,
+whose energy does not depend on the placement, and the zones.  The kernel
+is one candidate generator, :func:`_zone_terms`, and one sweep,
+:func:`_sweep`, and the perturbation probes share both.
 Uncertainty intervals form an independent box, except inside coupled runs
 where an always-one-sample region forces the spacing of consecutive
 discontinuities into [1, 2) grid steps.  Joint constraints beyond that
@@ -220,9 +220,27 @@ def _zone_terms(
 ) -> tuple[int, list[list[int]], list[list[int]]]:
     """The zone's energy as (tail, candidates, weights): the energy is
     ``tail`` plus, for each member k, ``weights[k][i]`` at the member's
-    grid index ``candidates[k][i]``.  The candidates ascend, and a zone
-    without members has none; the arguments are those of
-    :func:`_zone_extremes`."""
+    grid index ``candidates[k][i]``, for the estimate's pieces on the zone
+    (see :func:`_pieces`): ``cuts`` over N, ``vals`` and ``amps`` over D,
+    and energies over N * D^2.
+
+    Within a zone the truth takes the amplitudes of ``zone.regions`` in
+    order, each up to the next member discontinuity.  A zone without
+    members, a forced span, has one energy, ``tail``, and no candidates.
+    Otherwise positions are grid indices y, the placement y/R
+    (R = ``resolution``), strictly inside each member's interval; a
+    coupled step keeps the spacing in [1, 2), that is R <= q - p < 2R.
+    The energy is the last amplitude's integral over the zone plus one
+    term per member, each linear in its member between the estimate's
+    cuts.  Restricted to one linear piece per member, the feasible set is
+    an integral polytope (integer bounds and differences), so every
+    maximum, every minimum, the witness of :func:`_sweep` and every
+    non-empty prefix of the chain contain one of its vertices.  A vertex
+    coordinate of member k is a bound of some member j -- an end of its
+    grid or the grid index on either side of a cut inside its interval --
+    moved by |k - j| spacings of R or 2R - 1 and clipped to each member's
+    grid on the way.  Those are the candidates, ascending, so the sweep's
+    cost does not grow with R."""
     members, r, step = zone.members, resolution, N // resolution
     if not all(zone.lo <= box.G[i][0] and box.G[i][1] <= zone.hi for i in members):
         raise ValueError("zone members must lie inside the zone")
@@ -253,12 +271,15 @@ def _zone_terms(
 
 
 def _sweep(table: tuple, zone: Zone, resolution: int) -> tuple[int, int, tuple[int, ...]]:
-    """The largest and smallest energy of a zone's (tail, candidates,
-    weights) table (see :func:`_zone_terms`): the tail plus the members'
-    weights, over the placements a coupled step allows (R <= q - p < 2R
-    between consecutive members, R = ``resolution``), and the grid indices
-    of a largest one, the witness of :func:`_zone_extremes`.  A table
-    without candidates, a forced span's, has the one energy ``tail``."""
+    """The exact largest and smallest energy of a zone's (tail,
+    candidates, weights) table (see :func:`_zone_terms`) over the grid:
+    the tail plus the members' weights, over the placements a coupled step
+    allows (R <= q - p < 2R between consecutive members,
+    R = ``resolution``), and the grid indices of a largest one, the
+    witness.  The sweep runs forward over the candidates only.  Among the
+    maximal placements the witness puts the last member earliest, then the
+    one before it, and so on.  A table without candidates, a forced
+    span's, has the one energy ``tail``."""
     tail, candidates, weights = table
     if not candidates:
         return tail, tail, ()
@@ -289,40 +310,6 @@ def _sweep(table: tuple, zone: Zone, resolution: int) -> tuple[int, int, tuple[i
     for back in reversed(backs):
         path.append(back[path[-1]])
     return hi_state[path[0]] + tail, min(lo_state.values()) + tail, tuple(reversed(path))
-
-
-def _zone_extremes(
-    cuts: Sequence[int], vals: Sequence[int], amps: Sequence[int],
-    box: FeasibleBox, zone: Zone, resolution: int, N: int,
-) -> tuple[int, int, tuple[int, ...]]:
-    """Exact maximum and minimum of the zone's error energy over the grid,
-    and the grid indices of a maximal placement, for the estimate's pieces
-    on the zone (see :func:`_pieces`): ``cuts`` over N, ``vals`` and
-    ``amps`` over D, and energies over N * D^2.
-
-    Within a zone the truth takes the amplitudes of ``zone.regions`` in
-    order, each up to the next member discontinuity.  The search is one
-    candidate generator, :func:`_zone_terms`, and one sweep,
-    :func:`_sweep`, which the perturbation probes share.  A zone without
-    members, a forced span, has one energy and no candidates.  Otherwise
-    positions are grid indices y, the placement y/R (R = ``resolution``),
-    strictly inside each member's interval; a coupled step keeps the
-    spacing in [1, 2), that is R <= q - p < 2R.
-    The energy is the last amplitude's integral over the zone plus one
-    term per member, each linear in its member between the estimate's
-    cuts.  Restricted to one linear piece per member, the feasible set is
-    an integral polytope (integer bounds and differences), so every
-    maximum, every minimum, the witness below and every non-empty prefix
-    of the chain contain one of its vertices.  A
-    vertex coordinate of member k is a bound of some member j -- an end of
-    its grid or the grid index on either side of a cut inside its
-    interval -- moved by |k - j| spacings of R or 2R - 1 and clipped to
-    each member's grid on the way.  The forward sweep visits only those
-    candidates, so its cost does not grow with R.  Among the maximal
-    placements the witness puts the last member earliest, then the one
-    before it, and so on.
-    """
-    return _sweep(_zone_terms(cuts, vals, amps, box, zone, resolution, N), zone, resolution)
 
 
 def _fn_of(est: Union[Estimate, PiecewiseFunction], box: FeasibleBox, resolution: int) -> PiecewiseFunction:
@@ -378,8 +365,8 @@ def worst_case_energy(
     the supremum: ``[(3, 1)]`` with g = (4, 2) and l = 0 gives 26/5,
     148/25 and 1499/250 at resolutions 5, 50 and 1000, against a supremum
     of 6.  The total is one term per stretch of ``box.stretches``, each
-    from the generator and sweep of :func:`_zone_extremes` on the call's
-    one lattice (:func:`_lattice`):
+    from the generator :func:`_zone_terms` and the sweep :func:`_sweep` on
+    the call's one lattice (:func:`_lattice`):
     a forced span's energy does not depend on the placement, and each zone
     is searched independently (jointly inside coupled runs).  A zone's cost
     depends on its members and the estimate's breakpoints inside it, not on

@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import amp
+from conftest import amp, wide_spec
+from corpus import corpus
 
 from pcsamp import (
     ObservationSet,
@@ -12,6 +13,7 @@ from pcsamp import (
     SignalSpec,
     absolute_error_bound,
     best_reference,
+    closed_form_energies,
     closed_form_energy,
     energy_between,
     enumerate_atlas,
@@ -194,6 +196,44 @@ def test_closed_form_needs_one_amplitude_per_region(running_spec, read, g):
 def test_closed_form_unavailable_with_chains():
     model = infer_model(ObservationSet.of([(3, 1)], [4, 2]), 0)
     assert closed_form_energy(model, [4, 2]) is None
+
+
+def _energies_by_reference(obs, g):
+    """The per-reference loop, which ``closed_form_energies`` must equal."""
+    return tuple(closed_form_energy(infer_model(obs, l), g) for l in range(obs.m + 1))
+
+
+def test_one_pass_energies_equal_the_per_reference_loop():
+    """At every reference of every distinct observation set of the corpus,
+    chains included, and of full atlases, adjacent pairs and single
+    patterns of wide signals up to m = 96, by repr."""
+    seen, kinds = set(), {"energy": 0, "chains": 0}
+    for case in corpus():
+        if (case.draw, case.observed) in seen:
+            continue
+        seen.add((case.draw, case.observed))
+        obs = ObservationSet.of(case.observed, case.spec.g)
+        energies = closed_form_energies(obs, case.spec.g)
+        assert repr(energies) == repr(_energies_by_reference(obs, case.spec.g)), case.observed
+        kinds["chains"] += energies.count(None)
+        kinds["energy"] += len(energies) - energies.count(None)
+    assert kinds["chains"] > 1000 and kinds["energy"] > 10000, kinds
+
+    rng = random.Random(47)
+    for m in (8, 24, 48, 96):
+        spec = wide_spec(rng, m)
+        patterns = enumerate_atlas(spec).patterns
+        k = rng.randrange(m)
+        for observed in (patterns, patterns[k:k + 2], patterns[k:k + 1]):
+            obs = ObservationSet.of(observed, spec.g)
+            assert repr(closed_form_energies(obs, spec.g)) == repr(_energies_by_reference(obs, spec.g)), (m, k)
+
+
+def test_one_pass_energies_mark_the_chain_and_check_the_amplitudes():
+    obs = ObservationSet.of([(3, 1)], [4, 2])
+    assert closed_form_energies(obs, [4, 2]) == (None, Fraction(10), Fraction(10))   # a chain at l = 0
+    with pytest.raises(ValueError, match="expected 2 amplitudes, got 3"):
+        closed_form_energies(obs, [4, 2, 7])
 
 
 def test_best_reference_examples():

@@ -2,7 +2,9 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, combinations
 
 import pytest
 from conftest import wide_spec
@@ -100,6 +102,76 @@ def test_cumulative_values_match_slice_sums():
     obs = ObservationSet.of(rng.sample(first, 60) + rng.sample(second, 30), [1] * 80)
     returned, raised = _check_against_slice_sums(obs)
     assert returned > 100 and raised > 1000
+
+
+def test_inconsistent_set_raises_at_every_reference():
+    """Each count that involves l = 1 takes one value or two consecutive
+    ones, but over regions 1..2 the patterns count 4 and 6: no signal
+    shows both, whichever discontinuity is the reference."""
+    obs = ObservationSet.of([(3, 1), (4, 2)], (4, 2))
+    message = re.escape("cumulative counts over regions 1..2 take values [4, 6]")
+    for l in range(3):
+        with pytest.raises(InconsistentObservations, match=message):
+            infer_model(obs, l)
+
+
+def _pairwise_consistent(patterns) -> bool:
+    """Every pair of patterns p, q: S_p - S_q, over the prefix counts,
+    ranges over at most 1."""
+    prefixes = [list(accumulate(p.eta, initial=0)) for p in patterns]
+    for a, b in combinations(prefixes, 2):
+        gaps = [x - y for x, y in zip(a, b)]
+        if max(gaps) - min(gaps) > 1:
+            return False
+    return True
+
+
+def _intervals_by_definition(obs, l):
+    """G at reference l from the slice sums: c the largest count between i
+    and l, width one when two values are seen, two when one is."""
+    G = []
+    for i in range(obs.m + 1):
+        if i == l:
+            G.append((0, 0))
+            continue
+        lo_r, hi_r = (l + 1, i) if i > l else (i + 1, l)
+        vals = {sum(p.eta[lo_r - 1:hi_r]) for p in obs.patterns}
+        lo, hi = max(vals) - 1, max(vals) + (len(vals) == 1)
+        G.append((lo, hi) if i > l else (-hi, -lo))
+    return tuple(G)
+
+
+def test_verdict_is_the_pairwise_rule_at_every_reference():
+    """Mixtures of two signals' atlas patterns: a set the pairwise rule
+    accepts gives the slice-sum intervals at every reference, and any other
+    set raises at every reference, naming two regions whose counts spread
+    by two or more."""
+    rng = random.Random(41)
+    verdicts = Counter()
+    for _ in range(500):
+        m = rng.randint(2, 8)
+        first, second = (enumerate_atlas(random_spec(rng, m_range=(m, m), n_range=(2, 3))).patterns
+                         for _ in range(2))
+        observed = rng.sample(first, rng.randint(1, min(4, len(first))))
+        if rng.random() < 0.8:
+            observed += rng.sample(second, rng.randint(1, 3))
+        obs = ObservationSet.of(observed, [1] * m)
+        consistent = _pairwise_consistent(obs.patterns)
+        verdicts[consistent] += 1
+        for l in range(m + 1):
+            if consistent:
+                assert infer_model(obs, l).G == _intervals_by_definition(obs, l), (observed, l)
+                continue
+            with pytest.raises(InconsistentObservations) as info:
+                infer_model(obs, l)
+            lo_r, hi_r, shown = re.fullmatch(
+                r"cumulative counts over regions (\d+)\.\.(\d+) take values \[([\d, ]+)\]; "
+                r"a single signal allows only one value or two consecutive ones",
+                str(info.value),
+            ).groups()
+            vals = sorted({sum(p.eta[int(lo_r) - 1:int(hi_r)]) for p in obs.patterns})
+            assert shown == ", ".join(map(str, vals)) and vals[-1] - vals[0] > 1, (observed, l)
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
 
 
 def test_observation_counts_must_be_ints():

@@ -551,19 +551,21 @@ def _random_fn(rng, lo, hi):
 
 
 def _forced_outcome(fn, g, box, zone, resolution):
-    """The kernel on a member-less zone, with the reference integral it must
-    equal.  The pieces are built here by definition (the cuts lo, fn's
-    breakpoints inside and hi, fn's value at each midpoint) and put on
-    integers: cuts over N, values and the amplitude over D."""
+    """The kernel, the generator and then the sweep, on a member-less
+    zone, with the reference integral it must equal.  The pieces are built
+    here by definition (the cuts lo, fn's breakpoints inside and hi, fn's
+    value at each midpoint) and put on integers: cuts over N, values and
+    the amplitude over D."""
     cuts = [Fraction(zone.lo), *(x for x in fn.breakpoints if zone.lo < x < zone.hi), Fraction(zone.hi)]
     vals = [fn.evaluate((a + b) / 2) for a, b in zip(cuts, cuts[1:])]
     c = amp(g, *zone.regions)
     want = span_energy_reference(cuts, vals, c)
     N = math.lcm(resolution, *(x.denominator for x in cuts))
     D = math.lcm(*(v.denominator for v in (c, *vals)))
-    top, bottom, argmax = oracle._zone_extremes(
+    table = oracle._zone_terms(
         [int(x * N) for x in cuts], [int(v * D) for v in vals], [int(c * D)], box, zone, resolution, N // resolution
     )
+    top, bottom, argmax = oracle._sweep(table, zone, resolution)
     got = oracle.ZoneOutcome(zone.members, Fraction(top, N * D * D), Fraction(bottom, N * D * D), argmax)
     return got, oracle.ZoneOutcome((), want, want, ())
 
