@@ -103,8 +103,9 @@ class Estimate:
         return self.box.G[0][0], self.box.G[-1][1]
 
     @cached_property
-    def _cell_los(self) -> tuple[Fraction, ...]:
-        return tuple(cell.lo for cell in self.cells)
+    def _cell_los(self) -> tuple[int | Fraction, ...]:
+        # integer starts as ints, so that a search by an integer compares ints
+        return tuple(int(cell.lo) if cell.lo.denominator == 1 else cell.lo for cell in self.cells)
 
     def value_at(self, t: RationalLike) -> Fraction:
         t = as_rational(t)

@@ -6,11 +6,14 @@ discontinuities, and minimax claims are probed by perturbing estimate
 cells and checking the worst case never improves.
 
 The search runs over the stretches of the feasible box of
-:mod:`pcsamp.inference`, the same tiling the estimator fills, and one
-kernel integrates each of them: a forced span, a zone without members,
-whose energy does not depend on the placement, and the zones.  The kernel
-is one candidate generator, :func:`_zone_terms`, and one sweep,
-:func:`_sweep`, and the perturbation probes share both.
+:mod:`pcsamp.inference`, the same tiling the estimator fills, with one
+candidate generator, :func:`_zone_terms`, and one sweep, :func:`_sweep`,
+which the perturbation probes share.  Each stretch costs what its
+structure needs.  A forced span, a zone without members, has one energy
+whatever the placement: the generator integrates it in one pass over its
+pieces and the sweep hands it back.  A lone member's energy is one max
+over its candidates, and a chain's takes the spacing propagation and the
+forward sweep.
 Uncertainty intervals form an independent box, except inside coupled runs
 where an always-one-sample region forces the spacing of consecutive
 discontinuities into [1, 2) grid steps.  Joint constraints beyond that
@@ -240,27 +243,31 @@ def _zone_terms(
     grid or the grid index on either side of a cut inside its interval --
     moved by |k - j| spacings of R or 2R - 1 and clipped to each member's
     grid on the way.  Those are the candidates, ascending, so the sweep's
-    cost does not grow with R."""
+    cost does not grow with R.  A lone member has no neighbour to move a
+    bound onto it, so its candidates are its own bounds."""
     members, r, step = zone.members, resolution, N // resolution
-    if not all(zone.lo <= box.G[i][0] and box.G[i][1] <= zone.hi for i in members):
+    bounds = [box.G[i] for i in members]
+    if not all(zone.lo <= a and b <= zone.hi for a, b in bounds):
         raise ValueError("zone members must lie inside the zone")
     tail = _integral(cuts, vals, amps[-1], cuts[-1])
     if not members:
         return tail, [], []
-    grids = [(box.G[i][0] * r + 1, box.G[i][1] * r - 1) for i in members]
-    own = [
+    grids = [(a * r + 1, b * r - 1) for a, b in bounds]
+    inner = cuts[1:-1]   # the zone's ends lie at or outside every member's interval
+    found = own = [
         {lo, hi, *(min(max(y, lo), hi)
-                   for x in cuts if box.G[i][0] * N < x < box.G[i][1] * N
+                   for x in inner if a * N < x < b * N
                    for y in (x // step, -(-x // step)))}
-        for i, (lo, hi) in zip(members, grids)
+        for (a, b), (lo, hi) in zip(bounds, grids)
     ]
-    found: list[set[int]] = [set() for _ in members]
-    for order, sign in ((range(len(members)), 1), (range(len(members) - 1, -1, -1), -1)):
-        moved: set[int] = set()
-        for k in order:
-            lo, hi = grids[k]
-            moved = own[k] | {min(max(y + sign * s, lo), hi) for y in moved for s in (r, 2 * r - 1)}
-            found[k] |= moved
+    if len(members) > 1:   # a lone member's vertices are its own
+        found = [set() for _ in members]
+        for order, sign in ((range(len(members)), 1), (range(len(members) - 1, -1, -1), -1)):
+            moved: set[int] = set()
+            for k in order:
+                lo, hi = grids[k]
+                moved = own[k] | {min(max(y + sign * s, lo), hi) for y in moved for s in (r, 2 * r - 1)}
+                found[k] |= moved
     candidates = [sorted(ys) for ys in found]
     # member k's term at grid index y: amps[k] on its left, amps[k+1] on its right
     weights = [
@@ -279,10 +286,15 @@ def _sweep(table: tuple, zone: Zone, resolution: int) -> tuple[int, int, tuple[i
     witness.  The sweep runs forward over the candidates only.  Among the
     maximal placements the witness puts the last member earliest, then the
     one before it, and so on.  A table without candidates, a forced
-    span's, has the one energy ``tail``."""
+    span's, has the one energy ``tail``, and a lone member's extremes are
+    its largest and smallest weight."""
     tail, candidates, weights = table
     if not candidates:
         return tail, tail, ()
+    if len(candidates) == 1:   # a lone member: the first candidate that reaches the largest weight
+        (ys,), (ws,) = candidates, weights
+        top = max(ws)
+        return top + tail, min(ws) + tail, (ys[ws.index(top)],)
     r = resolution
     # per reached candidate of the current member, in ascending order: the
     # largest and smallest sum of the terms up to that member
@@ -364,15 +376,17 @@ def worst_case_energy(
     over the open feasible set.  For a chain the grid maximum lies below
     the supremum: ``[(3, 1)]`` with g = (4, 2) and l = 0 gives 26/5,
     148/25 and 1499/250 at resolutions 5, 50 and 1000, against a supremum
-    of 6.  The total is one term per stretch of ``box.stretches``, each
-    from the generator :func:`_zone_terms` and the sweep :func:`_sweep` on
-    the call's one lattice (:func:`_lattice`):
-    a forced span's energy does not depend on the placement, and each zone
-    is searched independently (jointly inside coupled runs).  A zone's cost
-    depends on its members and the estimate's breakpoints inside it, not on
-    ``resolution``; a forced span costs one term per piece of the estimate
-    on it, however long the span, and a point span, which has no measure,
-    is skipped.  ``stretches`` keeps every outcome.  An :class:`Estimate`
+    of 6.  The total is one term per stretch of ``box.stretches``, on the
+    call's one lattice (:func:`_lattice`), and each stretch costs what its
+    structure needs.  A forced span's energy does not depend on the
+    placement: it is one pass over the estimate's pieces on it, however
+    long the span.  A lone member's is one max over its candidates from
+    :func:`_zone_terms`, and a chain's takes the generator's spacing
+    propagation and the forward sweep of :func:`_sweep`.  Zones are searched
+    independently (jointly inside coupled runs), at a cost that depends on
+    their members and the estimate's breakpoints inside them, not on
+    ``resolution``, and a point span, which has no measure, is skipped.
+    ``stretches`` keeps every outcome.  An :class:`Estimate`
     must fill ``box``: a box of another reference or other intervals
     raises ``ValueError``; a bare :class:`PiecewiseFunction` is searched on
     any box.

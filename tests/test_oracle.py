@@ -225,7 +225,7 @@ def test_three_member_chain_is_not_minimax():
     # the known defect: the per-cell (min + max) / 2 rule is not minimax once
     # a chain has 3 members, and moving one cell lowers the worst case from 4
     # to 91/25.  This pins ROADMAP item 3, as the inverted-span tests pin
-    # item 2, and must be updated when item 3 lands.
+    # item 1, and must be updated when item 3 lands.
     g = tuple(map(Fraction, (-3, -1, -2)))
     est = estimate_partial(infer_model(ObservationSet.of([(3, 1, 1)], g), 0), g)
     report = perturbation_minimax_check(est, g, est.box, resolution=12)
@@ -469,26 +469,33 @@ def test_chain_sweep_off_lattice_breakpoint():
         _check_against_brute_force(fn, g, box, resolution)
 
 
+def _random_zone_case(rng, size):
+    """A random box of one zone with ``size`` members (widths 1-3, upper
+    ends non-decreasing), a random function on it and random amplitudes."""
+    G, lo, hi = [(0, 0)], 0, 0
+    for _ in range(size):
+        lo += rng.randint(0, 2)
+        hi = lo + rng.randint(max(1, hi - lo), 3)
+        G.append((lo, hi))
+    box = FeasibleBox(
+        l=0, G=tuple(G), zones=(Zone(regions=tuple(range(1, len(G) + 1)), lo=G[1][0], hi=hi),)
+    )
+    cuts = sorted({Fraction(0), Fraction(hi), *(Fraction(rng.randint(0, 4 * hi), 4) for _ in range(3))})
+    fn = PiecewiseFunction(
+        tuple(cuts), tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in cuts[1:])
+    )
+    g = tuple(Fraction(rng.randint(-4, 4)) for _ in G[1:])
+    return fn, g, box
+
+
 def test_chain_sweep_matches_brute_force_on_random_boxes():
     # the sweep visits only candidate vertices of each zone; every grid
-    # placement of random coupled boxes checks it, and a box with none
+    # placement of random boxes checks it, and a coupled box with none
     # must raise
     rng = random.Random(11)
     outcomes = {True: 0, False: 0}
     for _ in range(150):
-        G, lo, hi = [(0, 0)], 0, 0
-        for _ in range(rng.randint(2, 4)):
-            lo += rng.randint(0, 2)
-            hi = lo + rng.randint(max(1, hi - lo), 3)   # widths 1-3, upper ends non-decreasing
-            G.append((lo, hi))
-        box = FeasibleBox(
-            l=0, G=tuple(G), zones=(Zone(regions=tuple(range(1, len(G) + 1)), lo=G[1][0], hi=hi),)
-        )
-        cuts = sorted({Fraction(0), Fraction(hi), *(Fraction(rng.randint(0, 4 * hi), 4) for _ in range(3))})
-        fn = PiecewiseFunction(
-            tuple(cuts), tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in cuts[1:])
-        )
-        g = tuple(Fraction(rng.randint(-4, 4)) for _ in G[1:])
+        fn, g, box = _random_zone_case(rng, rng.randint(2, 4))
         for resolution in (2, 3, 4):
             feasible = bool(_brute_force_chain(fn, g, box, resolution))
             outcomes[feasible] += 1
@@ -498,6 +505,22 @@ def test_chain_sweep_matches_brute_force_on_random_boxes():
                 with pytest.raises(EmptyFeasibleSet):
                     worst_case_energy(fn, g, box, resolution)
     assert outcomes[True] and outcomes[False], outcomes
+    # a lone member's extremes are one max and one min over its candidates,
+    # and its witness the earliest maximal one; it always has a grid point
+    lone = random.Random(12)
+    for _ in range(50):
+        fn, g, box = _random_zone_case(lone, 1)
+        for resolution in (2, 3, 4):
+            _check_against_brute_force(fn, g, box, resolution)
+    # under the midpoint of its two amplitudes, 2 and the padding's 0, every
+    # placement ties, so the witness is its earliest grid point
+    box = FeasibleBox(l=0, G=((0, 0), (1, 3)), zones=(Zone(regions=(1, 2), lo=1, hi=3),))
+    fn = PiecewiseFunction(tuple(map(Fraction, (0, 1, 3))), (Fraction(2), Fraction(1)))
+    for resolution in (2, 3, 4):
+        _check_against_brute_force(fn, (Fraction(2),), box, resolution)
+        (zone,) = worst_case_energy(fn, (Fraction(2),), box, resolution).zones
+        assert zone.max_energy == zone.min_energy
+        assert zone.argmax == (1 + Fraction(1, resolution),)
 
 
 def test_chain_sweep_cost_does_not_grow_with_resolution():
