@@ -15,7 +15,13 @@ but not on chains of three or more.
 
 Every function here reads the amplitudes once, checked to number one per
 region, as integers D * g_i over their common denominator D, zero padded;
-the oracle's searches read the same table.
+the oracle's searches read the same table.  The estimate is built on
+ints: each cell's bounds and its centre over 2D.  Point cells are dropped
+and the breakpoints checked on them, and the estimate's function keeps
+them as its integer table, which the searches rescale instead of putting
+the function's Fractions on a lattice again.  The box comes from
+:func:`pcsamp.inference.feasible_box`, which each model builds once, and
+the cells are :class:`EstimateCell` NamedTuples.
 
 Estimates are piecewise constant on integer grid cells; energies are in
 units of amplitude squared times one grid step.
@@ -28,7 +34,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .inference import FeasibleBox, ObservationSet, UncertaintyModel, feasible_box, infer_model
 from .signal_core import PiecewiseFunction, RationalLike, as_rational, on_lattice
@@ -52,8 +58,7 @@ def _on_integers(amplitudes: Sequence[RationalLike], m: int) -> tuple[int, list[
     return D, [0, *scaled, 0]
 
 
-@dataclass(frozen=True)
-class EstimateCell:
+class EstimateCell(NamedTuple):
     """One constant span of the estimate with its provenance.
 
     ``indices`` are the amplitudes the truth can take on the cell, and
@@ -126,9 +131,12 @@ class Estimate:
         return self.fn.evaluate(t)
 
 
-def _build_cells(box: FeasibleBox, D: int, scaled: Sequence[int]) -> tuple[EstimateCell, ...]:
+def _build_cells(
+    box: FeasibleBox, D: int, scaled: Sequence[int]
+) -> tuple[tuple[EstimateCell, ...], list[tuple[int, int, int]]]:
+    """The cells filling ``box``, in order, and each cell's (lo, hi, 2 D value) as ints."""
     # one pass over the box's stretches, which come in order, so the cells do too
-    cells = []
+    cells, table = [], []
     bounds: dict[int, Fraction] = {}   # one Fraction per integer bound, shared by neighbouring cells
     for z in box.stretches:
         if z.coupled:   # k members hold k + 1 unit cells, cell j meeting regions[j-1:j+2]
@@ -137,12 +145,13 @@ def _build_cells(box: FeasibleBox, D: int, scaled: Sequence[int]) -> tuple[Estim
             spans = [(z.lo, z.hi, z.regions)]
         for lo, hi, indices in spans:
             met = [scaled[i] for i in indices]
-            value = Fraction(min(met) + max(met), 2 * D)   # the centre of the amplitudes met
+            twice = min(met) + max(met)   # the centre of the amplitudes met, over 2 D
             for x in (lo, hi):
                 if x not in bounds:
                     bounds[x] = Fraction(x)
-            cells.append(EstimateCell(lo=bounds[lo], hi=bounds[hi], value=value, indices=indices))
-    return tuple(cells)
+            cells.append(EstimateCell(bounds[lo], bounds[hi], Fraction(twice, 2 * D), indices))
+            table.append((lo, hi, twice))
+    return tuple(cells), table
 
 
 def estimate_partial(model: UncertaintyModel, amplitudes: Sequence[RationalLike]) -> Estimate:
@@ -156,10 +165,17 @@ def estimate_partial(model: UncertaintyModel, amplitudes: Sequence[RationalLike]
     """
     D, scaled = _on_integers(amplitudes, model.m)
     box = feasible_box(model)
-    cells = _build_cells(box, D, scaled)
-    wide = [c for c in cells if c.lo < c.hi]
-    breakpoints = tuple([wide[0].lo] + [c.hi for c in wide])
-    fn = PiecewiseFunction(breakpoints=breakpoints, values=tuple(c.value for c in wide))
+    cells, table = _build_cells(box, D, scaled)
+    wide = [k for k, (lo, hi, _) in enumerate(table) if lo < hi]   # a point cell has no measure
+    xs = (table[wide[0]][0], *(table[k][1] for k in wide))
+    for a, b in zip(xs, xs[1:]):
+        if not a < b:
+            raise ValueError(f"breakpoints must strictly increase; saw {a} then {b}")
+    fn = PiecewiseFunction._from_integers(
+        (cells[wide[0]].lo, *(cells[k].hi for k in wide)),
+        tuple(cells[k].value for k in wide),
+        (1, xs, 2 * D, tuple(table[k][2] for k in wide)),
+    )
     return Estimate(cells=cells, fn=fn, box=box)
 
 

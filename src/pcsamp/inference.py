@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain as chained
 from operator import le, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .sampler import PatternAtlas, SamplingPattern
 from .signal_core import RationalLike, as_rational
@@ -125,8 +125,7 @@ class ObservationSet:
         return S0, tuple(map(rank.__getitem__, keys))
 
 
-@dataclass(frozen=True)
-class Zone:
+class Zone(NamedTuple):
     """One stretch of the estimate span and the amplitudes the truth can take on it.
 
     ``regions`` are consecutive amplitude indices and ``members`` the
@@ -172,8 +171,9 @@ class UncertaintyModel:
     about it: its width is 1 or 2 grid steps, and ``G[l] == (0, 0)`` has
     width 0.  The rest is read from G: ``C[i]`` is the interval's anchor
     integer, the larger observed cumulative count (``C[l] == 0``), ``U``
-    the indices known only to width two, and ``chains`` the runs of
-    overlapping intervals (:func:`chain_analysis`).
+    the indices known only to width two, ``chains`` the runs of
+    overlapping intervals (:func:`chain_analysis`), and ``_box`` the
+    feasible box that :func:`feasible_box` returns, built once per model.
     """
 
     l: int
@@ -198,6 +198,19 @@ class UncertaintyModel:
     @cached_property
     def chains(self) -> ChainStructure:
         return chain_analysis(self.G)
+
+    @cached_property
+    def _box(self) -> FeasibleBox:
+        chains = self.chains.plus + self.chains.minus
+        coupled = {i for zone in chains for i in zone.members}
+        zones = [
+            Zone((i, i + 1), lo, hi)
+            for i, (lo, hi) in enumerate(self.G)
+            if i != self.l and i not in coupled
+        ]
+        zones += chains
+        zones.sort(key=lambda z: z.lo)
+        return FeasibleBox(l=self.l, G=self.G, zones=tuple(zones))
 
 
 def cumulative_values(obs: ObservationSet, l: int, i: int) -> set[int]:
@@ -249,7 +262,7 @@ def chain_analysis(G: Sequence[tuple[int, int]]) -> ChainStructure:
     for b in range(len(G)):
         if b + 1 == len(G) or G[b][1] <= G[b + 1][0]:   # the run a..b ends at b
             if a < b:
-                runs.append(Zone(regions=tuple(range(a, b + 2)), lo=G[a][0], hi=G[b][1]))
+                runs.append(Zone(tuple(range(a, b + 2)), G[a][0], G[b][1]))
             a = b + 1
     # each side outward from the reference
     return ChainStructure(
@@ -312,7 +325,7 @@ class FeasibleBox:
                 lo, hi = self.G[i - 1][1], self.G[i][0]
                 if lo > hi:   # raised, not asserted, so that it holds under python -O
                     raise AssertionError(f"forced span for region {i} is inverted")
-                stretches.append(Zone(regions=(i,), lo=lo, hi=hi))
+                stretches.append(Zone((i,), lo, hi))
             if zone:
                 stretches.append(zone)
                 first = zone.regions[-1]
@@ -324,14 +337,7 @@ class FeasibleBox:
 
 def feasible_box(model: UncertaintyModel) -> FeasibleBox:
     """Search geometry implied by an uncertainty model: the model's chains
-    plus one isolated interval for every other non-reference index."""
-    chains = model.chains.plus + model.chains.minus
-    coupled = {i for zone in chains for i in zone.members}
-    zones = [
-        Zone(regions=(i, i + 1), lo=lo, hi=hi)
-        for i, (lo, hi) in enumerate(model.G)
-        if i != model.l and i not in coupled
-    ]
-    zones += chains
-    zones.sort(key=lambda z: z.lo)
-    return FeasibleBox(l=model.l, G=model.G, zones=tuple(zones))
+    plus one isolated interval for every other non-reference index.  The
+    model builds it once, so the estimator and every search of its
+    estimate share one box and one tiling."""
+    return model._box

@@ -19,21 +19,24 @@ where an always-one-sample region forces the spacing of consecutive
 discontinuities into [1, 2) grid steps.  Joint constraints beyond that
 are intentionally out of scope.
 
-The search runs on integers, on one lattice per search: every position
-is an integer over N, the lcm of the grid resolution R and the
-denominators of the estimate's breakpoints, every value one over D, the
-common denominator of the amplitudes and the estimate's values, and every
-integral of (c - estimate)^2 one over N * D^2.  The amplitudes are the
-estimator's checked, zero-padded table, rescaled onto D, and
-:func:`pcsamp.signal_core.on_lattice` builds every lattice.  The
-perturbation check builds one lattice, with D scaled by 10 so that every
-perturbed value lies on it, and runs its base search there: the Fractions
-of the results normalise, so they do not depend on the scale.  Fractions
-are built only for the results.  Between the estimate's cuts the energy
-is linear in each discontinuity, and the constraints are integer bounds
-and differences, so every extreme sits at a vertex of the grid's feasible
-set.  The sweep visits only those candidate vertices, a few per member,
-and its cost does not grow with R.
+The search runs on integers, on one lattice per search, read from the
+estimate's integer table (``PiecewiseFunction._integers``): its
+breakpoints over N_f and its values over D_f.  The estimator stores the
+table it built its function from, and any other function builds it on
+first use.  Every position is an integer over N = lcm(R, N_f), R the grid
+resolution, every value one over D = lcm(D_f, D_g), D_g the amplitudes'
+common denominator, and every integral of (c - estimate)^2 one over
+N * D^2.  The amplitudes are the estimator's checked, zero-padded table,
+rescaled onto D.  The perturbation check builds one lattice, with D
+scaled by 10 so that every perturbed value lies on it, and runs its base
+search there: the Fractions of the results normalise, so they do not
+depend on the scale.  Fractions are built only for the results, and the
+records made per stretch and per probe, :class:`ZoneOutcome` and
+:class:`PerturbationProbe`, are NamedTuples.  Between the estimate's
+cuts the energy is linear in each discontinuity, and the constraints are
+integer bounds and differences, so every extreme sits at a vertex of the
+grid's feasible set.  The sweep visits only those candidate vertices, a
+few per member, and its cost does not grow with R.
 
 A probe sets unit cell C to gamma + s, gamma the value at C's midpoint.  At
 each placement y the stretch's energy is then
@@ -56,7 +59,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .estimator import (
     KNOWN,
@@ -74,7 +77,6 @@ from .signal_core import (
     PiecewiseFunction,
     SignalSpec,
     find_genericity_violation,
-    on_lattice,
     translate,
     truth_function,
     validate_spec,
@@ -85,8 +87,7 @@ class EmptyFeasibleSet(ValueError):
     """No discontinuity placement satisfies the spacing constraints."""
 
 
-@dataclass(frozen=True)
-class ZoneOutcome:
+class ZoneOutcome(NamedTuple):
     members: tuple[int, ...]
     max_energy: Fraction
     min_energy: Fraction
@@ -112,8 +113,7 @@ class WorstCase:
         return tuple(o for o in self.stretches if o.members)
 
 
-@dataclass(frozen=True)
-class PerturbationProbe:
+class PerturbationProbe(NamedTuple):
     cell: int                 # unit cell (cell-1, cell)
     delta: Fraction
     worst: Fraction
@@ -173,16 +173,17 @@ def energy_between(a: PiecewiseFunction, b: PiecewiseFunction) -> Fraction:
 def _lattice(
     fn: PiecewiseFunction, amplitudes: Sequence[Fraction], box: FeasibleBox, resolution: int, d_scale: int = 1,
 ) -> tuple:
-    """(N, D, breakpoints, values, amplitudes): fn's breakpoints over N, the
-    lcm of R and their denominators, and fn's values and the amplitudes over
-    D, ``d_scale`` times the lcm of their denominators.  The values carry
-    fn's zero on either side; the amplitudes are the estimator's checked,
-    zero-padded table (one per region of ``box``), rescaled onto D."""
+    """(N, D, breakpoints, values, amplitudes): fn's integer table
+    (breakpoints over N_f, values over D_f), rescaled so that the
+    breakpoints lie over N = lcm(R, N_f) and fn's values and the amplitudes
+    over D = ``d_scale`` * lcm(D_f, D_g).  The values carry fn's zero on
+    either side; the amplitudes are the estimator's checked, zero-padded
+    table (one per region of ``box``, over D_g), rescaled onto D."""
     Dg, amps = _on_integers(amplitudes, box.m)
-    N, xs = on_lattice(fn.breakpoints, resolution)
-    Dv, vals = on_lattice(fn.values, Dg)
-    D = d_scale * Dv
-    return N, D, xs, [0, *(d_scale * v for v in vals), 0], [a * (D // Dg) for a in amps]
+    Nf, xs, Df, vals = fn._integers
+    N, D = math.lcm(resolution, Nf), d_scale * math.lcm(Df, Dg)
+    x, v, a = N // Nf, D // Df, D // Dg
+    return N, D, [x * b for b in xs], [0, *(v * y for y in vals), 0], [a * g for g in amps]
 
 
 def _pieces(lattice: tuple, zone: Zone) -> tuple[list[int], list[int], list[int]]:

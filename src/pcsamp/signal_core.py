@@ -267,6 +267,29 @@ class PiecewiseFunction:
             if not a < b:
                 raise ValueError(f"breakpoints must strictly increase; saw {a} then {b}")
 
+    @cached_property
+    def _integers(self) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
+        """(N, xs, D, vs): the breakpoints as integers xs over N and the
+        values as integers vs over D, each pair built by :func:`on_lattice`.
+        The estimator stores the table it built its function from
+        (:meth:`_from_integers`); any other function builds it here, on
+        first use."""
+        N, xs = on_lattice(self.breakpoints)
+        D, vs = on_lattice(self.values)
+        return N, tuple(xs), D, tuple(vs)
+
+    @classmethod
+    def _from_integers(
+        cls, breakpoints: tuple[Fraction, ...], values: tuple[Fraction, ...],
+        integers: tuple[int, tuple[int, ...], int, tuple[int, ...]],
+    ) -> "PiecewiseFunction":
+        """The function with these Fractions, which the caller built from
+        ``integers``, the table of :attr:`_integers` up to scale, and checked
+        on it; the table is stored and no Fraction is compared."""
+        fn = object.__new__(cls)
+        fn.__dict__.update(breakpoints=breakpoints, values=values, _integers=integers)
+        return fn
+
     def evaluate(self, t: RationalLike) -> Fraction:
         t = as_rational(t)
         j = bisect_right(self.breakpoints, t) - 1

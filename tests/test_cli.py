@@ -639,3 +639,105 @@ def test_cli_fuzz_exits_cleanly(tmp_path):
             codes.append(code)
     assert codes[:4] == [0, "inverted", 0, 1]
     assert len(codes) == 320 and codes.count(0) > 120 and codes.count(3) > 120
+
+
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
+# an int literal longer than Python 3.11's default limit on int digits, which
+# json.load then refuses; Python 3.10 parses it, where every use below is invalid
+_LONG_INT = "9" * 5000
+_BAD_TEXT = ["", " ", "abc", "1/0", "1//4", "0x10", "4 2", "1/4/2", "--1", "1e", "1.5.2", "0.25f",
+             "nan", "inf", "-inf", "NaN", "Infinity", "1e-3x", "\u00bd"]
+
+
+def _malformed(rng, base: dict):
+    """One mutation of the scenario ``base`` that must exit 2: a bad field,
+    a huge int or a float where it is invalid, an unparseable or float
+    string, a wrong shape, or broken JSON.  Returns the file's text."""
+    data = json.loads(json.dumps(base))
+    regions = data["regions"]
+    region = rng.choice(regions)
+    kind = rng.randrange(12)
+    if kind == 0:   # a missing or renamed field
+        key = rng.choice(("g", "n", "f"))
+        value = region.pop(key)
+        if rng.random() < 0.5:
+            region[key.upper()] = value
+    elif kind == 1:   # a field outside its range
+        field, value = rng.choice([
+            ("f", rng.choice(["0", "1", "-1/4", "5/4", 0, 1, -3])),
+            ("n", rng.choice([1, 0, -3, None, True, False, [2], {"n": 2}, "2", "2.0", "1/0"])),
+            ("T", rng.choice(["0", "-1", -2, 0, None, True, [1]])),
+            ("g", rng.choice([None, True, [4], {"g": 4}])),
+        ])
+        (data if field == "T" else region)[field] = value
+    elif kind == 2:   # a zero end amplitude, equal neighbours, or an integer run of fractional parts
+        choice = rng.randrange(3)
+        if choice == 0:
+            rng.choice((regions[0], regions[-1]))["g"] = rng.choice(("0", 0, "0/7"))
+        elif choice == 1:
+            regions[1]["g"] = regions[0]["g"]
+        else:
+            regions[1]["f"] = "3/4"
+    elif kind == 3:   # a huge int where every size is invalid
+        huge = rng.choice((10**30, 10**400, -(10**30)))
+        field = rng.choice(("f", "T", "n"))
+        value = -abs(huge) if field != "f" else huge
+        (data if field == "T" else region)[field] = value
+    elif kind == 4:   # an int literal too long to parse on Python 3.11+, in an invalid place
+        field = rng.choice(("f", "T", "n"))
+        text = json.dumps(data)
+        return text.replace('"T": "1"', f'"T": -{_LONG_INT}') if field == "T" else text.replace(
+            '"f": "1/4"' if field == "f" else '"n": 2', f'"{field}": {"" if field == "f" else "-"}{_LONG_INT}'
+        )
+    elif kind == 5:   # a float number, a NaN or an infinity
+        field = rng.choice(("g", "f", "T", "n"))
+        value = rng.choice((rng.uniform(-10, 10), 0.25, 2.0, 3.5, math.nan, math.inf, -math.inf, 1e300))
+        (data if field == "T" else region)[field] = value
+    elif kind == 6:   # an unparseable or float string
+        field = rng.choice(("g", "f", "T"))
+        (data if field == "T" else region)[field] = rng.choice(_BAD_TEXT)
+    elif kind == 7:   # observations of the wrong shape
+        data["observations"] = rng.choice([
+            "some", "ALL", [], {}, 5, None, [[2]], [[2, 3, 1]], [[2, True]], [[2, 3], [2, 3]],
+            [[2, "3"]], [[2, 3.0]], [{"eta": [2]}], [[10**30]], [2, 3], [[[2, 3]]], [{"counts": [2, 3]}],
+        ])
+    elif kind == 8:   # regions of the wrong shape
+        data["regions"] = rng.choice([
+            [], {}, "regions", 2, None, [None], [[4, 2, "1/4"]], [regions[0], "region"],
+            {"0": regions[0]}, [regions],
+        ])
+    elif kind == 9:   # a scenario that is not an object, or has no regions
+        data = rng.choice([[data], "scenario", 4, None, {"T": "1"}, {"Regions": regions}])
+    elif kind == 10:   # nesting deeper than the parser's recursion limit
+        depth = rng.choice((2000, 10**5))
+        return json.dumps(data).replace('"observations": "all"', f'"observations": {"[" * depth}{"]" * depth}')
+    else:   # the file cut short
+        text = json.dumps(data, indent=2)
+        return text[:rng.randrange(len(text) - 1)]
+    return json.dumps(data)
+
+
+def test_cli_fuzz_malformed_scenarios_exit_2(tmp_path):
+    """Seeded mutations of scenarios/running.json through every subcommand
+    that reads a scenario: each call exits 2 with one error line on stderr,
+    prints nothing, and raises nothing."""
+    base = json.loads((SCENARIOS / "running.json").read_text())
+    rng = random.Random(19)
+    texts = [_malformed(rng, base) for _ in range(160)]
+    assert len(set(texts)) > 90
+    for k, text in enumerate(texts):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(text, encoding="utf-8")
+        for argv in (
+            ["validate", str(path)],
+            ["patterns", str(path), "--format", "json"],
+            ["infer", str(path), "--ref", "0"],
+            ["estimate", str(path), "--ref", "1", "--format", "csv"],
+            ["estimate", str(path), "--sweep"],
+            ["verify", str(path), "--trials", "2"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert (code, out.getvalue()) == (2, ""), (argv, text[:200], err.getvalue())
+            assert re.fullmatch(r"\w+(Error|Violation):? .+\n", err.getvalue(), re.S), err.getvalue()

@@ -9,6 +9,7 @@ from corpus import corpus
 
 from pcsamp import (
     ObservationSet,
+    PiecewiseFunction,
     PartialObservations,
     SignalSpec,
     absolute_error_bound,
@@ -27,6 +28,7 @@ from pcsamp import (
     validate_spec,
     worst_case_energy,
 )
+from pcsamp.signal_core import on_lattice
 
 
 def _full_model(spec, l):
@@ -462,3 +464,34 @@ def test_cells_fill_the_box_as_the_side_rule_did():
                 seen["chain"] += not model.chains.empty
                 seen["point"] += not isinstance(want, str) and any(c[0] == c[1] for c in want)
     assert all(seen.values()), seen
+
+
+def _same_up_to_scale(table, other) -> bool:
+    """Whether two (N, xs, D, vs) tables give the same Fractions xs/N and vs/D."""
+    (N, xs, D, vs), (M, ys, E, ws) = table, other
+    return (
+        len(xs) == len(ys) and len(vs) == len(ws)
+        and all(x * M == y * N for x, y in zip(xs, ys))
+        and all(v * E == w * D for v, w in zip(vs, ws))
+    )
+
+
+def test_the_estimate_stores_the_integer_table_of_its_function():
+    """``estimate_partial`` builds ``fn`` from ints and stores them, so the
+    search rescales them instead of putting ``fn``'s Fractions on a lattice
+    again; on every corpus estimate that table equals ``on_lattice`` over
+    the Fractions, up to scale, and a function built by the public
+    constructor computes exactly that."""
+    estimates = [case.estimate for case in corpus() if case.estimate is not None]
+    assert len(estimates) == 8034
+    for est in estimates:
+        fn = est.fn
+        assert "_integers" in vars(fn)   # stored by the estimator, not computed on first use
+        N, _, D, _ = fn._integers
+        assert (N, D % 2) == (1, 0)   # the cells' integer bounds, and values over 2 D
+        public = PiecewiseFunction(fn.breakpoints, fn.values)
+        assert "_integers" not in vars(public)
+        (Nf, xf), (Df, vf) = on_lattice(fn.breakpoints), on_lattice(fn.values)
+        assert public._integers == (Nf, tuple(xf), Df, tuple(vf))
+        assert _same_up_to_scale(fn._integers, public._integers)
+        assert public == fn

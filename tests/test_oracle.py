@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import amp, span_energy_reference, with_value
@@ -33,6 +34,7 @@ from pcsamp import (
     worst_case_energy,
 )
 from pcsamp import estimator, oracle
+from pcsamp.cli import load_scenario
 from pcsamp.estimator import CHAIN_INTERIOR, MIDPOINT
 
 
@@ -771,6 +773,68 @@ def test_probes_with_fractional_amplitudes_match_the_unit_cell_scan():
                 assert _outcome(
                     lambda: perturbation_minimax_check(est, g, box, resolution, include_known)
                 ) == _outcome(lambda: _reference_probes(est, g, box, resolution, include_known))
+
+
+def test_a_built_estimate_is_searched_on_its_own_function(running_spec):
+    # the searches read the integer table the estimator stores with its fn;
+    # an Estimate built with another fn carries that fn's table, so it is
+    # searched on that fn, not on its cells: here a cell lifted by one, on
+    # the full atlas at every reference and on one pattern at l = 0
+    g, patterns = running_spec.g, enumerate_atlas(running_spec).patterns
+    models = [_full_model(running_spec, l) for l in range(running_spec.m + 1)]
+    models.append(infer_model(ObservationSet.of(patterns[:1], g), 0))
+    for model in models:
+        est = estimate_partial(model, g)
+        cell = next(c for c in est.cells if c.tag == MIDPOINT)
+        bent = with_value(est.fn, cell.lo, cell.hi, cell.value + 1)
+        built = Estimate(est.cells, bent, est.box)
+        for resolution in (4, 12):
+            want = worst_case_energy(bent, g, est.box, resolution)
+            assert want.value > worst_case_energy(est, g, est.box, resolution).value
+            assert worst_case_energy(built, g, est.box, resolution) == want
+            assert perturbation_minimax_check(built, g, est.box, resolution).worst == want
+
+
+# one record of each kind from scenarios/running.json's full atlas at l = 0
+# (resolution 12): the second stretch of the box, its cell, its outcome,
+# and the first probe
+RECORD_FIELDS = {
+    "Zone": ("regions", "lo", "hi"),
+    "EstimateCell": ("lo", "hi", "value", "indices"),
+    "ZoneOutcome": ("members", "max_energy", "min_energy", "argmax"),
+    "PerturbationProbe": ("cell", "delta", "worst", "ok", "strict"),
+}
+RECORD_REPRS = {
+    "Zone": "Zone(regions=(1, 2), lo=1, hi=2)",
+    "EstimateCell": (
+        "EstimateCell(lo=Fraction(1, 1), hi=Fraction(2, 1), value=Fraction(3, 1), indices=(1, 2))"
+    ),
+    "ZoneOutcome": (
+        "ZoneOutcome(members=(1,), max_energy=Fraction(1, 1), min_energy=Fraction(1, 1), "
+        "argmax=(Fraction(13, 12),))"
+    ),
+    "PerturbationProbe": (
+        "PerturbationProbe(cell=2, delta=Fraction(1, 5), worst=Fraction(178, 75), ok=True, strict=True)"
+    ),
+}
+
+
+def test_the_per_stretch_records_are_immutable_and_keep_their_repr():
+    spec, _ = load_scenario(str(Path(__file__).parents[1] / "scenarios" / "running.json"))
+    est = estimate_full(_full_model(spec, 0), spec.g)
+    records = {
+        "Zone": est.box.stretches[1],
+        "EstimateCell": est.cells[1],
+        "ZoneOutcome": worst_case_energy(est, spec.g, est.box, 12).stretches[1],
+        "PerturbationProbe": perturbation_minimax_check(est, spec.g, est.box, 12).probes[0],
+    }
+    assert {name: repr(record) for name, record in records.items()} == RECORD_REPRS
+    for name, record in records.items():
+        assert type(record).__name__ == name
+        for field in (*RECORD_FIELDS[name], "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+        assert repr(record) == RECORD_REPRS[name]
 
 
 def test_probe_finds_a_worst_case_at_its_own_cell_end(running_spec):
