@@ -58,6 +58,16 @@ def _on_integers(amplitudes: Sequence[RationalLike], m: int) -> tuple[int, list[
     return D, [0, *scaled, 0]
 
 
+def _ints_where_integral(xs: Sequence[Fraction]) -> tuple[int | Fraction, ...]:
+    """``xs`` with every integer as an int, so that a search by an integer
+    compares ints; the others stay Fractions."""
+    out = []
+    for x in xs:
+        n, d = x.as_integer_ratio()
+        out.append(n if d == 1 else x)
+    return tuple(out)
+
+
 class EstimateCell(NamedTuple):
     """One constant span of the estimate with its provenance.
 
@@ -109,8 +119,11 @@ class Estimate:
 
     @cached_property
     def _cell_los(self) -> tuple[int | Fraction, ...]:
-        # integer starts as ints, so that a search by an integer compares ints
-        return tuple(int(cell.lo) if cell.lo.denominator == 1 else cell.lo for cell in self.cells)
+        return _ints_where_integral([cell.lo for cell in self.cells])
+
+    @cached_property
+    def _cell_his(self) -> tuple[int | Fraction, ...]:
+        return _ints_where_integral([cell.hi for cell in self.cells])
 
     def value_at(self, t: RationalLike) -> Fraction:
         t = as_rational(t)

@@ -11,9 +11,10 @@ candidate generator, :func:`_zone_terms`, and one sweep, :func:`_sweep`,
 which the perturbation probes share.  Each stretch costs what its
 structure needs.  A forced span, a zone without members, has one energy
 whatever the placement: the generator integrates it in one pass over its
-pieces and the sweep hands it back.  A lone member's energy is one max
-over its candidates, and a chain's takes the spacing propagation and the
-forward sweep.
+pieces and the sweep hands it back.  A member's terms at all of its
+candidates cost one more pass over the zone's pieces.  A lone member's
+energy is one max over its candidates, and a chain's takes the spacing
+propagation and the forward sweep.
 Uncertainty intervals form an independent box, except inside coupled runs
 where an always-one-sample region forces the spacing of consecutive
 discontinuities into [1, 2) grid steps.  Joint constraints beyond that
@@ -44,9 +45,11 @@ E(y) + s^2 |C| - 2 s J(y), where E is the energy with C at gamma and
 J(y), the integral of (truth - gamma) over C, is (a_last - gamma) |C| plus
 one term per member k, (a_k - a_{k+1}) times the length of C left of it.
 So each probed cell's stretch is searched once, with C at gamma and C's
-ends as cuts, and each of its four shifts reruns only the sweep.  Where C's
-ends are already consecutive cuts of the stretch, as on every zone of a
-full-atlas estimate, that search is the base's, and its table is reused.
+ends as cuts, and each of its four shifts reruns only the sweep: for a
+lone member, one max over its shifted weights, by the sweep's own rule
+(:func:`_lone`).  Where C's ends are already consecutive cuts of the
+stretch, as on every zone of a full-atlas estimate, that search is the
+base's, and its table is reused.
 
 :func:`energy_between` integrates with Fractions and stays the
 independent cross-check.
@@ -196,26 +199,29 @@ def _pieces(lattice: tuple, zone: Zone) -> tuple[list[int], list[int], list[int]
     return [lo, *xs[first:last], hi], fs[first:last + 1], [cs[i] for i in zone.regions]
 
 
-def _integral(cuts: Sequence[int], vals: Sequence[int], c: int, x: int) -> int:
-    """(c - f)^2 integrated from the first cut to x, over N * D^2, for f's
-    pieces ``cuts`` and ``vals`` (see :func:`_pieces`)."""
+def _integral(cuts: Sequence[int], vals: Sequence[int], c: int) -> int:
+    """(c - f)^2 integrated from the first cut to the last, over N * D^2,
+    for f's pieces ``cuts`` and ``vals`` (see :func:`_pieces`)."""
     total = 0
     for a, b, v in zip(cuts, cuts[1:], vals):
-        if x <= a:
-            break
-        total += (c - v) ** 2 * (min(x, b) - a)
+        total += (c - v) ** 2 * (b - a)
     return total
 
 
-def _term(cuts: Sequence[int], vals: Sequence[int], c: int, d: int, x: int) -> int:
-    """(c - f)^2 - (d - f)^2 integrated from the first cut to x, as
-    :func:`_integral` but in one pass: the integrand is (c - d)(c + d - 2f)."""
-    total = 0
-    for a, b, v in zip(cuts, cuts[1:], vals):
-        if x <= a:
-            break
-        total += (c + d - 2 * v) * (min(x, b) - a)
-    return (c - d) * total
+def _terms(cuts: Sequence[int], vals: Sequence[int], c: int, d: int, ys: Sequence[int], step: int) -> list[int]:
+    """(c - f)^2 - (d - f)^2 integrated from the first cut to each x = y *
+    ``step``, for ascending ``ys`` whose x lie between the first and the
+    last cut, on f's pieces ``cuts`` and ``vals`` (see :func:`_pieces`).
+    The integrand is (c - d)(c + d - 2f), and one walk over the pieces
+    serves every x: O(pieces + len(ys))."""
+    out, s, done, i, last = [], c + d, 0, 0, len(vals)
+    for y in ys:
+        x = y * step
+        while i < last and cuts[i + 1] <= x:   # piece i lies wholly left of x
+            done += (s - 2 * vals[i]) * (cuts[i + 1] - cuts[i])
+            i += 1
+        out.append((c - d) * (done + (s - 2 * vals[i]) * (x - cuts[i]) if i < last else done))
+    return out
 
 
 def _zone_terms(
@@ -245,22 +251,29 @@ def _zone_terms(
     moved by |k - j| spacings of R or 2R - 1 and clipped to each member's
     grid on the way.  Those are the candidates, ascending, so the sweep's
     cost does not grow with R.  A lone member has no neighbour to move a
-    bound onto it, so its candidates are its own bounds."""
-    members, r, step = zone.members, resolution, N // resolution
-    bounds = [box.G[i] for i in members]
-    if not all(zone.lo <= a and b <= zone.hi for a, b in bounds):
-        raise ValueError("zone members must lie inside the zone")
-    tail = _integral(cuts, vals, amps[-1], cuts[-1])
+    bound onto it, so its candidates are its own bounds.  A member's terms
+    at all of its candidates cost one walk over the zone's pieces
+    (:func:`_terms`)."""
+    members = zone.members
+    tail = _integral(cuts, vals, amps[-1])
     if not members:
         return tail, [], []
-    grids = [(a * r + 1, b * r - 1) for a, b in bounds]
+    r, step = resolution, N // resolution
     inner = cuts[1:-1]   # the zone's ends lie at or outside every member's interval
-    found = own = [
-        {lo, hi, *(min(max(y, lo), hi)
-                   for x in inner if a * N < x < b * N
-                   for y in (x // step, -(-x // step)))}
-        for (a, b), (lo, hi) in zip(bounds, grids)
-    ]
+    grids, own = [], []
+    for i in members:
+        a, b = box.G[i]
+        if a < zone.lo or b > zone.hi:
+            raise ValueError("zone members must lie inside the zone")
+        lo, hi = a * r + 1, b * r - 1
+        ys = {lo, hi}
+        for x in inner:
+            if a * N < x < b * N:   # the grid indices on either side of a cut inside the interval
+                ys.add(min(max(x // step, lo), hi))
+                ys.add(min(max(-(-x // step), lo), hi))
+        grids.append((lo, hi))
+        own.append(ys)
+    found = own
     if len(members) > 1:   # a lone member's vertices are its own
         found = [set() for _ in members]
         for order, sign in ((range(len(members)), 1), (range(len(members) - 1, -1, -1), -1)):
@@ -269,13 +282,23 @@ def _zone_terms(
                 lo, hi = grids[k]
                 moved = own[k] | {min(max(y + sign * s, lo), hi) for y in moved for s in (r, 2 * r - 1)}
                 found[k] |= moved
-    candidates = [sorted(ys) for ys in found]
-    # member k's term at grid index y: amps[k] on its left, amps[k+1] on its right
-    weights = [
-        [_term(cuts, vals, amps[k], amps[k + 1], y * step) for y in ys]
-        for k, ys in enumerate(candidates)
-    ]
+    candidates, weights = [], []
+    for k, ys in enumerate(found):
+        # member k's term at grid index y: amps[k] on its left, amps[k+1] on its right
+        ys = sorted(ys)
+        candidates.append(ys)
+        weights.append(_terms(cuts, vals, amps[k], amps[k + 1], ys, step))
     return tail, candidates, weights
+
+
+def _lone(tail: int, ys: Sequence[int], ws: Sequence[int]) -> tuple[int, int, tuple[int]]:
+    """A lone member's largest and smallest energy, ``tail`` plus its
+    largest and smallest weight ``ws``, and as witness the first of its
+    candidates ``ys`` that reaches the largest: with no neighbour to
+    couple it, every candidate is a placement, and the earliest wins ties
+    as in the chain sweep."""
+    top = max(ws)
+    return top + tail, min(ws) + tail, (ys[ws.index(top)],)
 
 
 def _sweep(table: tuple, zone: Zone, resolution: int) -> tuple[int, int, tuple[int, ...]]:
@@ -292,10 +315,8 @@ def _sweep(table: tuple, zone: Zone, resolution: int) -> tuple[int, int, tuple[i
     tail, candidates, weights = table
     if not candidates:
         return tail, tail, ()
-    if len(candidates) == 1:   # a lone member: the first candidate that reaches the largest weight
-        (ys,), (ws,) = candidates, weights
-        top = max(ws)
-        return top + tail, min(ws) + tail, (ys[ws.index(top)],)
+    if len(candidates) == 1:
+        return _lone(tail, candidates[0], weights[0])
     r = resolution
     # per reached candidate of the current member, in ascending order: the
     # largest and smallest sum of the terms up to that member
@@ -343,8 +364,8 @@ def _fn_of(est: Union[Estimate, PiecewiseFunction], box: FeasibleBox, resolution
 def _search(lattice: tuple, box: FeasibleBox, resolution: int) -> tuple[WorstCase, list[tuple]]:
     """The worst case over the grid, searched on ``lattice`` (see
     :func:`_lattice`), and for each stretch with measure, in order, what
-    its search built: (pieces, table, top), its :func:`_pieces`, its
-    :func:`_zone_terms` table and its maximum over N * D^2."""
+    its search built: (stretch, pieces, table, top), its :func:`_pieces`,
+    its :func:`_zone_terms` table and its maximum over N * D^2."""
     N, D = lattice[:2]
     scale = N * D * D
     total, outcomes, searched, witness = 0, [], [], {box.l: Fraction(0)}
@@ -353,12 +374,16 @@ def _search(lattice: tuple, box: FeasibleBox, resolution: int) -> tuple[WorstCas
             pieces = _pieces(lattice, z)
             table = _zone_terms(*pieces, box, z, resolution, N)
             top, bottom, path = _sweep(table, z, resolution)
-            argmax = tuple(Fraction(y, resolution) for y in path)
             high = Fraction(top, scale)
-            low = high if bottom == top else Fraction(bottom, scale)
-            outcomes.append(ZoneOutcome(z.members, high, low, argmax))
-            searched.append((pieces, table, top))
-            witness.update(zip(z.members, argmax))
+            members = z.members
+            if members:
+                low = high if bottom == top else Fraction(bottom, scale)
+                argmax = tuple([Fraction(y, resolution) for y in path])
+                witness.update(zip(members, argmax))
+                outcomes.append(ZoneOutcome(members, high, low, argmax))
+            else:   # a forced span: one energy and no witness
+                outcomes.append(ZoneOutcome(members, high, high, ()))
+            searched.append((z, pieces, table, top))
             total += top
     return WorstCase(value=Fraction(total, scale), witness=witness, stretches=tuple(outcomes)), searched
 
@@ -400,7 +425,7 @@ def _auto_deltas(est: Estimate, amps: Sequence[int], n: int) -> tuple[int, ...]:
     """Probe shifts for unit cell (n-1, n), scaled to the local jump, on the
     probe lattice: ``amps`` are the padded amplitudes over D, which 10 divides."""
     k = bisect_right(est._cell_los, n - 1)   # cells[:k] start at or left of n-1
-    if not k or est.cells[k - 1].hi < n:
+    if not k or est._cell_his[k - 1] < n:
         raise ValueError(f"unit cell ({n - 1}, {n}) lies outside the estimate span")
     cell = est.cells[k - 1]
     if cell.tag == KNOWN:   # the largest jump to a neighbour
@@ -432,10 +457,12 @@ def perturbation_minimax_check(
     base search on it, which gives each stretch's unperturbed energy and
     the same :class:`WorstCase` as :func:`worst_case_energy`.  A probed
     cell's stretch is searched once: its candidates and member terms come
-    from :func:`_zone_terms` with the cell at its midpoint value gamma, and
+    from :func:`_zone_terms`, one pass over the stretch's pieces per
+    member, with the cell at its midpoint value gamma, and
     a shift s adds s^2 |C| - 2 s J(y), J(y) the integral of (truth - gamma)
     over the cell (see the module docstring), so each shift reruns only
-    :func:`_sweep`.  Where the cell's ends are consecutive cuts of the
+    :func:`_sweep`, and a shift of a lone member's cell only its one max
+    (:func:`_lone`).  Where the cell's ends are consecutive cuts of the
     stretch, its pieces are the stretch's own, and it reads the base
     search's table instead.  The shifts are read from the lattice's
     amplitudes, and the probes compare integers.  A worst case that
@@ -454,7 +481,7 @@ def perturbation_minimax_check(
     total = sum(top for *_, top in searched)
     deltas: dict[int, Fraction] = {}   # one Fraction per shift
     probes: list[PerturbationProbe] = []
-    for z, ((cuts, vals, amps), table, own) in zip((z for z in box.stretches if z.lo < z.hi), searched):
+    for z, (cuts, vals, amps), table, own in searched:
         if not (z.members or include_known):
             continue
         for n in range(z.lo + 1, z.hi + 1):
@@ -477,15 +504,16 @@ def perturbation_minimax_check(
             ]
             for shift in _auto_deltas(est, padded, n):
                 t = 2 * shift
-                moved = [[w - t * j for w, j in zip(ws, js)] for ws, js in zip(weights, inside)]
                 fixed = tail + (shift * shift - t * (amps[-1] - gamma)) * N   # s^2 N and J's constant part
-                top = _sweep((fixed, candidates, moved), z, resolution)[0]
+                if len(candidates) == 1:   # a lone member: no sweep, one max over its shifted weights
+                    top = _lone(fixed, candidates[0], [w - t * j for w, j in zip(weights[0], inside[0])])[0]
+                else:
+                    moved = [[w - t * j for w, j in zip(ws, js)] for ws, js in zip(weights, inside)]
+                    top = _sweep((fixed, candidates, moved), z, resolution)[0]
                 if shift not in deltas:
                     deltas[shift] = Fraction(shift, D)
-                probes.append(PerturbationProbe(
-                    cell=n, delta=deltas[shift], worst=Fraction(total - own + top, scale),
-                    ok=top >= own, strict=top > own,
-                ))
+                worst = Fraction(total - own + top, scale)
+                probes.append(PerturbationProbe(n, deltas[shift], worst, top >= own, top > own))
     return PerturbationReport(worst=base, probes=tuple(probes))
 
 

@@ -588,7 +588,7 @@ def _forced_outcome(fn, g, box, zone, resolution):
     N = math.lcm(resolution, *(x.denominator for x in cuts))
     D = math.lcm(*(v.denominator for v in (c, *vals)))
     table = oracle._zone_terms(
-        [int(x * N) for x in cuts], [int(v * D) for v in vals], [int(c * D)], box, zone, resolution, N // resolution
+        [int(x * N) for x in cuts], [int(v * D) for v in vals], [int(c * D)], box, zone, resolution, N
     )
     top, bottom, argmax = oracle._sweep(table, zone, resolution)
     got = oracle.ZoneOutcome(zone.members, Fraction(top, N * D * D), Fraction(bottom, N * D * D), argmax)
@@ -648,6 +648,37 @@ def test_forced_span_outcomes_match_the_piece_integral_on_random_specs():
         forced = [o for o in worst_case_energy(other, spec.g, box, 12).stretches if not o.members]
         assert sum(o.max_energy for o in forced) == const
     assert spans > 400
+
+
+def _member_term_reference(cuts, vals, c, d, x):
+    """(c - f)^2 - (d - f)^2 integrated from the first cut to x, by
+    definition: the pieces cut off at x, each integrated in Fractions."""
+    clipped = [*(a for a in cuts if a < x), x]
+    vals = [Fraction(v) for v in vals]
+    return span_energy_reference(clipped, vals, Fraction(c)) - span_energy_reference(clipped, vals, Fraction(d))
+
+
+def test_member_terms_take_one_walk_over_the_pieces():
+    # one walk gives a member's terms at all of its ascending candidates;
+    # each must equal the integral by definition, for candidates at the
+    # first and the last cut, on a cut between them, and between cuts
+    rng = random.Random(47)
+    seen = {"first": 0, "last": 0, "cut": 0, "between": 0}
+    for _ in range(400):
+        step = rng.randint(1, 4)
+        first = step * rng.randint(-8, 4)
+        last = first + step * rng.randint(1, 8)
+        inner = rng.sample(range(first + 1, last), min(rng.randint(0, 5), last - first - 1))
+        cuts = [first, *sorted(inner), last]
+        vals = [rng.randint(-9, 9) for _ in cuts[1:]]
+        c, d = rng.randint(-9, 9), rng.randint(-9, 9)
+        ys = sorted(rng.sample(range(first // step, last // step + 1), rng.randint(1, (last - first) // step + 1)))
+        got = oracle._terms(cuts, vals, c, d, ys, step)
+        assert got == [_member_term_reference(cuts, vals, c, d, y * step) for y in ys], (cuts, vals, c, d, ys, step)
+        for y in ys:
+            x = y * step
+            seen["first" if x == first else "last" if x == last else "cut" if x in inner else "between"] += 1
+    assert all(seen.values()), seen
 
 
 def _reference_auto_deltas(est, g, n):
