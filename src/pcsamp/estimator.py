@@ -16,10 +16,10 @@ but not on chains of three or more.
 Every function here reads the amplitudes once, checked to number one per
 region, as integers D * g_i over their common denominator D, zero padded;
 the oracle's searches read the same table.  The estimate is built on
-ints: each cell's bounds and its centre over 2D.  Point cells are dropped
-and the breakpoints checked on them, and the estimate's function keeps
-them as its integer table, which the searches rescale instead of putting
-the function's Fractions on a lattice again.  The box comes from
+ints: each cell's bounds and its centre over 2D.  Point cells are dropped,
+and the estimate's function keeps the rest as its integer table, which
+the searches rescale instead of putting the function's Fractions on a
+lattice again.  The box comes from
 :func:`pcsamp.inference.feasible_box`, which each model builds once, and
 the cells are :class:`EstimateCell` NamedTuples.
 
@@ -153,6 +153,8 @@ def _build_cells(
     bounds: dict[int, Fraction] = {}   # one Fraction per integer bound, shared by neighbouring cells
     for z in box.stretches:
         if z.coupled:   # k members hold k + 1 unit cells, cell j meeting regions[j-1:j+2]
+            if z.hi - z.lo != len(z.regions):
+                raise ValueError(f"coupled zone {z.members} on ({z.lo}, {z.hi}) needs one unit cell per region")
             spans = [(z.lo + j, z.lo + j + 1, z.regions[max(j - 1, 0):j + 2]) for j in range(len(z.regions))]
         else:   # a forced span, a point span included, or an isolated interval
             spans = [(z.lo, z.hi, z.regions)]
@@ -180,10 +182,9 @@ def estimate_partial(model: UncertaintyModel, amplitudes: Sequence[RationalLike]
     box = feasible_box(model)
     cells, table = _build_cells(box, D, scaled)
     wide = [k for k, (lo, hi, _) in enumerate(table) if lo < hi]   # a point cell has no measure
+    # the breakpoints increase: every interval has width 1 or 2, a coupled zone
+    # one unit cell per region, and the box's stretches tile the span
     xs = (table[wide[0]][0], *(table[k][1] for k in wide))
-    for a, b in zip(xs, xs[1:]):
-        if not a < b:
-            raise ValueError(f"breakpoints must strictly increase; saw {a} then {b}")
     fn = PiecewiseFunction._from_integers(
         (cells[wide[0]].lo, *(cells[k].hi for k in wide)),
         tuple(cells[k].value for k in wide),

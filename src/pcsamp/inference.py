@@ -169,15 +169,23 @@ class UncertaintyModel:
     ``G[i]`` is the open interval (in integer grid units) that must
     contain discontinuity i, the one record of what the observations say
     about it: its width is 1 or 2 grid steps, and ``G[l] == (0, 0)`` has
-    width 0.  The rest is read from G: ``C[i]`` is the interval's anchor
-    integer, the larger observed cumulative count (``C[l] == 0``), ``U``
-    the indices known only to width two, ``chains`` the runs of
-    overlapping intervals (:func:`chain_analysis`), and ``_box`` the
-    feasible box that :func:`feasible_box` returns, built once per model.
+    width 0; any other G raises ``ValueError``.  The rest is read from G:
+    ``C[i]`` is the interval's anchor integer, the larger observed
+    cumulative count (``C[l] == 0``), ``U`` the indices known only to
+    width two, ``chains`` the runs of overlapping intervals
+    (:func:`chain_analysis`), and ``_box`` the feasible box that
+    :func:`feasible_box` returns, built once per model.
     """
 
     l: int
     G: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if not 0 <= self.l < len(self.G) or self.G[self.l] != (0, 0):
+            raise ValueError(f"the reference's interval G[{self.l}] must be (0, 0)")
+        for i, (lo, hi) in enumerate(self.G):
+            if i != self.l and hi - lo not in (1, 2):
+                raise ValueError(f"interval G[{i}] = ({lo}, {hi}) has width {hi - lo}, not 1 or 2")
 
     @property
     def m(self) -> int:

@@ -20,19 +20,17 @@ where an always-one-sample region forces the spacing of consecutive
 discontinuities into [1, 2) grid steps.  Joint constraints beyond that
 are intentionally out of scope.
 
-The search runs on integers, on one lattice per search, read from the
-estimate's integer table (``PiecewiseFunction._integers``): its
-breakpoints over N_f and its values over D_f.  The estimator stores the
-table it built its function from, and any other function builds it on
-first use.  Every position is an integer over N = lcm(R, N_f), R the grid
-resolution, every value one over D = lcm(D_f, D_g), D_g the amplitudes'
-common denominator, and every integral of (c - estimate)^2 one over
-N * D^2.  The amplitudes are the estimator's checked, zero-padded table,
-rescaled onto D.  The perturbation check builds one lattice, with D
-scaled by 10 so that every perturbed value lies on it, and runs its base
-search there: the Fractions of the results normalise, so they do not
-depend on the scale.  Fractions are built only for the results, and the
-records made per stretch and per probe, :class:`ZoneOutcome` and
+The search runs on integers, on one lattice that the worst case and the
+probes both read (:func:`_lattice`), built from the estimate's integer
+table (``PiecewiseFunction._integers``): its breakpoints over N_f and
+its values over D_f.  The estimator stores the table it built its
+function from, and any other function builds it on first use.  Every
+position is an integer over N = lcm(R, N_f), R the grid resolution,
+every value one over D = 10 lcm(D_f, D_g), D_g the amplitudes' common
+denominator, and every integral of (c - estimate)^2 one over N * D^2.
+The amplitudes are the estimator's checked, zero-padded table, rescaled
+onto D.  Fractions are built only for the results, and the records made
+per stretch and per probe, :class:`ZoneOutcome` and
 :class:`PerturbationProbe`, are NamedTuples.  Between the estimate's
 cuts the energy is linear in each discontinuity, and the constraints are
 integer bounds and differences, so every extreme sits at a vertex of the
@@ -174,17 +172,27 @@ def energy_between(a: PiecewiseFunction, b: PiecewiseFunction) -> Fraction:
 
 
 def _lattice(
-    fn: PiecewiseFunction, amplitudes: Sequence[Fraction], box: FeasibleBox, resolution: int, d_scale: int = 1,
+    est: Union[Estimate, PiecewiseFunction], amplitudes: Sequence[Fraction], box: FeasibleBox, resolution: int,
 ) -> tuple:
-    """(N, D, breakpoints, values, amplitudes): fn's integer table
-    (breakpoints over N_f, values over D_f), rescaled so that the
-    breakpoints lie over N = lcm(R, N_f) and fn's values and the amplitudes
-    over D = ``d_scale`` * lcm(D_f, D_g).  The values carry fn's zero on
-    either side; the amplitudes are the estimator's checked, zero-padded
-    table (one per region of ``box``, over D_g), rescaled onto D."""
+    """(N, D, breakpoints, values, amplitudes), the one lattice of both
+    searches, once ``resolution`` and ``box`` pass their shared checks: at
+    least 2 grid points per unit interval, and an :class:`Estimate` searched
+    only on the box it fills (a bare function on any box).  The function's
+    integer table (breakpoints over N_f, values over D_f, and its zero on
+    either side) and the estimator's checked, zero-padded amplitudes (over
+    D_g) are rescaled to positions over N = lcm(R, N_f) and values over
+    D = 10 lcm(D_f, D_g): the factor 10 puts every probe shift, a tenth or
+    a half of an amplitude jump, on the lattice."""
+    if resolution < 2:
+        raise ValueError("need at least 2 grid points per unit interval")
+    if isinstance(est, Estimate) and box is not est.box and (box.l, box.G) != (est.box.l, est.box.G):
+        raise ValueError(
+            f"the box (l={box.l}, G={box.G}) is not the estimate's (l={est.box.l}, G={est.box.G})"
+        )
+    fn = est.fn if isinstance(est, Estimate) else est
     Dg, amps = _on_integers(amplitudes, box.m)
     Nf, xs, Df, vals = fn._integers
-    N, D = math.lcm(resolution, Nf), d_scale * math.lcm(Df, Dg)
+    N, D = math.lcm(resolution, Nf), 10 * math.lcm(Df, Dg)
     x, v, a = N // Nf, D // Df, D // Dg
     return N, D, [x * b for b in xs], [0, *(v * y for y in vals), 0], [a * g for g in amps]
 
@@ -346,26 +354,12 @@ def _sweep(table: tuple, zone: Zone, resolution: int) -> tuple[int, int, tuple[i
     return hi_state[path[0]] + tail, min(lo_state.values()) + tail, tuple(reversed(path))
 
 
-def _fn_of(est: Union[Estimate, PiecewiseFunction], box: FeasibleBox, resolution: int) -> PiecewiseFunction:
-    """The function to search, once ``resolution`` and ``box`` pass the
-    checks both searches share: at least 2 grid points per unit interval,
-    and an :class:`Estimate` searched only on the box it fills."""
-    if resolution < 2:
-        raise ValueError("need at least 2 grid points per unit interval")
-    if not isinstance(est, Estimate):
-        return est
-    if box is not est.box and (box.l, box.G) != (est.box.l, est.box.G):
-        raise ValueError(
-            f"the box (l={box.l}, G={box.G}) is not the estimate's (l={est.box.l}, G={est.box.G})"
-        )
-    return est.fn
-
-
-def _search(lattice: tuple, box: FeasibleBox, resolution: int) -> tuple[WorstCase, list[tuple]]:
+def _search(lattice: tuple, box: FeasibleBox, resolution: int) -> tuple[WorstCase, list[tuple], int]:
     """The worst case over the grid, searched on ``lattice`` (see
-    :func:`_lattice`), and for each stretch with measure, in order, what
-    its search built: (stretch, pieces, table, top), its :func:`_pieces`,
-    its :func:`_zone_terms` table and its maximum over N * D^2."""
+    :func:`_lattice`); for each stretch with measure, in order, what its
+    search built: (stretch, pieces, table, top), its :func:`_pieces`, its
+    :func:`_zone_terms` table and its maximum over N * D^2; and the worst
+    case's value over N * D^2."""
     N, D = lattice[:2]
     scale = N * D * D
     total, outcomes, searched, witness = 0, [], [], {box.l: Fraction(0)}
@@ -385,7 +379,7 @@ def _search(lattice: tuple, box: FeasibleBox, resolution: int) -> tuple[WorstCas
                 outcomes.append(ZoneOutcome(members, high, high, ()))
             searched.append((z, pieces, table, top))
             total += top
-    return WorstCase(value=Fraction(total, scale), witness=witness, stretches=tuple(outcomes)), searched
+    return WorstCase(value=Fraction(total, scale), witness=witness, stretches=tuple(outcomes)), searched, total
 
 
 def worst_case_energy(
@@ -403,27 +397,27 @@ def worst_case_energy(
     the supremum: ``[(3, 1)]`` with g = (4, 2) and l = 0 gives 26/5,
     148/25 and 1499/250 at resolutions 5, 50 and 1000, against a supremum
     of 6.  The total is one term per stretch of ``box.stretches``, on the
-    call's one lattice (:func:`_lattice`), and each stretch costs what its
-    structure needs.  A forced span's energy does not depend on the
-    placement: it is one pass over the estimate's pieces on it, however
-    long the span.  A lone member's is one max over its candidates from
+    lattice the probes read too (:func:`_lattice`), and each stretch costs
+    what its structure needs.  A forced span's energy does not depend on the
+    placement: it is one pass over the estimate's pieces on it, however long
+    the span.  A lone member's is one max over its candidates from
     :func:`_zone_terms`, and a chain's takes the generator's spacing
     propagation and the forward sweep of :func:`_sweep`.  Zones are searched
     independently (jointly inside coupled runs), at a cost that depends on
     their members and the estimate's breakpoints inside them, not on
     ``resolution``, and a point span, which has no measure, is skipped.
-    ``stretches`` keeps every outcome.  An :class:`Estimate`
-    must fill ``box``: a box of another reference or other intervals
-    raises ``ValueError``; a bare :class:`PiecewiseFunction` is searched on
-    any box.
+    ``stretches`` keeps every outcome.  An :class:`Estimate` must fill
+    ``box``: a box of another reference or other intervals raises
+    ``ValueError``; a bare :class:`PiecewiseFunction` is searched on any
+    box.
     """
-    fn = _fn_of(est, box, resolution)
-    return _search(_lattice(fn, amplitudes, box, resolution), box, resolution)[0]
+    return _search(_lattice(est, amplitudes, box, resolution), box, resolution)[0]
 
 
 def _auto_deltas(est: Estimate, amps: Sequence[int], n: int) -> tuple[int, ...]:
     """Probe shifts for unit cell (n-1, n), scaled to the local jump, on the
-    probe lattice: ``amps`` are the padded amplitudes over D, which 10 divides."""
+    search lattice: ``amps`` are the padded amplitudes over D, each a
+    multiple of 10 (:func:`_lattice`)."""
     k = bisect_right(est._cell_los, n - 1)   # cells[:k] start at or left of n-1
     if not k or est._cell_his[k - 1] < n:
         raise ValueError(f"unit cell ({n - 1}, {n}) lies outside the estimate span")
@@ -452,18 +446,16 @@ def perturbation_minimax_check(
     deltas scaled to the governing amplitude jump, and the worst case is
     recomputed.  The probes walk ``box.stretches`` in order: its zones, and
     with ``include_known`` its forced spans too.  Only the stretch that
-    holds the cell changes.  The check builds one lattice, the search's
-    with D scaled by 10, on which every shifted value lies, and runs the
-    base search on it, which gives each stretch's unperturbed energy and
-    the same :class:`WorstCase` as :func:`worst_case_energy`.  A probed
-    cell's stretch is searched once: its candidates and member terms come
-    from :func:`_zone_terms`, one pass over the stretch's pieces per
-    member, with the cell at its midpoint value gamma, and
-    a shift s adds s^2 |C| - 2 s J(y), J(y) the integral of (truth - gamma)
-    over the cell (see the module docstring), so each shift reruns only
-    :func:`_sweep`, and a shift of a lone member's cell only its one max
-    (:func:`_lone`).  Where the cell's ends are consecutive cuts of the
-    stretch, its pieces are the stretch's own, and it reads the base
+    holds the cell changes.  The check runs the search of
+    :func:`worst_case_energy`, which gives its :class:`WorstCase` and each
+    stretch's unperturbed energy.  A probed cell's stretch is searched once:
+    its candidates and member terms come from :func:`_zone_terms`, one pass
+    over the stretch's pieces per member, with the cell at its midpoint
+    value gamma, and a shift s adds s^2 |C| - 2 s J(y), J(y) the integral of
+    (truth - gamma) over the cell (see the module docstring), so each shift
+    reruns only :func:`_sweep`, and a shift of a lone member's cell only its
+    one max (:func:`_lone`).  Where the cell's ends are consecutive cuts of
+    the stretch, its pieces are the stretch's own, and it reads the base
     search's table instead.  The shifts are read from the lattice's
     amplitudes, and the probes compare integers.  A worst case that
     decreases is recorded as a violation, not raised.  ``est`` must be an
@@ -474,11 +466,10 @@ def perturbation_minimax_check(
         raise TypeError(
             f"perturbation_minimax_check needs an Estimate to scale its probes, not {type(est).__name__}"
         )
-    lattice = _lattice(_fn_of(est, box, resolution), amplitudes, box, resolution, 10)
+    lattice = _lattice(est, amplitudes, box, resolution)
     N, D, *_, padded = lattice   # padded: the amplitudes over D, zero padded
-    base, searched = _search(lattice, box, resolution)
+    base, searched, total = _search(lattice, box, resolution)
     scale, step = N * D * D, N // resolution
-    total = sum(top for *_, top in searched)
     deltas: dict[int, Fraction] = {}   # one Fraction per shift
     probes: list[PerturbationProbe] = []
     for z, (cuts, vals, amps), table, own in searched:
@@ -648,8 +639,6 @@ def check_round_trip(spec: SignalSpec, full: _FullSet) -> Optional[str]:
             lo, hi = model.G[i]
             if not (lo < truth_positions[i] < hi):
                 return f"l={l}: truth D_{i}={truth_positions[i]} outside ({lo}, {hi})"
-            if hi - lo != 1:
-                return f"l={l}: interval width {hi - lo} != 1 for i={i}"
         truth = truth_function(spec, l)
         cuts = [*(c.lo for c in est.cells), *(c.hi for c in est.cells), *truth.breakpoints]
         for grid_point in _probe_points(model.G[0][0] - 1, model.G[spec.m][1] + 1, cuts):

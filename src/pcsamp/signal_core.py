@@ -77,10 +77,10 @@ class GenericityViolation(SpecViolation):
         )
 
 
-def on_lattice(values: Sequence[Fraction], multiple: int = 1) -> tuple[int, list[int]]:
-    """L, the lcm of ``multiple`` and the denominators of ``values``, and
-    each value as an integer over L: (L, [L*v_1, L*v_2, ...])."""
-    L = math.lcm(multiple, *(v.denominator for v in values))
+def on_lattice(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """L, the lcm of the denominators of ``values``, and each value as an
+    integer over L: (L, [L*v_1, L*v_2, ...])."""
+    L = math.lcm(*(v.denominator for v in values))
     return L, [v.numerator * (L // v.denominator) for v in values]
 
 
@@ -284,8 +284,8 @@ class PiecewiseFunction:
         integers: tuple[int, tuple[int, ...], int, tuple[int, ...]],
     ) -> "PiecewiseFunction":
         """The function with these Fractions, which the caller built from
-        ``integers``, the table of :attr:`_integers` up to scale, and checked
-        on it; the table is stored and no Fraction is compared."""
+        ``integers``, the table of :attr:`_integers` up to scale, with
+        increasing breakpoints; it is stored, and no Fraction is compared."""
         fn = object.__new__(cls)
         fn.__dict__.update(breakpoints=breakpoints, values=values, _integers=integers)
         return fn

@@ -11,8 +11,9 @@ print the same line:
 
     PYTHONPATH=src python tests/fingerprint.py
 
-The expected line is committed in ``tests/fingerprint.txt``, so a checkout
-is compared with it by
+The expected line is committed in ``tests/fingerprint.txt``, and
+``tests/test_corpus.py`` compares :func:`line` with it, so ``pytest``
+fails on any change to these outputs.  By hand:
 
     PYTHONPATH=src python tests/fingerprint.py | diff tests/fingerprint.txt -
 
@@ -44,10 +45,15 @@ def record(case: Case) -> str:
     return repr((*head, est.cells, closed_form_energy(case.model, g), outcome))
 
 
-def main() -> None:
+def line() -> str:
+    """The number of records and their SHA-256, as the script prints them."""
     records = [record(case) for case in corpus()]
     digest = hashlib.sha256("".join(r + "\n" for r in records).encode()).hexdigest()
-    print(f"{len(records)} records, sha256 {digest}")
+    return f"{len(records)} records, sha256 {digest}"
+
+
+def main() -> None:
+    print(line())
 
 
 if __name__ == "__main__":

@@ -451,6 +451,30 @@ def test_bad_seed_env_only_affects_verify(running_file, capsys, monkeypatch):
     assert main(["verify", running_file, "--trials", "3", "--seed", "5"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "{missing}"], r"ScenarioError cannot read scenario .*missing\.json: .+"),
+        (["infer", "{running}", "--ref", "3"], r"ScenarioError --ref must lie in 0\.\.2"),
+        (["estimate", "{running}", "--ref", "-1"], r"ScenarioError --ref must lie in 0\.\.2"),
+        (["verify", "{running}", "--trials", "0"], r"ScenarioError --trials must be at least 1"),
+        (["demo", "nope"], r"ScenarioError unknown demo 'nope'; available: example6"),
+    ],
+    ids=["missing-file", "infer-ref", "estimate-ref", "verify-trials", "demo-name"],
+)
+def test_bad_arguments_exit2_with_one_line(running_file, tmp_path, capsys, argv, message):
+    paths = {"running": running_file, "missing": str(tmp_path / "missing.json")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(message + "\n", captured.err)
+
+
+def test_validate_counts_explicit_observations(chain_file, capsys):
+    assert main(["validate", chain_file]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "observations: 1 pattern(s)"
+
+
 def test_demo_example6(capsys):
     assert main(["demo", "example6"]) == 0
     out = capsys.readouterr().out

@@ -12,6 +12,7 @@ from pcsamp import (
     PiecewiseFunction,
     PartialObservations,
     SignalSpec,
+    UncertaintyModel,
     absolute_error_bound,
     best_reference,
     closed_form_energies,
@@ -102,6 +103,24 @@ def test_partial_estimate_mirror_chain_cells():
         (-3, -2, 3, "midpoint"),
         (-2, 0, 4, "known"),
     ]
+
+
+def test_models_that_no_estimate_can_fill_raise():
+    # widths 3 and 4: the cells would cover [0, 4] of a [0, 6] box
+    with pytest.raises(ValueError, match=r"^interval G\[1\] = \(1, 4\) has width 3, not 1 or 2$"):
+        UncertaintyModel(l=0, G=((0, 0), (1, 4), (2, 6)))
+    # a width of -2, from which the closed form would read 1/2
+    with pytest.raises(ValueError, match=r"^interval G\[1\] = \(3, 1\) has width -2, not 1 or 2$"):
+        UncertaintyModel(l=0, G=((0, 0), (3, 1), (4, 5)))
+    # the reference's interval is (0, 0), and the reference one of the indices
+    for l, G in ((0, ((0, 1), (1, 2))), (2, ((0, 0), (1, 2)))):
+        with pytest.raises(ValueError, match=rf"^the reference's interval G\[{l}\] must be \(0, 0\)$"):
+            UncertaintyModel(l=l, G=G)
+    # widths of two, but a chain of two members on (1, 3) needs three unit
+    # cells, the last past the box's end at 3
+    model = UncertaintyModel(l=0, G=((0, 0), (1, 3), (1, 3)))
+    with pytest.raises(ValueError, match=r"^coupled zone \(1, 2\) on \(1, 3\) needs one unit cell per region$"):
+        estimate_partial(model, [1, 2])
 
 
 def test_partial_degenerates_to_full():
@@ -265,6 +284,17 @@ def test_absolute_error_bound(running_spec):
     assert absolute_error_bound(model, g, midpoints) == 2
     one_sided = {1: Fraction(4), 2: Fraction(2)}
     assert absolute_error_bound(model, g, one_sided) == 2 + 2
+
+
+def test_absolute_error_bound_checks_its_model_and_constants(running_spec, example6_spec):
+    widths_two = infer_model(ObservationSet.of([(3, 3, 2), (3, 3, 1)], example6_spec.g), 0)
+    assert widths_two.U
+    with pytest.raises(PartialObservations, match="^the absolute-error bound assumes width-one intervals"):
+        absolute_error_bound(widths_two, example6_spec.g, {i: 1 for i in range(1, 4)})
+    model = _full_model(running_spec, 0)
+    for ghat in ({1: 3}, {0: 4, 1: 3, 2: 1}):
+        with pytest.raises(ValueError, match=r"^need one constant per index in \[1, 2\]$"):
+            absolute_error_bound(model, running_spec.g, ghat)
 
 
 def test_absolute_error_bound_minimized_at_midpoint():

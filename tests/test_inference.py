@@ -201,6 +201,25 @@ def test_observation_set_without_regions():
     assert obs.m == 0 and infer_model(obs, 0).G == ((0, 0),)
 
 
+def test_observation_sets_and_indices_are_checked(running_spec):
+    for patterns, message in (
+        ([], "at least one observed pattern is required"),
+        ([(2, 3, 1)], "pattern (2, 3, 1) has 3 regions, expected 2"),
+        ([(0, 3)], "pattern (0, 3) has a non-positive count; every region holds a sample"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ObservationSet.of(patterns, [4, 2])
+    obs = _full_obs(running_spec)
+    for l, i in ((0, 3), (3, 0), (-1, 1), (1, -1)):
+        with pytest.raises(IndexError, match=rf"^indices i={i}, l={l} outside 0\.\.2$"):
+            cumulative_values(obs, l, i)
+    with pytest.raises(ValueError, match="^the reference discontinuity has no cumulative count$"):
+        cumulative_values(obs, 1, 1)
+    for l in (-1, 3):
+        with pytest.raises(IndexError, match=rf"^reference index {l} outside 0\.\.2$"):
+            infer_model(obs, l)
+
+
 def test_infer_full_atlas_running(running_spec):
     model = infer_model(_full_obs(running_spec), 0)
     assert model.C == (0, 2, 5)

@@ -36,6 +36,7 @@ from pcsamp import (
 from pcsamp import estimator, oracle
 from pcsamp.cli import load_scenario
 from pcsamp.estimator import CHAIN_INTERIOR, MIDPOINT
+from pcsamp.sampler import AtlasCell, PatternAtlas, SamplingPattern
 
 
 def _full_model(spec, l):
@@ -996,6 +997,50 @@ def _one_pattern_kept(real):
     return lambda obs, l: real(ObservationSet.of(obs.patterns[:1], obs.amplitudes), l)
 
 
+def _atlas_patch(edit):
+    """A patch of ``enumerate_atlas``: the true atlas's cells passed through
+    ``edit``, under ``edit``'s name."""
+    def patch(real):
+        return lambda spec: PatternAtlas(edit(real(spec).cells))
+    patch.__name__ = edit.__name__
+    return patch
+
+
+@_atlas_patch
+def _repeated_pattern(cells):   # the last cell carries the first cell's pattern
+    return (*cells[:-1], AtlasCell(cells[-1].delta_lo, cells[-1].delta_hi, cells[0].pattern))
+
+
+@_atlas_patch
+def _past_one(cells):   # the last cell ends at offset 2
+    return (*cells[:-1], AtlasCell(cells[-1].delta_lo, Fraction(2), cells[-1].pattern))
+
+
+@_atlas_patch
+def _gap(cells):   # the first cell ends halfway to the second
+    return (AtlasCell(cells[0].delta_lo, cells[0].delta_hi / 2, cells[0].pattern), *cells[1:])
+
+
+@_atlas_patch
+def _rotated(cells):   # each cell carries the next cell's pattern: the same set of patterns
+    return tuple(AtlasCell(c.delta_lo, c.delta_hi, d.pattern) for c, d in zip(cells, (*cells[1:], cells[0])))
+
+
+def _overcount_at_zero(real):
+    def count(spec, delta):
+        pattern = real(spec, delta)
+        return SamplingPattern(tuple(e + 1 for e in pattern.eta)) if delta == 0 else pattern
+    return count
+
+
+def _shifted_truth(real):
+    return lambda spec, l: tuple(p + 1 for p in real(spec, l))
+
+
+def _zero_shift(real):
+    return lambda est, amps, n: (0, *real(est, amps, n)[1:])
+
+
 @pytest.mark.parametrize(
     "name, patch, changed, sweep",
     [
@@ -1043,6 +1088,50 @@ def _one_pattern_kept(real):
             },
             (0, "l=0: full atlas left width-two indices [1, 2, 3]"),
         ),
+        (
+            "enumerate_atlas", _repeated_pattern,
+            {
+                "pattern-atlas-and-count-equivalence": (False, "atlas carries 2 patterns, expected 3"),
+                "full-set-round-trip-and-grid-agreement":
+                    (False, "l=0: full atlas left width-two indices [1]"),
+                "minimax-worst-case-equality": (False, "l=0: no full estimate, width-two indices [1]"),
+                "width-two-energy-equality": (True, "2 adjacent-pair observation sets"),
+            },
+            (0, "atlas carries 3 patterns, expected 4"),
+        ),
+        (
+            "enumerate_atlas", _past_one,
+            {"pattern-atlas-and-count-equivalence": (False, "atlas cells do not span [0, 1)")},
+            (0, "atlas cells do not span [0, 1)"),
+        ),
+        (
+            "enumerate_atlas", _gap,
+            {"pattern-atlas-and-count-equivalence": (False, "atlas cells are not adjacent")},
+            (0, "atlas cells are not adjacent"),
+        ),
+        (
+            "enumerate_atlas", _rotated,
+            {"pattern-atlas-and-count-equivalence": (False, "cell [0,1/4) pattern mismatch at midpoint")},
+            (0, "cell [0,15/97) pattern mismatch at midpoint"),
+        ),
+        (
+            "count_direct", _overcount_at_zero,   # region 1 holds n_1 + 1 = 3 samples
+            {"pattern-atlas-and-count-equivalence": (False, "count 3 outside {n-1, n} at offset 0")},
+            (0, "count 3 outside {n-1, n} at offset 0"),
+        ),
+        (
+            "translate", _shifted_truth,
+            {"full-set-round-trip-and-grid-agreement": (False, "l=0: truth D_1=11/4 outside (1, 2)")},
+            (0, "l=0: truth D_1=218/97 outside (1, 2)"),
+        ),
+        (
+            "_auto_deltas", _zero_shift,   # a shift of 0 leaves the worst case where it was
+            {
+                "minimax-worst-case-equality":
+                    (False, "l=0: perturbing cell (1,2) by 0 moved the worst case to 2 (baseline 2)"),
+            },
+            None,   # the sweep runs no probes
+        ),
     ],
 )
 def test_failing_checks_report_their_messages(running_spec, monkeypatch, name, patch, changed, sweep):
@@ -1050,6 +1139,11 @@ def test_failing_checks_report_their_messages(running_spec, monkeypatch, name, p
     expected = [CheckResult(check, *changed.get(check, (True, detail))) for check, detail in _PASSED.items()]
     assert verify_scenario(running_spec, delta_denominator=8) == expected
 
+    if sweep is None:
+        assert exhaustive_consistency_sweep(3, seed=1, delta_denominator=8) == CheckResult(
+            "random-consistency-sweep(seed=1)", True, "3/3 random signals",
+        )
+        return
     trial, message = sweep
     rng = random.Random(1)
     spec = [random_spec(rng) for _ in range(3)][trial]
@@ -1057,6 +1151,11 @@ def test_failing_checks_report_their_messages(running_spec, monkeypatch, name, p
         "random-consistency-sweep(seed=1)", False,
         f"trial {trial}: {message} (spec g={spec.g} n={spec.n} f={spec.f})",
     )
+
+
+def test_sweep_needs_a_trial():
+    with pytest.raises(ValueError, match="^need at least one trial$"):
+        exhaustive_consistency_sweep(0)
 
 
 def test_sweep_stops_at_its_first_failing_signal(monkeypatch):

@@ -11,6 +11,7 @@ from pcsamp import (
     PiecewiseFunction,
     RegionViolation,
     SignalSpec,
+    SpecViolation,
     as_rational,
     find_genericity_violation,
     translate,
@@ -18,6 +19,16 @@ from pcsamp import (
     validate_spec,
 )
 from pcsamp.signal_core import on_lattice
+
+
+def test_columns_regions_and_references_are_checked(running_spec):
+    with pytest.raises(SpecViolation, match="^g, n, f must have equal lengths$"):
+        SignalSpec.from_columns(g=[4, 2], n=[2], f=["1/4", "1/2"])
+    with pytest.raises(RegionViolation, match="^at least one region is required$"):
+        validate_spec(SignalSpec.from_columns(g=[], n=[], f=[]))
+    for l in (-1, 3):
+        with pytest.raises(IndexError, match=rf"^reference index {l} outside 0\.\.2$"):
+            translate(running_spec, l)
 
 
 def test_smallest_legal_signal_validates():
@@ -69,15 +80,12 @@ def test_on_lattice_is_the_least_common_lattice():
     rng = random.Random(23)
     for _ in range(200):
         values = [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(rng.randint(0, 5))]
-        multiple = rng.randint(1, 6)
-        L, ints = on_lattice(values, multiple)
+        L, ints = on_lattice(values)
         assert [Fraction(k, L) for k in ints] == values
-        # L is a common multiple of multiple and the denominators, and no L // p is
-        divisors = [multiple, *(v.denominator for v in values)]
+        # L is a common multiple of the denominators, and no L // p is
+        divisors = [v.denominator for v in values]
         assert all(L % d == 0 for d in divisors)
         assert not any(all(L // p % d == 0 for d in divisors) for p in (2, 3, 5, 7, 11) if L % p == 0)
-    with pytest.raises(TypeError):   # a float multiple would build an inexact lattice
-        on_lattice([Fraction(1, 2)], 12.0)
 
 
 def test_running_signal_validates(running_spec):
