@@ -2,8 +2,9 @@
 
 The estimate fills the model's feasible box
 (:func:`pcsamp.inference.feasible_box`) in one pass over its stretches,
-the one tiling of the estimate span.  Each stretch lists the amplitudes
-the truth can take on it.  A coupled run splits into unit cells, unit
+the one tiling of the estimate span.  Each stretch lists its cells and
+the amplitudes the truth can take on each (``Zone.cells``, which the
+oracle's probes walk too).  A coupled run splits into unit cells, unit
 cell j meeting the run's regions j-1, j and j+1 (two at either end);
 every other stretch is one cell meeting all of its regions.  One rule
 fills every cell: it takes the Chebyshev centre, (min + max) / 2, of the
@@ -19,7 +20,8 @@ the oracle's searches read the same table.  The estimate is built on
 ints: each cell's bounds and its centre over 2D.  Point cells are dropped,
 and the estimate's function keeps the rest as its integer table, which
 the searches rescale instead of putting the function's Fractions on a
-lattice again.  The box comes from
+lattice again; a set with no regions gets no cells and the zero
+function.  The box comes from
 :func:`pcsamp.inference.feasible_box`, which each model builds once, and
 the cells are :class:`EstimateCell` NamedTuples.
 
@@ -33,7 +35,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .inference import FeasibleBox, ObservationSet, UncertaintyModel, feasible_box, infer_model
@@ -42,6 +44,8 @@ from .signal_core import PiecewiseFunction, RationalLike, as_rational, on_lattic
 KNOWN = "known"
 MIDPOINT = "midpoint"
 CHAIN_INTERIOR = "chain_interior"
+
+_lo = attrgetter("lo")
 
 
 class PartialObservations(ValueError):
@@ -56,16 +60,6 @@ def _on_integers(amplitudes: Sequence[RationalLike], m: int) -> tuple[int, list[
         raise ValueError(f"expected {m} amplitudes, got {len(g)}")
     D, scaled = on_lattice(g)
     return D, [0, *scaled, 0]
-
-
-def _ints_where_integral(xs: Sequence[Fraction]) -> tuple[int | Fraction, ...]:
-    """``xs`` with every integer as an int, so that a search by an integer
-    compares ints; the others stay Fractions."""
-    out = []
-    for x in xs:
-        n, d = x.as_integer_ratio()
-        out.append(n if d == 1 else x)
-    return tuple(out)
 
 
 class EstimateCell(NamedTuple):
@@ -117,23 +111,15 @@ class Estimate:
     def span(self) -> tuple[int, int]:
         return self.box.G[0][0], self.box.G[-1][1]
 
-    @cached_property
-    def _cell_los(self) -> tuple[int | Fraction, ...]:
-        return _ints_where_integral([cell.lo for cell in self.cells])
-
-    @cached_property
-    def _cell_his(self) -> tuple[int | Fraction, ...]:
-        return _ints_where_integral([cell.hi for cell in self.cells])
-
     def value_at(self, t: RationalLike) -> Fraction:
         t = as_rational(t)
-        cells, los = self.cells, self._cell_los
-        j = bisect_left(los, t)   # cells[:j] start left of t
+        cells = self.cells
+        j = bisect_left(cells, t, key=_lo)   # cells[:j] start left of t
         if j and t < cells[j - 1].hi:
             return cells[j - 1].value
         # t is a cell bound or outside the span: a known cell owns both its
         # ends, but the reference point 0 belongs to region l + 1 alone
-        for cell in cells[max(j - 1, 0):bisect_right(los, t)]:
+        for cell in cells[max(j - 1, 0):bisect_right(cells, t, key=_lo)]:
             if cell.tag == KNOWN and t in (cell.lo, cell.hi) and (t != 0 or cell.indices == (self.l + 1,)):
                 return cell.value
         lo, hi = self.span
@@ -152,13 +138,7 @@ def _build_cells(
     cells, table = [], []
     bounds: dict[int, Fraction] = {}   # one Fraction per integer bound, shared by neighbouring cells
     for z in box.stretches:
-        if z.coupled:   # k members hold k + 1 unit cells, cell j meeting regions[j-1:j+2]
-            if z.hi - z.lo != len(z.regions):
-                raise ValueError(f"coupled zone {z.members} on ({z.lo}, {z.hi}) needs one unit cell per region")
-            spans = [(z.lo + j, z.lo + j + 1, z.regions[max(j - 1, 0):j + 2]) for j in range(len(z.regions))]
-        else:   # a forced span, a point span included, or an isolated interval
-            spans = [(z.lo, z.hi, z.regions)]
-        for lo, hi, indices in spans:
+        for lo, hi, indices in z.cells:
             met = [scaled[i] for i in indices]
             twice = min(met) + max(met)   # the centre of the amplitudes met, over 2 D
             for x in (lo, hi):
@@ -183,10 +163,12 @@ def estimate_partial(model: UncertaintyModel, amplitudes: Sequence[RationalLike]
     cells, table = _build_cells(box, D, scaled)
     wide = [k for k, (lo, hi, _) in enumerate(table) if lo < hi]   # a point cell has no measure
     # the breakpoints increase: every interval has width 1 or 2, a coupled zone
-    # one unit cell per region, and the box's stretches tile the span
-    xs = (table[wide[0]][0], *(table[k][1] for k in wide))
+    # one unit cell per region, and the box's stretches tile the span from
+    # G[0].lo, so a set with no regions gets the zero function
+    start = box.G[0][0]
+    xs = (start, *(table[k][1] for k in wide))
     fn = PiecewiseFunction._from_integers(
-        (cells[wide[0]].lo, *(cells[k].hi for k in wide)),
+        (Fraction(start), *(cells[k].hi for k in wide)),
         tuple(cells[k].value for k in wide),
         (1, xs, 2 * D, tuple(table[k][2] for k in wide)),
     )

@@ -18,7 +18,8 @@ that the estimator fills and the oracle searches, ``FeasibleBox.stretches``.
 Every stretch is a :class:`Zone` that lists the amplitudes the truth can
 take on it: the model's chains, one isolated interval per other
 discontinuity, and, between them, the forced spans, member-less zones of
-one region each.
+one region each.  ``Zone.cells`` splits a stretch into the cells that the
+estimator fills and the oracle's probes walk, with the regions each meets.
 
 The module works purely from patterns and known amplitudes; it never needs
 the generating signal, so it solves the inverse problem as stated.
@@ -147,6 +148,20 @@ class Zone(NamedTuple):
     @property
     def coupled(self) -> bool:
         return len(self.regions) > 2
+
+    @property
+    def cells(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """The stretch's cells in order, as (lo, hi, regions met): the
+        amplitudes the truth can take on each.  A coupled run of k members
+        holds k + 1 unit cells, unit cell j meeting ``regions[j-1:j+2]``
+        (two regions at either end); any other stretch is one cell meeting
+        all of its regions."""
+        lo, regions = self.lo, self.regions
+        if not self.coupled:
+            return ((lo, self.hi, regions),)
+        if self.hi - lo != len(regions):
+            raise ValueError(f"coupled zone {self.members} on ({lo}, {self.hi}) needs one unit cell per region")
+        return tuple((lo + j, lo + j + 1, regions[max(j - 1, 0):j + 2]) for j in range(len(regions)))
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,9 @@ ends as cuts, and each of its four shifts reruns only the sweep: for a
 lone member, one max over its shifted weights, by the sweep's own rule
 (:func:`_lone`).  Where C's ends are already consecutive cuts of the
 stretch, as on every zone of a full-atlas estimate, that search is the
-base's, and its table is reused.
+base's, and its table is reused.  The probes walk the stretch's cells
+(``Zone.cells``) and scale a cell's shifts from the regions it meets, so
+the check reads an estimate only through its function and its box.
 
 :func:`energy_between` integrates with Fractions and stays the
 independent cross-check.
@@ -63,7 +65,6 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .estimator import (
-    KNOWN,
     Estimate,
     _on_integers,
     best_reference,
@@ -414,27 +415,25 @@ def worst_case_energy(
     return _search(_lattice(est, amplitudes, box, resolution), box, resolution)[0]
 
 
-def _auto_deltas(est: Estimate, amps: Sequence[int], n: int) -> tuple[int, ...]:
-    """Probe shifts for unit cell (n-1, n), scaled to the local jump, on the
-    search lattice: ``amps`` are the padded amplitudes over D, each a
-    multiple of 10 (:func:`_lattice`)."""
-    k = bisect_right(est._cell_los, n - 1)   # cells[:k] start at or left of n-1
-    if not k or est._cell_his[k - 1] < n:
-        raise ValueError(f"unit cell ({n - 1}, {n}) lies outside the estimate span")
-    cell = est.cells[k - 1]
-    if cell.tag == KNOWN:   # the largest jump to a neighbour
-        i = cell.indices[0]
+def _auto_deltas(amps: Sequence[int], cell: tuple[int, int, tuple[int, ...]]) -> tuple[int, ...]:
+    """Probe shifts for the unit cells of a stretch's ``cell`` (lo, hi,
+    regions met; see :attr:`pcsamp.inference.Zone.cells`), scaled to the
+    local jump, on the search lattice: ``amps`` are the padded amplitudes
+    over D, each a multiple of 10 (:func:`_lattice`)."""
+    lo, _, regions = cell
+    if len(regions) == 1:   # a forced span: the largest jump to a neighbour
+        i = regions[0]
         gap = max(abs(amps[i] - amps[i - 1]), abs(amps[i] - amps[i + 1]))
-    else:   # the spread of the amplitudes the cell can meet
-        reachable = [amps[j] for j in cell.indices]
-        gap = max(reachable) - min(reachable)
+    else:   # the spread of the amplitudes the cell meets
+        met = [amps[j] for j in regions]
+        gap = max(met) - min(met)
     if gap == 0:
-        raise ValueError(f"unit cell ({n - 1}, {n}) meets no amplitude jump to scale its probes to")
+        raise ValueError(f"unit cell ({lo}, {lo + 1}) meets no amplitude jump to scale its probes to")
     return (gap // 10, -gap // 10, gap // 2, -gap // 2)
 
 
 def perturbation_minimax_check(
-    est: Estimate,
+    est: Union[Estimate, PiecewiseFunction],
     amplitudes: Sequence[Fraction],
     box: FeasibleBox,
     resolution: int = 50,
@@ -445,7 +444,10 @@ def perturbation_minimax_check(
     Every adjustable unit cell (n-1, n) gets its value shifted by four
     deltas scaled to the governing amplitude jump, and the worst case is
     recomputed.  The probes walk ``box.stretches`` in order: its zones, and
-    with ``include_known`` its forced spans too.  Only the stretch that
+    with ``include_known`` its forced spans too, each cell by cell
+    (:attr:`pcsamp.inference.Zone.cells`).  A cell's shifts are scaled from
+    the regions it meets in its stretch: the spread of their amplitudes, or
+    on a forced span the largest jump to a neighbour.  Only the stretch that
     holds the cell changes.  The check runs the search of
     :func:`worst_case_energy`, which gives its :class:`WorstCase` and each
     stretch's unperturbed energy.  A probed cell's stretch is searched once:
@@ -458,14 +460,10 @@ def perturbation_minimax_check(
     the stretch, its pieces are the stretch's own, and it reads the base
     search's table instead.  The shifts are read from the lattice's
     amplitudes, and the probes compare integers.  A worst case that
-    decreases is recorded as a violation, not raised.  ``est`` must be an
-    :class:`Estimate`, whose cells scale the shifts, and ``box`` the box it
-    fills, as for :func:`worst_case_energy`.
+    decreases is recorded as a violation, not raised.  ``est`` and ``box``
+    are checked as for :func:`worst_case_energy`: a bare function is probed
+    on any box.
     """
-    if not isinstance(est, Estimate):
-        raise TypeError(
-            f"perturbation_minimax_check needs an Estimate to scale its probes, not {type(est).__name__}"
-        )
     lattice = _lattice(est, amplitudes, box, resolution)
     N, D, *_, padded = lattice   # padded: the amplitudes over D, zero padded
     base, searched, total = _search(lattice, box, resolution)
@@ -475,36 +473,39 @@ def perturbation_minimax_check(
     for z, (cuts, vals, amps), table, own in searched:
         if not (z.members or include_known):
             continue
-        for n in range(z.lo + 1, z.hi + 1):
-            lo, hi = (n - 1) * N, n * N
-            a, b = bisect_left(cuts, lo), bisect_right(cuts, hi)
-            # the stretch searched once with the cell at gamma, the value at its
-            # midpoint; a shift s adds s^2 N - 2 s J(y), J(y) the integral of
-            # (truth - gamma) over the cell
-            if cuts[a:b] == [lo, hi]:   # the cell is one of the stretch's pieces
-                gamma = vals[a]
-                tail, candidates, weights = table
-            else:
-                gamma = vals[bisect_right(cuts, (lo + hi) // 2) - 1]
-                tail, candidates, weights = _zone_terms(
-                    (*cuts[:a], lo, hi, *cuts[b:]), (*vals[:a], gamma, *vals[b - 1:]), amps, box, z, resolution, N,
-                )
-            inside = [   # member k's part of J: its jump times the cell's length left of it
-                [(amps[k] - amps[k + 1]) * min(max(y * step - lo, 0), N) for y in ys]
-                for k, ys in enumerate(candidates)
-            ]
-            for shift in _auto_deltas(est, padded, n):
-                t = 2 * shift
-                fixed = tail + (shift * shift - t * (amps[-1] - gamma)) * N   # s^2 N and J's constant part
-                if len(candidates) == 1:   # a lone member: no sweep, one max over its shifted weights
-                    top = _lone(fixed, candidates[0], [w - t * j for w, j in zip(weights[0], inside[0])])[0]
+        for cell in z.cells:
+            shifts = _auto_deltas(padded, cell)
+            for n in range(cell[0] + 1, cell[1] + 1):
+                lo, hi = (n - 1) * N, n * N
+                a, b = bisect_left(cuts, lo), bisect_right(cuts, hi)
+                # the stretch searched once with the cell at gamma, the value at its
+                # midpoint; a shift s adds s^2 N - 2 s J(y), J(y) the integral of
+                # (truth - gamma) over the cell
+                if cuts[a:b] == [lo, hi]:   # the cell is one of the stretch's pieces
+                    gamma = vals[a]
+                    tail, candidates, weights = table
                 else:
-                    moved = [[w - t * j for w, j in zip(ws, js)] for ws, js in zip(weights, inside)]
-                    top = _sweep((fixed, candidates, moved), z, resolution)[0]
-                if shift not in deltas:
-                    deltas[shift] = Fraction(shift, D)
-                worst = Fraction(total - own + top, scale)
-                probes.append(PerturbationProbe(n, deltas[shift], worst, top >= own, top > own))
+                    gamma = vals[bisect_right(cuts, (lo + hi) // 2) - 1]
+                    tail, candidates, weights = _zone_terms(
+                        (*cuts[:a], lo, hi, *cuts[b:]), (*vals[:a], gamma, *vals[b - 1:]),
+                        amps, box, z, resolution, N,
+                    )
+                inside = [   # member k's part of J: its jump times the cell's length left of it
+                    [(amps[k] - amps[k + 1]) * min(max(y * step - lo, 0), N) for y in ys]
+                    for k, ys in enumerate(candidates)
+                ]
+                for shift in shifts:
+                    t = 2 * shift
+                    fixed = tail + (shift * shift - t * (amps[-1] - gamma)) * N   # s^2 N and J's constant part
+                    if len(candidates) == 1:   # a lone member: no sweep, one max over its shifted weights
+                        top = _lone(fixed, candidates[0], [w - t * j for w, j in zip(weights[0], inside[0])])[0]
+                    else:
+                        moved = [[w - t * j for w, j in zip(ws, js)] for ws, js in zip(weights, inside)]
+                        top = _sweep((fixed, candidates, moved), z, resolution)[0]
+                    if shift not in deltas:
+                        deltas[shift] = Fraction(shift, D)
+                    worst = Fraction(total - own + top, scale)
+                    probes.append(PerturbationProbe(n, deltas[shift], worst, top >= own, top > own))
     return PerturbationReport(worst=base, probes=tuple(probes))
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pcsamp import PiecewiseFunction, SignalSpec, validate_spec
+from pcsamp import ObservationSet, PiecewiseFunction, SignalSpec, enumerate_atlas, infer_model, validate_spec
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +28,11 @@ def amp(amplitudes, i: int) -> Fraction:
     if 1 <= i <= len(amplitudes):
         return amplitudes[i - 1]
     return Fraction(0)
+
+
+def full_model(spec: SignalSpec, l: int):
+    """The model that the signal's full pattern atlas gives at reference l."""
+    return infer_model(ObservationSet.from_atlas(enumerate_atlas(spec), spec.g), l)
 
 
 def with_value(fn: PiecewiseFunction, lo, hi, value) -> PiecewiseFunction:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from pcsamp import (
@@ -53,11 +54,13 @@ def _case(draw: int, spec: SignalSpec, obs: ObservationSet, full: bool, l: int) 
     return Case(draw, spec, tuple(p.eta for p in obs.patterns), full, model, estimate, defect)
 
 
+@cache
 def corpus(step: int = 1) -> tuple[Case, ...]:
     """Every model, draw by draw: the partial models (each single pattern,
     then each adjacent pair, at l = 0 and l = m), then the full atlas at
     l = 0..m.  With ``step``, only the models of draws 0, step, 2 * step,
-    ...; every draw is still made, so those models are the full corpus's."""
+    ...; every draw is still made, so those models are the full corpus's.
+    Built once per ``step``: the cases are frozen, and no test alters them."""
     rng = random.Random(SEED)
     cases = []
     for draw in range(DRAWS):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import amp, wide_spec
+from conftest import amp, full_model, wide_spec
 from corpus import corpus
 
 from pcsamp import (
@@ -32,13 +32,8 @@ from pcsamp import (
 from pcsamp.signal_core import on_lattice
 
 
-def _full_model(spec, l):
-    obs = ObservationSet.from_atlas(enumerate_atlas(spec), spec.g)
-    return infer_model(obs, l)
-
-
 def test_full_estimate_cells_running(running_spec):
-    est = estimate_full(_full_model(running_spec, 0), running_spec.g)
+    est = estimate_full(full_model(running_spec, 0), running_spec.g)
     assert [(c.lo, c.hi, c.value, c.tag) for c in est.cells] == [
         (0, 1, 4, "known"),
         (1, 2, 3, "midpoint"),
@@ -56,14 +51,14 @@ def test_full_estimate_requires_width_one():
 
 
 def test_closed_form_running(running_spec):
-    assert closed_form_energy(_full_model(running_spec, 0), running_spec.g) == 2
+    assert closed_form_energy(full_model(running_spec, 0), running_spec.g) == 2
     # reference 1 leaves jumps of 4 and 2: (4/2)^2 + (2/2)^2 = 5
-    assert closed_form_energy(_full_model(running_spec, 1), running_spec.g) == 5
+    assert closed_form_energy(full_model(running_spec, 1), running_spec.g) == 5
 
 
 def test_estimate_matches_truth_on_grid(running_spec):
     for l in range(running_spec.m + 1):
-        model = _full_model(running_spec, l)
+        model = full_model(running_spec, l)
         est = estimate_full(model, running_spec.g)
         truth = truth_function(running_spec, l)
         for n in range(model.G[0][0] - 2, model.G[running_spec.m][1] + 3):
@@ -71,7 +66,7 @@ def test_estimate_matches_truth_on_grid(running_spec):
 
 
 def test_value_at_honors_closed_known_spans(running_spec):
-    est = estimate_full(_full_model(running_spec, 0), running_spec.g)
+    est = estimate_full(full_model(running_spec, 0), running_spec.g)
     assert est.value_at(1) == 4          # known [0,1] owns its right endpoint
     assert est.value_at(2) == 2          # known [2,4] owns its left endpoint
     assert est.value_at(Fraction(3, 2)) == 3
@@ -123,12 +118,24 @@ def test_models_that_no_estimate_can_fill_raise():
         estimate_partial(model, [1, 2])
 
 
+def test_a_set_with_no_regions_has_the_zero_estimate():
+    # m = 0: the box has no stretches, so the estimate has no cells and is zero
+    model = infer_model(ObservationSet.of([()], []), 0)
+    est = estimate_partial(model, [])
+    assert est == estimate_full(model, [])
+    assert est.cells == () and est.fn == PiecewiseFunction((0,), ())
+    assert worst_case_energy(est, [], est.box).value == closed_form_energy(model, []) == 0
+    for include_known in (False, True):
+        assert perturbation_minimax_check(est, [], est.box, include_known=include_known).probes == ()
+    assert est.value_at(0) == 0
+
+
 def test_partial_degenerates_to_full():
     rng = random.Random(13)
     for _ in range(10):
         spec = random_spec(rng, m_range=(1, 6))
         for l in range(spec.m + 1):
-            model = _full_model(spec, l)
+            model = full_model(spec, l)
             assert estimate_partial(model, spec.g) == estimate_full(model, spec.g)
 
 
@@ -211,7 +218,7 @@ def _probes_of_the_right_estimate(model, g):
 def test_closed_form_needs_one_amplitude_per_region(running_spec, read, g):
     # every reader of the amplitudes checks their count against the regions
     with pytest.raises(ValueError, match=f"expected 2 amplitudes, got {len(g)}"):
-        read(_full_model(running_spec, 0), g)
+        read(full_model(running_spec, 0), g)
 
 
 def test_closed_form_unavailable_with_chains():
@@ -277,7 +284,7 @@ def test_best_reference_matches_energy_argmin():
 
 
 def test_absolute_error_bound(running_spec):
-    model = _full_model(running_spec, 0)
+    model = full_model(running_spec, 0)
     g = running_spec.g
     midpoints = {1: Fraction(3), 2: Fraction(1)}
     # midpoints give half the jump per interval: 1 + 1
@@ -291,7 +298,7 @@ def test_absolute_error_bound_checks_its_model_and_constants(running_spec, examp
     assert widths_two.U
     with pytest.raises(PartialObservations, match="^the absolute-error bound assumes width-one intervals"):
         absolute_error_bound(widths_two, example6_spec.g, {i: 1 for i in range(1, 4)})
-    model = _full_model(running_spec, 0)
+    model = full_model(running_spec, 0)
     for ghat in ({1: 3}, {0: 4, 1: 3, 2: 1}):
         with pytest.raises(ValueError, match=r"^need one constant per index in \[1, 2\]$"):
             absolute_error_bound(model, running_spec.g, ghat)
@@ -346,7 +353,7 @@ def test_estimate_mirror_symmetry():
 
 
 def test_grid_cell_constants(running_spec):
-    est = estimate_full(_full_model(running_spec, 0), running_spec.g)
+    est = estimate_full(full_model(running_spec, 0), running_spec.g)
     lo, hi = est.span
     gammas = {n: est.fn.evaluate(Fraction(2 * n - 1, 2)) for n in range(lo + 1, hi + 1)}   # value on (n-1, n)
     assert gammas == {1: 4, 2: 3, 3: 2, 4: 2, 5: 1}

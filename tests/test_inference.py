@@ -289,6 +289,19 @@ def test_box_stretches_keep_degenerate_points(example6_spec):
     ]
 
 
+def test_zone_cells_list_the_regions_each_cell_meets():
+    # a forced span and an isolated interval are one cell each; a coupled run
+    # of k members holds k + 1 unit cells, two regions met at either end
+    assert Zone((2,), 4, 5).cells == ((4, 5, (2,)),)
+    assert Zone((2,), 7, 7).cells == ((7, 7, (2,)),)
+    assert Zone((1, 2), 1, 3).cells == ((1, 3, (1, 2)),)
+    assert Zone((1, 2, 3, 4), 2, 6).cells == (
+        (2, 3, (1, 2)), (3, 4, (1, 2, 3)), (4, 5, (2, 3, 4)), (5, 6, (3, 4)),
+    )
+    with pytest.raises(ValueError, match=r"^coupled zone \(1, 2\) on \(1, 3\) needs one unit cell per region$"):
+        Zone((1, 2, 3), 1, 3).cells
+
+
 def test_box_stretches_raise_on_the_inverted_forced_span():
     # the known defect: a run anchored at the reference is not coupled, so
     # G_1 = (0, 2) and G_2 = (1, 3) overlap and region 2's span inverts

@@ -6,8 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import amp, span_energy_reference, with_value
-from corpus import corpus
+from conftest import amp, full_model, span_energy_reference, with_value
 
 from pcsamp import (
     CheckResult,
@@ -39,11 +38,6 @@ from pcsamp.estimator import CHAIN_INTERIOR, MIDPOINT
 from pcsamp.sampler import AtlasCell, PatternAtlas, SamplingPattern
 
 
-def _full_model(spec, l):
-    obs = ObservationSet.from_atlas(enumerate_atlas(spec), spec.g)
-    return infer_model(obs, l)
-
-
 def test_energy_between_identity(running_spec):
     fn = truth_function(running_spec, 0)
     assert energy_between(fn, fn) == 0
@@ -59,7 +53,7 @@ def test_energy_between_running_breakdown(running_spec):
     # components: (4-3)^2*(7/4-1) + (2-3)^2*(2-7/4) + (2-1)^2*(17/4-4)
     #           + (0-1)^2*(5-17/4) = 3/4 + 1/4 + 1/4 + 3/4 = 2
     truth = truth_function(running_spec, 0)
-    est = estimate_full(_full_model(running_spec, 0), running_spec.g)
+    est = estimate_full(full_model(running_spec, 0), running_spec.g)
     assert energy_between(truth, est.fn) == 2
 
 
@@ -83,7 +77,7 @@ def test_energy_between_symmetric_nonnegative():
 
 
 def test_worst_case_is_placement_independent(running_spec):
-    model = _full_model(running_spec, 0)
+    model = full_model(running_spec, 0)
     est = estimate_full(model, running_spec.g)
     wc = worst_case_energy(est, running_spec.g, feasible_box(model), 12)
     assert wc.value == 2
@@ -97,7 +91,7 @@ def test_worst_case_is_placement_independent(running_spec):
 def test_worst_case_agrees_with_direct_integration(running_spec):
     # rebuild the objective from scratch: place the discontinuities at the
     # witness, integrate, and compare
-    model = _full_model(running_spec, 0)
+    model = full_model(running_spec, 0)
     est = estimate_full(model, running_spec.g)
     wc = worst_case_energy(est, running_spec.g, feasible_box(model), 12)
     placed = PiecewiseFunction(
@@ -109,7 +103,7 @@ def test_worst_case_agrees_with_direct_integration(running_spec):
 
 def test_perturbed_midpoint_strictly_worse(running_spec):
     # push the first midpoint cell from 3 to 7/2 and redo the search by hand
-    model = _full_model(running_spec, 0)
+    model = full_model(running_spec, 0)
     est = estimate_full(model, running_spec.g)
     box = feasible_box(model)
     bumped = with_value(est.fn, 1, 2, Fraction(7, 2))
@@ -191,7 +185,7 @@ def test_worst_case_monotone_in_resolution():
 
 def test_perturbations_never_improve_full(running_spec):
     for l in range(running_spec.m + 1):
-        model = _full_model(running_spec, l)
+        model = full_model(running_spec, l)
         est = estimate_full(model, running_spec.g)
         report = perturbation_minimax_check(
             est, running_spec.g, feasible_box(model), resolution=12, include_known=True
@@ -242,7 +236,7 @@ def test_three_member_chain_is_not_minimax():
 def test_oracle_catches_a_broken_estimate(running_spec):
     # replace a midpoint cell by the left amplitude: nudging it back toward
     # the midpoint must lower the worst case, and the probe must say so
-    model = _full_model(running_spec, 0)
+    model = full_model(running_spec, 0)
     est = estimate_full(model, running_spec.g)
     box = feasible_box(model)
     broken = with_value(est.fn, 1, 2, Fraction(4))   # was 3 = (4 + 2) / 2
@@ -250,10 +244,7 @@ def test_oracle_catches_a_broken_estimate(running_spec):
     good = worst_case_energy(with_value(broken, 1, 2, 4 - jump / 2), running_spec.g, box, 12)
     bad = worst_case_energy(broken, running_spec.g, box, 12)
     assert good.value < bad.value
-    report = perturbation_minimax_check(
-        Estimate(cells=est.cells, fn=broken, box=est.box),
-        running_spec.g, box, resolution=12,
-    )
+    report = perturbation_minimax_check(broken, running_spec.g, box, resolution=12)
     assert not report.passed
     assert any(p.worst < report.baseline for p in report.violations)
 
@@ -278,34 +269,25 @@ def test_empty_feasible_set():
 @pytest.mark.parametrize("search", [worst_case_energy, perturbation_minimax_check])
 def test_searches_reject_a_bad_resolution(running_spec, search, resolution, error):
     # fewer than 2 grid points per unit, or a float, which would build an inexact lattice
-    est = estimate_full(_full_model(running_spec, 0), running_spec.g)
+    est = estimate_full(full_model(running_spec, 0), running_spec.g)
     with pytest.raises(error):
         search(est, running_spec.g, est.box, resolution)
 
 
 def test_searches_reject_a_box_the_estimate_does_not_fill(running_spec):
     # the estimate at l = 0 searched on the box of l = m: the worst case
-    # would read 161/3 against a closed form of 2, and the probes would name
-    # a unit cell outside the estimate span
-    est = estimate_full(_full_model(running_spec, 0), running_spec.g)
-    other = feasible_box(_full_model(running_spec, running_spec.m))
+    # would read 161/3 against a closed form of 2, and the probes would walk
+    # cells that the estimate does not fill
+    est = estimate_full(full_model(running_spec, 0), running_spec.g)
+    other = feasible_box(full_model(running_spec, running_spec.m))
     moved = FeasibleBox(l=0, G=tuple((lo + 1, hi + 1) for lo, hi in est.box.G), zones=())
     for box in (other, moved):
         for search in (worst_case_energy, perturbation_minimax_check):
             with pytest.raises(ValueError, match=r"the box \(l=\d+, G=.*\) is not the estimate's \(l=0, G="):
                 search(est, running_spec.g, box, 12)
     # an equal box is the estimate's, and a bare function is not checked
-    assert worst_case_energy(est, running_spec.g, feasible_box(_full_model(running_spec, 0)), 12).value == 2
+    assert worst_case_energy(est, running_spec.g, feasible_box(full_model(running_spec, 0)), 12).value == 2
     assert worst_case_energy(est.fn, running_spec.g, other, 12).value == Fraction(161, 3)
-
-
-def test_check_rejects_a_bare_function_up_front(running_spec, monkeypatch):
-    # the probes scale their shifts by the estimate's cells, which a bare
-    # function lacks; the check says so before it searches anything
-    est = estimate_full(_full_model(running_spec, 0), running_spec.g)
-    monkeypatch.setattr(oracle, "_zone_terms", None)   # any search would now fail otherwise
-    with pytest.raises(TypeError, match=r"^perturbation_minimax_check needs an Estimate .* not PiecewiseFunction$"):
-        perturbation_minimax_check(est.fn, running_spec.g, est.box, 12)
 
 
 def test_verify_scenario_never_raises():
@@ -722,30 +704,9 @@ def _outcome(call):
         return f"{type(exc).__name__}: {exc}"
 
 
-def test_the_checks_base_is_the_public_worst_case():
-    # the check runs its base search on the probes' lattice, with D scaled by
-    # 10; its worst case, witness and stretches included, is the public one's.
-    # Every 12th draw's partial models, half of them with the amplitudes
-    # g/3 + 1/2, so that the estimate's values are fractional too
-    cases = []
-    for k, case in enumerate(c for c in corpus(step=12) if not c.full and c.estimate is not None):
-        if k % 2:
-            g = tuple(v / 3 + Fraction(1, 2) for v in case.spec.g)
-            cases.append((estimate_partial(case.model, g), g))
-        else:
-            cases.append((case.estimate, case.spec.g))
-    assert sum(any(z.coupled for z in est.box.zones) for est, _ in cases) > 100
-    assert {v.denominator for est, _ in cases for v in est.fn.values} > {1, 2}
-    for est, g in cases:
-        for resolution in (2, 12, 50):
-            want = _outcome(lambda: worst_case_energy(est, g, est.box, resolution))
-            for include_known in (False, True):
-                assert _outcome(
-                    lambda: perturbation_minimax_check(est, g, est.box, resolution, include_known).worst
-                ) == want
-
-
-def test_probe_walk_matches_the_unit_cell_scan():
+def _probe_walk_cases():
+    """120 (estimate, g, box) cases: partial estimates of random signals, each
+    followed by the estimate bent on one unit cell or its left half."""
     rng = random.Random(23)
     cases = []
     while len(cases) < 120:
@@ -764,6 +725,11 @@ def test_probe_walk_matches_the_unit_cell_scan():
         n = rng.randint(est.span[0] + 1, est.span[1])
         bent = with_value(est.fn, n - 1, n - Fraction(rng.randint(0, 1), 2), est.fn.evaluate(n - 1) + 1)
         cases += [(e, spec.g, feasible_box(model)) for e in (est, Estimate(est.cells, bent, est.box))]
+    return cases
+
+
+def test_probe_walk_matches_the_unit_cell_scan():
+    cases = _probe_walk_cases()
     cells = [cell for est, _, _ in cases for cell in est.cells]
     assert any(c.tag == MIDPOINT and c.hi - c.lo == 2 for c in cells)
     assert any(c.lo == c.hi for c in cells)
@@ -773,6 +739,17 @@ def test_probe_walk_matches_the_unit_cell_scan():
             assert _outcome(
                 lambda: perturbation_minimax_check(est, g, box, resolution=4, include_known=include_known)
             ) == _outcome(lambda: _reference_probes(est, g, box, 4, include_known))
+
+
+def test_probes_read_an_estimate_through_its_function_and_box():
+    # the probes scale their shifts from the box's stretches, not from the
+    # estimate's cells, so a bare function is probed as the Estimate that
+    # carries it, forced spans included
+    for est, g, box in _probe_walk_cases()[1::2]:
+        for include_known in (False, True):
+            assert _outcome(
+                lambda: perturbation_minimax_check(est.fn, g, box, resolution=4, include_known=include_known)
+            ) == _outcome(lambda: perturbation_minimax_check(est, g, box, resolution=4, include_known=include_known))
 
 
 def test_probes_with_fractional_amplitudes_match_the_unit_cell_scan():
@@ -813,7 +790,7 @@ def test_a_built_estimate_is_searched_on_its_own_function(running_spec):
     # searched on that fn, not on its cells: here a cell lifted by one, on
     # the full atlas at every reference and on one pattern at l = 0
     g, patterns = running_spec.g, enumerate_atlas(running_spec).patterns
-    models = [_full_model(running_spec, l) for l in range(running_spec.m + 1)]
+    models = [full_model(running_spec, l) for l in range(running_spec.m + 1)]
     models.append(infer_model(ObservationSet.of(patterns[:1], g), 0))
     for model in models:
         est = estimate_partial(model, g)
@@ -853,7 +830,7 @@ RECORD_REPRS = {
 
 def test_the_per_stretch_records_are_immutable_and_keep_their_repr():
     spec, _ = load_scenario(str(Path(__file__).parents[1] / "scenarios" / "running.json"))
-    est = estimate_full(_full_model(spec, 0), spec.g)
+    est = estimate_full(full_model(spec, 0), spec.g)
     records = {
         "Zone": est.box.stretches[1],
         "EstimateCell": est.cells[1],
@@ -888,7 +865,7 @@ def test_probe_finds_a_worst_case_at_its_own_cell_end(running_spec):
 def test_probes_rebuild_no_function(running_spec, monkeypatch):
     # a probe sets its unit cell inside the pieces of its zone or forced
     # span; it never builds a whole altered estimate
-    ests = [estimate_full(_full_model(running_spec, l), running_spec.g) for l in range(running_spec.m + 1)]
+    ests = [estimate_full(full_model(running_spec, l), running_spec.g) for l in range(running_spec.m + 1)]
     built = []
     real = PiecewiseFunction.__post_init__
 
@@ -926,7 +903,7 @@ def test_each_probed_cell_is_searched_once(running_spec, monkeypatch, include_kn
         built.append(bool(out[1]))   # a zone without members gets no candidates
         return out
     monkeypatch.setattr(oracle, "_zone_terms", counted)
-    cases = [(estimate_full(_full_model(running_spec, l), running_spec.g), running_spec.g, 12)
+    cases = [(estimate_full(full_model(running_spec, l), running_spec.g), running_spec.g, 12)
              for l in range(running_spec.m + 1)]
     g = (Fraction(4), Fraction(2))
     cases.append((estimate_partial(infer_model(ObservationSet.of([(3, 1)], g), 0), g), g, 50))
@@ -945,19 +922,6 @@ def test_each_probed_cell_is_searched_once(running_spec, monkeypatch, include_kn
         assert sum(built) == len(est.box.zones) + cutting[-1]
     # every zone of a full-atlas estimate and of the [(3, 1)] chain is cut at every integer
     assert cutting == [0] * (running_spec.m + 2) + [4]
-
-
-def test_probe_of_a_box_cell_no_estimate_cell_covers(running_spec):
-    model = _full_model(running_spec, 0)
-    est = estimate_full(model, running_spec.g)
-    box = feasible_box(model)
-    zone = box.zones[0]
-    gap = Estimate(
-        cells=tuple(c for c in est.cells if c.hi <= zone.lo or c.lo >= zone.hi),
-        fn=est.fn, box=est.box,
-    )
-    with pytest.raises(ValueError, match=rf"unit cell \({zone.hi - 1}, {zone.hi}\) lies outside"):
-        perturbation_minimax_check(gap, running_spec.g, box, resolution=4)
 
 
 def test_probe_of_a_cell_with_no_amplitude_jump_raises():
@@ -1038,7 +1002,7 @@ def _shifted_truth(real):
 
 
 def _zero_shift(real):
-    return lambda est, amps, n: (0, *real(est, amps, n)[1:])
+    return lambda amps, cell: (0, *real(amps, cell)[1:])
 
 
 @pytest.mark.parametrize(
