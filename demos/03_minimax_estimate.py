@@ -47,7 +47,7 @@ for zone in worst.zones:
 assert worst.value == closed
 print()
 
-report = perturbation_minimax_check(est, spec.g, est.box, resolution=12, include_known=True)
+report = perturbation_minimax_check(est, spec.g, est.box, resolution=12)
 print(f"perturbation probes: {len(report.probes)}, baseline {report.baseline}")
 print(f"all probes kept the worst case at or above baseline: {report.passed}")
 print(f"all probes strictly increased it: {report.all_strict}")

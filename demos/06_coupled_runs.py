@@ -43,9 +43,7 @@ print(f"joint grid search at step 1/50: worst case {worst.value} = {float(worst.
 print(f"achieved with placements D_1 = {worst.witness[1]}, D_2 = {worst.witness[2]}")
 print()
 
-report = perturbation_minimax_check(
-    est, (Fraction(4), Fraction(2)), est.box, resolution=50, include_known=True
-)
+report = perturbation_minimax_check(est, (Fraction(4), Fraction(2)), est.box, resolution=50)
 margin = min(p.worst - report.baseline for p in report.probes)
 print(f"{len(report.probes)} perturbation probes; smallest worst-case increase {margin}")
 assert report.passed and report.all_strict

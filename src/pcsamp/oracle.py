@@ -38,18 +38,21 @@ grid's feasible set.  The sweep visits only those candidate vertices, a
 few per member, and its cost does not grow with R.
 
 A probe sets unit cell C to gamma + s, gamma the value at C's midpoint.  At
-each placement y the stretch's energy is then
+each placement y the zone's energy is then
 E(y) + s^2 |C| - 2 s J(y), where E is the energy with C at gamma and
 J(y), the integral of (truth - gamma) over C, is (a_last - gamma) |C| plus
 one term per member k, (a_k - a_{k+1}) times the length of C left of it.
-So each probed cell's stretch is searched once, with C at gamma and C's
+So each probed cell's zone is searched once, with C at gamma and C's
 ends as cuts, and each of its four shifts reruns only the sweep: for a
 lone member, one max over its shifted weights, by the sweep's own rule
 (:func:`_lone`).  Where C's ends are already consecutive cuts of the
-stretch, as on every zone of a full-atlas estimate, that search is the
-base's, and its table is reused.  The probes walk the stretch's cells
-(``Zone.cells``) and scale a cell's shifts from the regions it meets, so
-the check reads an estimate only through its function and its box.
+zone, as on every zone of a full-atlas estimate, that search is the
+base's, and its table is reused.  The probes walk the cells of the box's
+zones (``Zone.cells``) and scale a cell's shifts to the spread of the
+amplitudes it meets, so the check reads an estimate only through its
+function and its box.  Forced spans are not probed: there the estimate
+copies the known signal, so a shift s adds exactly s^2 per unit of
+length and cannot lower the worst case.
 
 :func:`energy_between` integrates with Fractions and stays the
 independent cross-check.
@@ -357,8 +360,8 @@ def _sweep(table: tuple, zone: Zone, resolution: int) -> tuple[int, int, tuple[i
 
 def _search(lattice: tuple, box: FeasibleBox, resolution: int) -> tuple[WorstCase, list[tuple], int]:
     """The worst case over the grid, searched on ``lattice`` (see
-    :func:`_lattice`); for each stretch with measure, in order, what its
-    search built: (stretch, pieces, table, top), its :func:`_pieces`, its
+    :func:`_lattice`); for each zone with measure, in order, what its
+    search built: (zone, pieces, table, top), its :func:`_pieces`, its
     :func:`_zone_terms` table and its maximum over N * D^2; and the worst
     case's value over N * D^2."""
     N, D = lattice[:2]
@@ -376,9 +379,9 @@ def _search(lattice: tuple, box: FeasibleBox, resolution: int) -> tuple[WorstCas
                 argmax = tuple([Fraction(y, resolution) for y in path])
                 witness.update(zip(members, argmax))
                 outcomes.append(ZoneOutcome(members, high, low, argmax))
+                searched.append((z, pieces, table, top))
             else:   # a forced span: one energy and no witness
                 outcomes.append(ZoneOutcome(members, high, high, ()))
-            searched.append((z, pieces, table, top))
             total += top
     return WorstCase(value=Fraction(total, scale), witness=witness, stretches=tuple(outcomes)), searched, total
 
@@ -416,17 +419,14 @@ def worst_case_energy(
 
 
 def _auto_deltas(amps: Sequence[int], cell: tuple[int, int, tuple[int, ...]]) -> tuple[int, ...]:
-    """Probe shifts for the unit cells of a stretch's ``cell`` (lo, hi,
+    """Probe shifts for the unit cells of a zone's ``cell`` (lo, hi,
     regions met; see :attr:`pcsamp.inference.Zone.cells`), scaled to the
-    local jump, on the search lattice: ``amps`` are the padded amplitudes
-    over D, each a multiple of 10 (:func:`_lattice`)."""
+    spread of the amplitudes the cell meets, on the search lattice:
+    ``amps`` are the padded amplitudes over D, each a multiple of 10
+    (:func:`_lattice`)."""
     lo, _, regions = cell
-    if len(regions) == 1:   # a forced span: the largest jump to a neighbour
-        i = regions[0]
-        gap = max(abs(amps[i] - amps[i - 1]), abs(amps[i] - amps[i + 1]))
-    else:   # the spread of the amplitudes the cell meets
-        met = [amps[j] for j in regions]
-        gap = max(met) - min(met)
+    met = [amps[j] for j in regions]
+    gap = max(met) - min(met)
     if gap == 0:
         raise ValueError(f"unit cell ({lo}, {lo + 1}) meets no amplitude jump to scale its probes to")
     return (gap // 10, -gap // 10, gap // 2, -gap // 2)
@@ -437,32 +437,30 @@ def perturbation_minimax_check(
     amplitudes: Sequence[Fraction],
     box: FeasibleBox,
     resolution: int = 50,
-    include_known: bool = False,
 ) -> PerturbationReport:
     """Probe local minimax optimality cell by cell.
 
     Every adjustable unit cell (n-1, n) gets its value shifted by four
     deltas scaled to the governing amplitude jump, and the worst case is
-    recomputed.  The probes walk ``box.stretches`` in order: its zones, and
-    with ``include_known`` its forced spans too, each cell by cell
-    (:attr:`pcsamp.inference.Zone.cells`).  A cell's shifts are scaled from
-    the regions it meets in its stretch: the spread of their amplitudes, or
-    on a forced span the largest jump to a neighbour.  Only the stretch that
-    holds the cell changes.  The check runs the search of
-    :func:`worst_case_energy`, which gives its :class:`WorstCase` and each
-    stretch's unperturbed energy.  A probed cell's stretch is searched once:
-    its candidates and member terms come from :func:`_zone_terms`, one pass
-    over the stretch's pieces per member, with the cell at its midpoint
-    value gamma, and a shift s adds s^2 |C| - 2 s J(y), J(y) the integral of
-    (truth - gamma) over the cell (see the module docstring), so each shift
-    reruns only :func:`_sweep`, and a shift of a lone member's cell only its
-    one max (:func:`_lone`).  Where the cell's ends are consecutive cuts of
-    the stretch, its pieces are the stretch's own, and it reads the base
-    search's table instead.  The shifts are read from the lattice's
-    amplitudes, and the probes compare integers.  A worst case that
-    decreases is recorded as a violation, not raised.  ``est`` and ``box``
-    are checked as for :func:`worst_case_energy`: a bare function is probed
-    on any box.
+    recomputed.  The probes walk the box's zones in order, each cell by
+    cell (:attr:`pcsamp.inference.Zone.cells`), and scale a cell's shifts
+    to the spread of the amplitudes it meets there.  Forced spans are not
+    probed (see the module docstring), so the work does not grow with a
+    region's length.  Only the zone that holds the cell changes.  The check
+    runs the search of :func:`worst_case_energy`, which gives its
+    :class:`WorstCase` and each zone's unperturbed energy.  A probed cell's
+    zone is searched once: its candidates and member terms come from
+    :func:`_zone_terms`, one pass over the zone's pieces per member, with
+    the cell at its midpoint value gamma, and a shift s adds
+    s^2 |C| - 2 s J(y), J(y) the integral of (truth - gamma) over the cell
+    (see the module docstring), so each shift reruns only :func:`_sweep`,
+    and a shift of a lone member's cell only its one max (:func:`_lone`).
+    Where the cell's ends are consecutive cuts of the zone, its pieces are
+    the zone's own, and it reads the base search's table instead.  The
+    shifts are read from the lattice's amplitudes, and the probes compare
+    integers.  A worst case that decreases is recorded as a violation, not
+    raised.  ``est`` and ``box`` are checked as for
+    :func:`worst_case_energy`: a bare function is probed on any box.
     """
     lattice = _lattice(est, amplitudes, box, resolution)
     N, D, *_, padded = lattice   # padded: the amplitudes over D, zero padded
@@ -471,17 +469,15 @@ def perturbation_minimax_check(
     deltas: dict[int, Fraction] = {}   # one Fraction per shift
     probes: list[PerturbationProbe] = []
     for z, (cuts, vals, amps), table, own in searched:
-        if not (z.members or include_known):
-            continue
         for cell in z.cells:
             shifts = _auto_deltas(padded, cell)
             for n in range(cell[0] + 1, cell[1] + 1):
                 lo, hi = (n - 1) * N, n * N
                 a, b = bisect_left(cuts, lo), bisect_right(cuts, hi)
-                # the stretch searched once with the cell at gamma, the value at its
+                # the zone searched once with the cell at gamma, the value at its
                 # midpoint; a shift s adds s^2 N - 2 s J(y), J(y) the integral of
                 # (truth - gamma) over the cell
-                if cuts[a:b] == [lo, hi]:   # the cell is one of the stretch's pieces
+                if cuts[a:b] == [lo, hi]:   # the cell is one of the zone's pieces
                     gamma = vals[a]
                     tail, candidates, weights = table
                 else:

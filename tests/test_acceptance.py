@@ -227,9 +227,7 @@ def test_criterion_8_chain_estimate():
         (4, 5, 1, "midpoint"),
     ]
     box = feasible_box(model)
-    report = perturbation_minimax_check(
-        est, (Fraction(4), Fraction(2)), box, resolution=50, include_known=True
-    )
+    report = perturbation_minimax_check(est, (Fraction(4), Fraction(2)), box, resolution=50)
     ok = cells_ok and report.passed and report.all_strict
     margin = min((p.worst - report.baseline for p in report.probes), default=None)
     _report(8, "chain estimate and perturbations", ok,

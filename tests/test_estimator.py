@@ -17,14 +17,12 @@ from pcsamp import (
     best_reference,
     closed_form_energies,
     closed_form_energy,
-    energy_between,
     enumerate_atlas,
     estimate_full,
     estimate_partial,
     infer_model,
     perturbation_minimax_check,
     random_spec,
-    translate,
     truth_function,
     validate_spec,
     worst_case_energy,
@@ -125,8 +123,7 @@ def test_a_set_with_no_regions_has_the_zero_estimate():
     assert est == estimate_full(model, [])
     assert est.cells == () and est.fn == PiecewiseFunction((0,), ())
     assert worst_case_energy(est, [], est.box).value == closed_form_energy(model, []) == 0
-    for include_known in (False, True):
-        assert perturbation_minimax_check(est, [], est.box, include_known=include_known).probes == ()
+    assert perturbation_minimax_check(est, [], est.box).probes == ()
     assert est.value_at(0) == 0
 
 

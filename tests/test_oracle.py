@@ -1,5 +1,6 @@
 """Brute-force energies, worst-case search, and perturbation probes."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -115,27 +116,9 @@ def test_perturbed_midpoint_strictly_worse(running_spec):
     assert wc.value > 2
 
 
-def test_chain_worst_case_matches_exhaustive_search():
-    model = infer_model(ObservationSet.of([(3, 1)], [4, 2]), 0)
-    est = estimate_partial(model, [4, 2])
-    box = feasible_box(model)
-    wc = worst_case_energy(est, (Fraction(4), Fraction(2)), box, 50)
-
-    # independent oracle: brute force over the full joint grid
-    best = Fraction(0)
-    for j1 in range(1, 100):
-        d1 = 2 + Fraction(j1, 50)
-        for j2 in range(1, 100):
-            d2 = 3 + Fraction(j2, 50)
-            if not (1 <= d2 - d1 < 2):
-                continue
-            placed = PiecewiseFunction((Fraction(0), d1, d2), (Fraction(4), Fraction(2)))
-            best = max(best, energy_between(placed, est.fn))
-    assert wc.value == best == Fraction(148, 25)
-
-
-def test_longer_chain_worst_case_matches_exhaustive_search():
-    # three coupled discontinuities: members (1, 2, 3), two interior cells
+def test_longer_chain_cells_and_probes():
+    # three coupled discontinuities: members (1, 2, 3), two interior cells;
+    # test_chain_sweep_matches_brute_force checks this chain's worst case
     obs = ObservationSet.of([(3, 1, 1)], [4, 2, 1])
     model = infer_model(obs, 0)
     chain = model.chains.plus[0]
@@ -149,26 +132,7 @@ def test_longer_chain_worst_case_matches_exhaustive_search():
         (5, 6, Fraction(1, 2), "midpoint"),
     ]
     g = (Fraction(4), Fraction(2), Fraction(1))
-    box = feasible_box(model)
-    wc = worst_case_energy(est, g, box, resolution=6)
-
-    best = Fraction(0)
-    grid = [Fraction(k, 6) for k in range(1, 12)]
-    for a in grid:
-        d1 = 2 + a
-        for b in grid:
-            d2 = 3 + b
-            if not (1 <= d2 - d1 < 2):
-                continue
-            for c in grid:
-                d3 = 4 + c
-                if not (1 <= d3 - d2 < 2):
-                    continue
-                placed = PiecewiseFunction((Fraction(0), d1, d2, d3), g)
-                best = max(best, energy_between(placed, est.fn))
-    assert wc.value == best
-
-    report = perturbation_minimax_check(est, g, box, resolution=20, include_known=True)
+    report = perturbation_minimax_check(est, g, feasible_box(model), resolution=20)
     assert report.passed
     assert report.all_strict
 
@@ -183,19 +147,6 @@ def test_worst_case_monotone_in_resolution():
     assert values == sorted(values)   # nested grids never lose the maximum
 
 
-def test_perturbations_never_improve_full(running_spec):
-    for l in range(running_spec.m + 1):
-        model = full_model(running_spec, l)
-        est = estimate_full(model, running_spec.g)
-        report = perturbation_minimax_check(
-            est, running_spec.g, feasible_box(model), resolution=12, include_known=True
-        )
-        assert report.passed
-        assert report.all_strict
-        assert report.violations == ()
-
-
-@pytest.mark.parametrize("include_known", [False, True])
 @pytest.mark.parametrize(
     "observed, g, baseline, closed",
     [
@@ -205,13 +156,11 @@ def test_perturbations_never_improve_full(running_spec):
         pytest.param([(1, 2), (1, 1)], (-1, 1), Fraction(9, 4), Fraction(9, 4), id="zeroing-probe"),
     ],
 )
-def test_perturbations_never_improve_chain(observed, g, baseline, closed, include_known):
+def test_perturbations_never_improve_chain(observed, g, baseline, closed):
     g = tuple(map(Fraction, g))
     model = infer_model(ObservationSet.of(observed, g), 0)
     est = estimate_partial(model, g)
-    report = perturbation_minimax_check(
-        est, g, feasible_box(model), resolution=50, include_known=include_known
-    )
+    report = perturbation_minimax_check(est, g, feasible_box(model), resolution=50)
     assert report.passed
     assert report.all_strict
     assert report.baseline == baseline
@@ -665,30 +614,27 @@ def test_member_terms_take_one_walk_over_the_pieces():
 
 
 def _reference_auto_deltas(est, g, n):
-    """The probe magnitudes as first defined: a linear scan over the cells."""
-    for cell in est.cells:
-        if cell.lo <= n - 1 and n <= cell.hi:
-            if cell.tag == MIDPOINT:
-                gap = abs(amp(g, cell.indices[0]) - amp(g, cell.indices[1]))
-            elif cell.tag == CHAIN_INTERIOR:
-                triple = [amp(g, j) for j in cell.indices]
-                gap = max(triple) - min(triple)
-            else:
-                i = cell.indices[0]
-                gap = max(abs(amp(g, i) - amp(g, i - 1)), abs(amp(g, i) - amp(g, i + 1)))
-            return (gap / 10, -gap / 10, gap / 2, -gap / 2)
-    raise ValueError(f"unit cell ({n - 1}, {n}) lies outside the estimate span")
+    """The probe magnitudes as first defined: a linear scan over the cells
+    for the midpoint or chain-interior cell that holds unit cell (n-1, n)."""
+    cell = next(c for c in est.cells if c.lo <= n - 1 and n <= c.hi)
+    if cell.tag == MIDPOINT:
+        gap = abs(amp(g, cell.indices[0]) - amp(g, cell.indices[1]))
+    else:
+        assert cell.tag == CHAIN_INTERIOR
+        triple = [amp(g, j) for j in cell.indices]
+        gap = max(triple) - min(triple)
+    return (gap / 10, -gap / 10, gap / 2, -gap / 2)
 
 
-def _reference_probes(est, g, box, resolution, include_known):
+def _reference_probes(est, g, box, resolution):
     """The probes by definition: every unit cell of the estimate span in a
-    zone (or anywhere, with include_known), the estimate altered on that
-    cell, and the whole worst case searched again."""
+    zone, the estimate altered on that cell, and the whole worst case
+    searched again."""
     base = worst_case_energy(est, g, box, resolution)
     lo, hi = est.span
     probes = []
     for n in range(lo + 1, hi + 1):
-        if not include_known and not any(z.lo <= n - 1 and n <= z.hi for z in box.zones):
+        if not any(z.lo <= n - 1 and n <= z.hi for z in box.zones):
             continue
         gamma = est.fn.evaluate(Fraction(2 * n - 1, 2))
         for delta in _reference_auto_deltas(est, g, n):
@@ -704,17 +650,23 @@ def _outcome(call):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _probe_walk_cases():
-    """120 (estimate, g, box) cases: partial estimates of random signals, each
-    followed by the estimate bent on one unit cell or its left half."""
+@functools.cache
+def _probe_cases():
+    """The probe tests' two case lists of (estimate, g, box, resolutions).
+    The walk cases: 120 at R = 4, partial estimates of random signals, each
+    followed by the estimate bent on one unit cell or its left half.  The
+    fractional cases: 36 at R in {2, 3, 7, 12} whose amplitudes have
+    denominators 2-9, which give the cell values and the gaps a common
+    denominator D > 1, so that a probed value gamma + gap/10 or
+    gamma + gap/2 lies on 10 D and on no coarser lattice."""
     rng = random.Random(23)
-    cases = []
-    while len(cases) < 120:
+    walk = []
+    while len(walk) < 120:
         spec = random_spec(rng, m_range=(1, 5), n_range=(2, 3))
         l = rng.randint(0, spec.m)
         patterns = enumerate_atlas(spec).patterns
         k = rng.randrange(len(patterns))
-        observed = (patterns, [patterns[k]], list(patterns[k:k + 2]))[len(cases) % 3]
+        observed = (patterns, [patterns[k]], list(patterns[k:k + 2]))[len(walk) % 3]
         try:
             model = infer_model(ObservationSet.of(observed, spec.g), l)
             est = estimate_partial(model, spec.g)
@@ -724,41 +676,10 @@ def _probe_walk_cases():
         # so that a forced span can hold a value other than the signal's
         n = rng.randint(est.span[0] + 1, est.span[1])
         bent = with_value(est.fn, n - 1, n - Fraction(rng.randint(0, 1), 2), est.fn.evaluate(n - 1) + 1)
-        cases += [(e, spec.g, feasible_box(model)) for e in (est, Estimate(est.cells, bent, est.box))]
-    return cases
-
-
-def test_probe_walk_matches_the_unit_cell_scan():
-    cases = _probe_walk_cases()
-    cells = [cell for est, _, _ in cases for cell in est.cells]
-    assert any(c.tag == MIDPOINT and c.hi - c.lo == 2 for c in cells)
-    assert any(c.lo == c.hi for c in cells)
-    assert any(c.tag == CHAIN_INTERIOR for c in cells)
-    for est, g, box in cases:
-        for include_known in (False, True):
-            assert _outcome(
-                lambda: perturbation_minimax_check(est, g, box, resolution=4, include_known=include_known)
-            ) == _outcome(lambda: _reference_probes(est, g, box, 4, include_known))
-
-
-def test_probes_read_an_estimate_through_its_function_and_box():
-    # the probes scale their shifts from the box's stretches, not from the
-    # estimate's cells, so a bare function is probed as the Estimate that
-    # carries it, forced spans included
-    for est, g, box in _probe_walk_cases()[1::2]:
-        for include_known in (False, True):
-            assert _outcome(
-                lambda: perturbation_minimax_check(est.fn, g, box, resolution=4, include_known=include_known)
-            ) == _outcome(lambda: perturbation_minimax_check(est, g, box, resolution=4, include_known=include_known))
-
-
-def test_probes_with_fractional_amplitudes_match_the_unit_cell_scan():
-    # amplitudes with denominators 2-9 give the cell values and the gaps a
-    # common denominator D > 1, so a probed value gamma + gap/10 or
-    # gamma + gap/2 lies on 10 D and on no coarser lattice
+        walk += [(e, spec.g, feasible_box(model), (4,)) for e in (est, Estimate(est.cells, bent, est.box))]
     rng = random.Random(29)
-    cases = []
-    while len(cases) < 36:
+    fractional = []
+    while len(fractional) < 36:
         drawn = random_spec(rng, m_range=(1, 4), n_range=(2, 3))
         g = []
         while len(g) < drawn.m:
@@ -768,20 +689,50 @@ def test_probes_with_fractional_amplitudes_match_the_unit_cell_scan():
         spec = validate_spec(SignalSpec.from_columns(g=g, n=drawn.n, f=drawn.f))
         patterns = enumerate_atlas(spec).patterns
         k = rng.randrange(len(patterns))
-        observed = (patterns, [patterns[k]], list(patterns[k:k + 2]))[len(cases) % 3]
+        observed = (patterns, [patterns[k]], list(patterns[k:k + 2]))[len(fractional) % 3]
         try:
             model = infer_model(ObservationSet.of(observed, spec.g), rng.randint(0, spec.m))
             est = estimate_partial(model, spec.g)
         except AssertionError:   # the known inverted forced-span defect
             continue
-        cases.append((est, spec.g, feasible_box(model)))
-    assert {v.denominator for est, _, _ in cases for v in est.fn.values} > {1}
-    for est, g, box in cases:
-        for resolution in (2, 3, 7, 12):
-            for include_known in (False, True):
-                assert _outcome(
-                    lambda: perturbation_minimax_check(est, g, box, resolution, include_known)
-                ) == _outcome(lambda: _reference_probes(est, g, box, resolution, include_known))
+        fractional.append((est, spec.g, feasible_box(model), (2, 3, 7, 12)))
+    return walk, fractional
+
+
+def _assert_probes_match_the_unit_cell_scan(cases):
+    # the whole report, base included, equals the probes by definition
+    for est, g, box, resolutions in cases:
+        for resolution in resolutions:
+            assert _outcome(lambda: perturbation_minimax_check(est, g, box, resolution)) == _outcome(
+                lambda: _reference_probes(est, g, box, resolution)
+            )
+
+
+def test_probe_walk_matches_the_unit_cell_scan():
+    walk, _ = _probe_cases()
+    cells = [cell for est, *_ in walk for cell in est.cells]
+    assert any(c.tag == MIDPOINT and c.hi - c.lo == 2 for c in cells)
+    assert any(c.lo == c.hi for c in cells)
+    assert any(c.tag == CHAIN_INTERIOR for c in cells)
+    _assert_probes_match_the_unit_cell_scan(walk)
+
+
+def test_probes_with_fractional_amplitudes_match_the_unit_cell_scan():
+    _, fractional = _probe_cases()
+    assert {x.denominator for _, g, *_ in fractional for x in g} > {1}
+    _assert_probes_match_the_unit_cell_scan(fractional)
+
+
+def test_probes_read_an_estimate_through_its_function_and_box():
+    # the probes scale their shifts from the box's zones, not from the
+    # estimate's cells, so a bare function is probed as the Estimate that
+    # carries it
+    walk, fractional = _probe_cases()
+    for est, g, box, resolutions in walk + fractional:
+        for resolution in resolutions:
+            assert _outcome(lambda: perturbation_minimax_check(est.fn, g, box, resolution)) == _outcome(
+                lambda: perturbation_minimax_check(est, g, box, resolution)
+            )
 
 
 def test_a_built_estimate_is_searched_on_its_own_function(running_spec):
@@ -857,14 +808,14 @@ def test_probe_finds_a_worst_case_at_its_own_cell_end(running_spec):
     assert (est.cells[1].lo, est.cells[1].hi, est.cells[1].value) == (1, 3, 3)
     bent = Estimate(est.cells, with_value(est.fn, 1, 3, Fraction(5, 2)), est.box)
     report = perturbation_minimax_check(bent, g, est.box, resolution=4)
-    assert repr(report) == repr(_reference_probes(bent, g, est.box, 4, False))
+    assert repr(report) == repr(_reference_probes(bent, g, est.box, 4))
     lifted = next(p for p in report.probes if (p.cell, p.delta) == (3, 1))
     assert lifted.worst == Fraction(9, 2) + 2   # 9/4 on each unit cell, and the other zone's 2
 
 
 def test_probes_rebuild_no_function(running_spec, monkeypatch):
-    # a probe sets its unit cell inside the pieces of its zone or forced
-    # span; it never builds a whole altered estimate
+    # a probe sets its unit cell inside the pieces of its zone; it never
+    # builds a whole altered estimate
     ests = [estimate_full(full_model(running_spec, l), running_spec.g) for l in range(running_spec.m + 1)]
     built = []
     real = PiecewiseFunction.__post_init__
@@ -874,11 +825,7 @@ def test_probes_rebuild_no_function(running_spec, monkeypatch):
         real(self)
     monkeypatch.setattr(PiecewiseFunction, "__post_init__", counted)
     for est in ests:
-        for include_known in (False, True):
-            report = perturbation_minimax_check(
-                est, running_spec.g, est.box, resolution=4, include_known=include_known
-            )
-            assert report.probes
+        assert perturbation_minimax_check(est, running_spec.g, est.box, resolution=4).probes
     assert built == []
 
 
@@ -889,8 +836,7 @@ def _adds_a_cut(est, zone, n):
     return not {n - 1, n} <= cuts or any(n - 1 < x < n for x in cuts)
 
 
-@pytest.mark.parametrize("include_known", [False, True])
-def test_each_probed_cell_is_searched_once(running_spec, monkeypatch, include_known):
+def test_each_probed_cell_is_searched_once(running_spec, monkeypatch):
     # the base search builds one candidate table per zone, and the four
     # shifts of a probed unit cell share one more: their worst cases are
     # quadratics in the shift over the same candidates; a cell whose ends
@@ -915,9 +861,9 @@ def test_each_probed_cell_is_searched_once(running_spec, monkeypatch, include_kn
     cutting = []
     for est, g, resolution in cases:
         built.clear()
-        report = perturbation_minimax_check(est, g, est.box, resolution, include_known)
+        report = perturbation_minimax_check(est, g, est.box, resolution)
         probed = {(z, p.cell) for p in report.probes for z in est.box.zones if z.lo < p.cell <= z.hi}
-        assert probed and len(report.probes) >= 4 * len(probed)
+        assert probed and len(report.probes) == 4 * len(probed)
         cutting.append(sum(_adds_a_cut(est, z, n) for z, n in probed))
         assert sum(built) == len(est.box.zones) + cutting[-1]
     # every zone of a full-atlas estimate and of the [(3, 1)] chain is cut at every integer
@@ -1144,6 +1090,23 @@ def test_verify_cost_does_not_grow_with_region_length():
     spec = validate_spec(SignalSpec.from_columns(g=[4, 2], n=[2, 10**9], f=["1/4", "1/2"]))
     results = verify_scenario(spec, delta_denominator=8)
     assert len(results) == 5 and all(r.passed for r in results), results
+    # partial estimates whose last region is a forced span of length about
+    # n_3: the chain (1, 2) of pattern (3, 1, n_3) at l = 0, and a pair with
+    # width-two intervals; the probes walk only the zones, so n_3 = 10^9
+    # probes as n_3 = 3 does
+    reports = []
+    for n3 in (3, 10**9):
+        spec = validate_spec(SignalSpec.from_columns(g=[4, 2, 5], n=[3, 2, n3], f=["1/3", "1/4", "1/5"]))
+        patterns = enumerate_atlas(spec).patterns
+        assert patterns[2].eta == (3, 1, n3)
+        for observed in ([patterns[2]], patterns[:2]):
+            model = infer_model(ObservationSet.of(observed, spec.g), 0)
+            assert [z.members for z in model.chains.plus] == ([(1, 2)] if len(observed) == 1 else [])
+            assert model.U
+            est = estimate_partial(model, spec.g)
+            report = perturbation_minimax_check(est, spec.g, est.box)
+            reports.append((len(report.probes), report.passed, report.all_strict))
+    assert reports == [(20, True, True)] * 4
 
 
 def test_verify_derives_each_box_and_worst_case_once(running_spec, monkeypatch):
