@@ -15,16 +15,18 @@ together with the sub-interval of offsets that produces it.
 
 Internally positions are integers on the signal's 1/L lattice
 (:attr:`SignalSpec.lattice`), and a grid offset p/q enters as its two
-integers; :func:`delta_chain` works on the common lattice M = lcm(L, q)
-of the signal and the offset.  Fractions appear only in arguments and
+integers, read from the Fraction's ``_numerator`` and ``_denominator``
+slots; :func:`delta_chain` works on the common lattice M = lcm(L, q) of
+the signal and the offset.  Fractions appear only in arguments and
 results.
 
 The carry rule lives in one place.  :func:`cumulative_count`,
 :func:`kappa_d` and :func:`enumerate_atlas` read the signal's run table
 (:attr:`SignalSpec.run_table`), whose row i holds the integer pair
 (d, L * threshold) of every run i..i+K.  Rows are cached per signal and
-built per starting region on first use, so a count is two index reads and
-one integer comparison, and the atlas builds row 1 only.
+built per starting region on first use, so after its checks a count is
+one row lookup and one integer comparison, and the atlas builds row 1
+only.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class PatternAtlas:
 
 def _check_delta(delta: Fraction) -> tuple[int, int]:
     """Numerator and denominator of a grid offset checked to lie in [0, 1)."""
-    p, q = delta.as_integer_ratio()
+    p, q = delta._numerator, delta._denominator
     if not 0 <= p < q:
         raise ValueError(f"grid offset must lie in [0, 1), got {delta}")
     return p, q
@@ -152,19 +154,20 @@ def cumulative_count(spec: SignalSpec, i: int, span: int, delta_i: RationalLike)
     lower branch, matching the half-open placement rule).
     """
     # the hot call of every count check: the checks come first, so a call
-    # that raises builds no row; then two index reads and one comparison.
-    # An exact Fraction, the usual offset, skips the call to as_rational.
-    delta = delta_i if type(delta_i) is Fraction else as_rational(delta_i)
-    p, q = delta.as_integer_ratio()
+    # that raises builds no row; then one row lookup and one comparison.
+    # An exact Fraction, the usual offset, is read from its two slots, which
+    # costs far less than the Python-level as_integer_ratio() call; the
+    # layout is CPython's, checked by test_fraction_slots_hold_the_reduced_ratio.
+    if type(delta_i) is Fraction:
+        p, q = delta_i._numerator, delta_i._denominator
+    else:
+        p, q = as_rational(delta_i).as_integer_ratio()
     if not 0 <= p < q:
-        raise ValueError(f"grid offset must lie in [0, 1), got {delta}")
+        raise ValueError(f"grid offset must lie in [0, 1), got {Fraction(p, q)}")
     L, rows = spec.run_table
     if i < 1 or span < 0 or i + span >= len(rows):
         raise IndexError(f"region run i={i}, K={span} outside 1..{spec.m}")
-    row = rows[i]
-    if row is None:
-        row = _run_row(spec, i)
-    d, theta = row[span]
+    d, theta = (rows[i] or _run_row(spec, i))[span]
     # p/q < theta/L, cross-multiplied
     return d if p * L < theta * q else d - 1
 
