@@ -155,15 +155,14 @@ def cumulative_count(spec: SignalSpec, i: int, span: int, delta_i: RationalLike)
     """
     # the hot call of every count check: the checks come first, so a call
     # that raises builds no row; then one row lookup and one comparison.
-    # An exact Fraction, the usual offset, is read from its two slots, which
-    # costs far less than the Python-level as_integer_ratio() call; the
-    # layout is CPython's, checked by test_fraction_slots_hold_the_reduced_ratio.
-    if type(delta_i) is Fraction:
-        p, q = delta_i._numerator, delta_i._denominator
-    else:
-        p, q = as_rational(delta_i).as_integer_ratio()
+    # An exact Fraction, the usual offset, skips as_rational.  The offset's
+    # integers are read from its two slots, which costs far less than the
+    # Python-level as_integer_ratio() call; the layout is CPython's, checked
+    # by test_fraction_slots_hold_the_reduced_ratio.
+    delta = delta_i if type(delta_i) is Fraction else as_rational(delta_i)
+    p, q = delta._numerator, delta._denominator
     if not 0 <= p < q:
-        raise ValueError(f"grid offset must lie in [0, 1), got {Fraction(p, q)}")
+        raise ValueError(f"grid offset must lie in [0, 1), got {delta}")
     L, rows = spec.run_table
     if i < 1 or span < 0 or i + span >= len(rows):
         raise IndexError(f"region run i={i}, K={span} outside 1..{spec.m}")

