@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -362,26 +361,15 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _verify_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("PCSAMP_SEED", str(DEFAULT_SEED))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(f"PCSAMP_SEED must be an integer, got {raw!r}") from None
-
-
 def cmd_verify(args) -> int:
     spec, scenario_obs = load_scenario(args.scenario)
     if args.trials < 1:
         raise ScenarioError("--trials must be at least 1")
     if args.trials > MAX_TRIALS:
         raise ScenarioError(f"--trials must be at most {MAX_TRIALS}")
-    seed = _verify_seed(args)
     # the full atlas is checked at every reference already; explicit observations add a row
     obs = None if scenario_obs == "all" else _resolve_observations(spec, scenario_obs, None)
-    results = [*verify_scenario(spec, obs), exhaustive_consistency_sweep(args.trials, seed=seed)]
+    results = [*verify_scenario(spec, obs), exhaustive_consistency_sweep(args.trials, seed=args.seed)]
     rows = [[r.name, "pass" if r.passed else "FAIL", r.detail] for r in results]
     passed = all(r.passed for r in results)
     payload = {"checks": [{"name": r[0], "status": r[1], "detail": r[2]} for r in rows], "passed": passed}
@@ -463,16 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--observations", help='"all" or a JSON/CSV observations file')
     sub.set_defaults(func=cmd_estimate)
 
-    sub = subs.add_parser("sweep-ref", help="alias for estimate --sweep")
-    _add_common(sub)
-    sub.add_argument("--observations", help='"all" or a JSON/CSV observations file')
-    sub.set_defaults(func=cmd_estimate, sweep=True, ref=None)
-
     sub = subs.add_parser("verify", help="run the property suite against a scenario")
     _add_common(sub)
     sub.add_argument("--trials", type=int, default=25,
                      help=f"random signals in the sweep (1..{MAX_TRIALS})")
-    sub.add_argument("--seed", type=int, help="sweep seed (falls back to PCSAMP_SEED)")
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"sweep seed (default {DEFAULT_SEED})")
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("demo", help="built-in worked demonstrations")

@@ -660,6 +660,11 @@ def check_reference_law(spec: SignalSpec, full: _FullSet) -> Optional[str]:
     return None
 
 
+# exact offsets j/denominator that the count check visits per signal
+SCENARIO_OFFSETS = 120   # in verify_scenario
+SWEEP_OFFSETS = 60       # in each trial of exhaustive_consistency_sweep
+
+
 def _signal_checks(
     spec: SignalSpec, atlas: PatternAtlas, full: _FullSet, delta_denominator: int
 ) -> Iterator[tuple[str, Optional[str], str]]:
@@ -674,11 +679,7 @@ def _signal_checks(
     yield ("best-reference-law", check_reference_law(spec, full), "argmin energy = largest jump")
 
 
-def exhaustive_consistency_sweep(
-    trials: int,
-    seed: int = 0,
-    delta_denominator: int = 60,
-) -> CheckResult:
+def exhaustive_consistency_sweep(trials: int, seed: int = 0) -> CheckResult:
     """Random-signal property sweep over counting, inference, and references.
 
     Deterministic for a given seed: the same signals are drawn and the
@@ -692,7 +693,7 @@ def exhaustive_consistency_sweep(
     for trial in range(trials):
         spec = random_spec(rng)
         atlas = enumerate_atlas(spec)
-        for _, failure, _ in _signal_checks(spec, atlas, _full_set(spec, atlas), delta_denominator):
+        for _, failure, _ in _signal_checks(spec, atlas, _full_set(spec, atlas), SWEEP_OFFSETS):
             if failure is not None:
                 return CheckResult(
                     name, False, f"trial {trial}: {failure} (spec g={spec.g} n={spec.n} f={spec.f})"
@@ -778,16 +779,14 @@ def _check_observations(spec: SignalSpec, obs: ObservationSet) -> tuple[Optional
     )
 
 
-def verify_scenario(
-    spec: SignalSpec, obs: Optional[ObservationSet] = None, delta_denominator: int = 120
-) -> list[CheckResult]:
+def verify_scenario(spec: SignalSpec, obs: Optional[ObservationSet] = None) -> list[CheckResult]:
     """Run the full per-signal property suite and report each check; with
     ``obs``, the scenario's own observations are checked too."""
     spec = validate_spec(spec)
     atlas = enumerate_atlas(spec)
     full = _full_set(spec, atlas)
     table = (   # (name, failure or None, detail when passed), run in this order
-        *_signal_checks(spec, atlas, full, delta_denominator),
+        *_signal_checks(spec, atlas, full, SCENARIO_OFFSETS),
         ("minimax-worst-case-equality", _check_minimax(spec, full),
          f"all {spec.m + 1} references, placement independent, perturbations strict"),
         ("width-two-energy-equality", *_check_width2_energy(spec, atlas)),

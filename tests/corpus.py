@@ -55,18 +55,14 @@ def _case(draw: int, spec: SignalSpec, obs: ObservationSet, full: bool, l: int) 
 
 
 @cache
-def corpus(step: int = 1) -> tuple[Case, ...]:
+def corpus() -> tuple[Case, ...]:
     """Every model, draw by draw: the partial models (each single pattern,
     then each adjacent pair, at l = 0 and l = m), then the full atlas at
-    l = 0..m.  With ``step``, only the models of draws 0, step, 2 * step,
-    ...; every draw is still made, so those models are the full corpus's.
-    Built once per ``step``: the cases are frozen, and no test alters them."""
+    l = 0..m.  Built once: the cases are frozen, and no test alters them."""
     rng = random.Random(SEED)
     cases = []
     for draw in range(DRAWS):
         spec = random_spec(rng, m_range=M_RANGE, n_range=N_RANGE)
-        if draw % step:
-            continue
         patterns = enumerate_atlas(spec).patterns
         subsets = [[p] for p in patterns] + [list(pair) for pair in zip(patterns, patterns[1:])]
         for subset in subsets:

@@ -4,6 +4,12 @@ All checks are exact (rational comparisons, zero tolerance); each criterion
 also carries a wall-clock budget.  The random-signal corpus is drawn once
 per session from a fixed seed so every criterion sees the same signals.
 
+Criteria 2, 3, 4, 6 and 7 run the checks of ``pcsamp verify`` itself
+(:mod:`pcsamp.oracle`'s ``check_pattern_counts``, ``check_round_trip``,
+``_check_minimax``, ``check_reference_law`` and ``_check_width2_energy``)
+on their own corpora, so each of these claims is stated once, in the
+oracle.  Criteria 1, 5, 8 and 9 state theirs here.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
@@ -19,25 +25,19 @@ from pcsamp import (
     SignalSpec,
     absolute_error_bound,
     best_reference,
-    closed_form_energy,
-    count_direct,
-    cumulative_count,
-    delta_chain,
     enumerate_atlas,
-    estimate_full,
     estimate_partial,
     feasible_box,
     infer_model,
     perturbation_minimax_check,
     random_spec,
-    translate,
-    truth_function,
     validate_spec,
-    worst_case_energy,
 )
+from pcsamp import oracle
 
 CORPUS_SEED = 2718
 CORPUS_SIZE = 100
+OFFSETS = 1000   # exact offsets j/1000 per signal in criterion 2
 
 
 @pytest.fixture(scope="module")
@@ -46,12 +46,26 @@ def corpus():
     return [random_spec(rng, m_range=(1, 8)) for _ in range(CORPUS_SIZE)]
 
 
+def _full_sets(corpus):
+    """Each signal with its full atlas's model and estimate at every reference."""
+    return [(spec, oracle._full_set(spec, enumerate_atlas(spec))) for spec in corpus]
+
+
 def _report(number: int, name: str, ok: bool, detail: str, started: float, budget: float):
     elapsed = time.perf_counter() - started
     status = "PASS" if ok and elapsed < budget else "FAIL"
     print(f"[criterion {number}] {name}: {status} ({detail}, {elapsed:.2f}s of {budget:.0f}s budget)")
     assert ok, f"criterion {number} failed: {detail}"
     assert elapsed < budget, f"criterion {number} exceeded its {budget:.0f}s budget ({elapsed:.2f}s)"
+
+
+def _checked(number: int, name: str, failures, detail: str, started: float, budget: float):
+    """Report a criterion that runs one of verify's checks on each signal:
+    it passes when no signal fails, and a failure's detail leads with the
+    first one."""
+    first = next((f for f in failures if f is not None), None)
+    _report(number, name, first is None, detail if first is None else f"first failure: {first}; {detail}",
+            started, budget)
 
 
 def test_criterion_1_pattern_cardinality(corpus):
@@ -65,84 +79,39 @@ def test_criterion_1_pattern_cardinality(corpus):
 
 
 def test_criterion_2_count_equivalence(corpus):
-    """Closed-form cumulative counts equal direct counting everywhere."""
+    """Closed-form cumulative counts equal direct counting everywhere, every
+    count lies in {n-1, n}, and the atlas cells tile [0, 1) with their
+    patterns: ``check_pattern_counts`` at 1000 exact offsets per signal."""
     started = time.perf_counter()
-    mismatches = 0
-    offsets_checked = 0
-    for spec in corpus:
-        for j in range(1000):
-            delta1 = Fraction(j, 1000)
-            pattern = count_direct(spec, delta1)
-            offsets = delta_chain(spec, delta1)
-            cumulative = [0]
-            for eta in pattern.eta:
-                cumulative.append(cumulative[-1] + eta)
-            for i in range(1, spec.m + 1):
-                for span in range(spec.m - i + 1):
-                    direct = cumulative[i + span] - cumulative[i - 1]
-                    if direct != cumulative_count(spec, i, span, offsets[i - 1]):
-                        mismatches += 1
-            offsets_checked += 1
-    _report(
-        2, "count equivalence", mismatches == 0,
-        f"{offsets_checked} exact offsets, all region runs, {mismatches} mismatches",
-        started, 30.0,
-    )
+    failures = [oracle.check_pattern_counts(spec, enumerate_atlas(spec), OFFSETS) for spec in corpus]
+    mismatches = sum(f is not None for f in failures)   # signals, each reported at its first mismatch
+    _checked(2, "count equivalence", failures,
+             f"{len(corpus) * OFFSETS} exact offsets, all region runs, {mismatches} mismatches",
+             started, 30.0)
 
 
 def test_criterion_3_round_trip(corpus):
     """Full pattern sets pin every discontinuity to width one, truth strictly
-    inside, and the estimate reproduces the truth at every grid point."""
+    inside, and the estimate reproduces the truth at every grid point:
+    ``check_round_trip`` at every reference."""
     started = time.perf_counter()
-    for spec in corpus:
-        obs = ObservationSet.from_atlas(enumerate_atlas(spec), spec.g)
-        for l in range(spec.m + 1):
-            model = infer_model(obs, l)
-            assert model.U == frozenset()
-            truth_positions = translate(spec, l)
-            for i in range(spec.m + 1):
-                if i == l:
-                    continue
-                lo, hi = model.G[i]
-                assert hi - lo == 1
-                assert lo < truth_positions[i] < hi
-            est = estimate_full(model, spec.g)
-            truth = truth_function(spec, l)
-            for n in range(model.G[0][0] - 1, model.G[spec.m][1] + 2):
-                assert est.value_at(n) == truth.evaluate(n)
-    _report(3, "round trip on full sets", True,
-            f"{len(corpus)} signals, every reference, strict containment and grid agreement",
-            started, 10.0)
+    failures = [oracle.check_round_trip(spec, full) for spec, full in _full_sets(corpus)]
+    _checked(3, "round trip on full sets", failures,
+             f"{len(corpus)} signals, every reference, strict containment and grid agreement",
+             started, 10.0)
 
 
 def test_criterion_4_minimax_equality(corpus):
-    """The oracle worst case of the full-set estimate equals the closed form
-    at 11 exact placements per interval, independent of placement, and every
-    probed cell perturbation strictly increases the worst case."""
+    """The oracle worst case of the full-set estimate equals the closed form,
+    every zone's energy is the same at each candidate placement, and every
+    probed cell perturbation strictly increases the worst case:
+    ``_check_minimax`` at every reference."""
     started = time.perf_counter()
-    references = 0
-    for spec in corpus:
-        obs = ObservationSet.from_atlas(enumerate_atlas(spec), spec.g)
-        for l in range(spec.m + 1):
-            model = infer_model(obs, l)
-            est = estimate_full(model, spec.g)
-            box = feasible_box(model)
-            closed = closed_form_energy(model, spec.g)
-            worst = worst_case_energy(est, spec.g, box, resolution=12)
-            assert worst.value == closed
-            for zone in worst.zones:
-                # equal max and min over 11 interior placements: the energy
-                # cannot depend on where the discontinuity falls
-                assert zone.max_energy == zone.min_energy
-                i = zone.members[0]
-                jump = amp(spec.g, i) - amp(spec.g, i + 1)
-                assert zone.max_energy == (jump / 2) ** 2
-            probe = perturbation_minimax_check(est, spec.g, box, resolution=12)
-            assert probe.passed and probe.all_strict
-            references += 1
-    _report(4, "minimax equality and perturbations", True,
-            f"{references} reference choices, 11 placements per interval, all strict",
-            started, 60.0)
+    failures = [oracle._check_minimax(spec, full) for spec, full in _full_sets(corpus)]
+    references = sum(spec.m + 1 for spec in corpus)
+    _checked(4, "minimax equality and perturbations", failures,
+             f"{references} reference choices, placement independent, all strict",
+             started, 60.0)
 
 
 def test_criterion_5_two_pattern_example():
@@ -168,22 +137,18 @@ def test_criterion_5_two_pattern_example():
 
 
 def test_criterion_6_best_reference_law(corpus):
-    """The energy-minimizing reference is the largest amplitude jump."""
+    """The energy-minimizing reference is the largest amplitude jump:
+    ``check_reference_law`` on the full sets."""
     started = time.perf_counter()
-    for spec in corpus:
-        obs = ObservationSet.from_atlas(enumerate_atlas(spec), spec.g)
-        energies = {
-            l: closed_form_energy(infer_model(obs, l), spec.g) for l in range(spec.m + 1)
-        }
-        arg = min(energies, key=lambda l: (energies[l], l))
-        assert arg == best_reference(spec.g)
-    _report(6, "best-reference law", True, f"{len(corpus)} signals, argmin = largest jump",
-            started, 10.0)
+    failures = [oracle.check_reference_law(spec, full) for spec, full in _full_sets(corpus)]
+    _checked(6, "best-reference law", failures, f"{len(corpus)} signals, argmin = largest jump",
+             started, 10.0)
 
 
 def test_criterion_7_width_two_energy():
     """With width-two intervals and no chains, the oracle worst case equals
-    the closed form weighting those intervals twice."""
+    the closed form weighting those intervals twice: ``_check_width2_energy``
+    on every adjacent pair of atlas patterns, at l = 0 and l = m."""
     started = time.perf_counter()
     rng = random.Random(CORPUS_SEED + 1)
     # counts of at least 3 keep every region above one sample, so no chains
@@ -191,25 +156,12 @@ def test_criterion_7_width_two_energy():
     specs.append(
         validate_spec(SignalSpec.from_columns(g=[4, 2, 1], n=[3, 3, 2], f=["1/4", "1/3", "1/5"]))
     )
-    nonempty = 0
-    for spec in specs:
-        atlas = enumerate_atlas(spec)
-        for k in range(spec.m):
-            obs = ObservationSet.of([atlas.cells[k].pattern, atlas.cells[k + 1].pattern], spec.g)
-            for l in (0, spec.m):
-                model = infer_model(obs, l)
-                if not model.chains.empty or not model.U:
-                    continue
-                closed = closed_form_energy(model, spec.g)
-                est = estimate_partial(model, spec.g)
-                # every width-two index is an isolated zone of the box
-                assert model.U <= {z.members[0] for z in est.box.zones if not z.coupled}
-                worst = worst_case_energy(est, spec.g, feasible_box(model), resolution=12)
-                assert worst.value == closed
-                nonempty += 1
+    rows = [oracle._check_width2_energy(spec, enumerate_atlas(spec)) for spec in specs]
+    # a passing row's detail leads with its count of checked sets
+    nonempty = sum(int(detail.split()[0]) for failure, detail in rows if failure is None)
+    _checked(7, "width-two energy equality", [failure for failure, _ in rows],
+             f"{nonempty} constructed partial observation sets", started, 30.0)
     assert nonempty > 0
-    _report(7, "width-two energy equality", True,
-            f"{nonempty} constructed partial observation sets", started, 30.0)
 
 
 def test_criterion_8_chain_estimate():

@@ -215,7 +215,7 @@ def test_estimate_ref_and_sweep_are_exclusive(running_file, capsys, flags):
 
 
 def test_repeated_calls_in_one_process_leak_no_state(running_file, capsys):
-    first = ["sweep-ref", running_file, "--format", "json"]
+    first = ["estimate", running_file, "--sweep", "--format", "json"]
     assert main(first) == 0
     swept = capsys.readouterr().out
     assert main(["estimate", running_file, "--ref", "0", "--format", "json"]) == 0
@@ -250,8 +250,8 @@ def test_sweep_on_partial_observations(capsys):
     assert (payload["argmin"], payload["best_reference"], payload["agrees"]) == (1, 0, False)
 
 
-def test_sweep_ref_alias(running_file, capsys):
-    assert main(["sweep-ref", running_file, "--format", "json"]) == 0
+def test_estimate_sweep_json(running_file, capsys):
+    assert main(["estimate", running_file, "--sweep", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["argmin"] == 0
     assert payload["best_reference"] == 0
@@ -431,24 +431,11 @@ def test_verify_ceilings_exit2_before_any_work(running_file, capsys, monkeypatch
     assert capsys.readouterr().err == f"ScenarioError {flag} must be at most {ceiling}\n"
 
 
-def test_verify_seed_env_fallback(running_file, capsys, monkeypatch):
+def test_verify_seed_defaults_to_zero_whatever_the_environment(running_file, capsys, monkeypatch):
     monkeypatch.setenv("PCSAMP_SEED", "5")
-    assert main(["verify", running_file, "--trials", "3",
-                 "--format", "json"]) == 0
-    with_env = json.loads(capsys.readouterr().out)
-    monkeypatch.delenv("PCSAMP_SEED")
-    assert main(["verify", running_file, "--trials", "3", "--seed", "5",
-                 "--format", "json"]) == 0
-    explicit = json.loads(capsys.readouterr().out)
-    assert with_env == explicit
-
-
-def test_bad_seed_env_only_affects_verify(running_file, capsys, monkeypatch):
-    monkeypatch.setenv("PCSAMP_SEED", "abc")
-    assert main(["validate", running_file]) == 0
-    assert main(["verify", running_file, "--trials", "3"]) == 2
-    assert "PCSAMP_SEED must be an integer" in capsys.readouterr().err
-    assert main(["verify", running_file, "--trials", "3", "--seed", "5"]) == 0
+    assert main(["verify", running_file, "--trials", "3", "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[-1]["name"] == "random-consistency-sweep(seed=0)"
 
 
 @pytest.mark.parametrize(

@@ -429,23 +429,6 @@ def test_chains_match_the_always_one_rule():
     assert seen["chains"] > 1000 and seen["anchored"] > 60, seen
 
 
-def test_round_trip_strict_containment_random():
-    rng = random.Random(5)
-    for _ in range(15):
-        spec = random_spec(rng, m_range=(1, 6))
-        obs = _full_obs(spec)
-        for l in range(spec.m + 1):
-            model = infer_model(obs, l)
-            assert model.U == frozenset()
-            truth = translate(spec, l)
-            for i in range(spec.m + 1):
-                if i == l:
-                    continue
-                lo, hi = model.G[i]
-                assert hi - lo == 1
-                assert lo < truth[i] < hi
-
-
 def test_partial_subsets_contain_truth_and_never_widen():
     rng = random.Random(17)
     for _ in range(12):

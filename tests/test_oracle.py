@@ -243,7 +243,7 @@ def test_verify_scenario_never_raises():
     rng = random.Random(0)
     for _ in range(100):
         spec = random_spec(rng, m_range=(1, 6), n_range=(2, 6))
-        for row in verify_scenario(spec, delta_denominator=24):
+        for row in verify_scenario(spec):
             # the only failure is the known inverted forced-span defect
             assert row.passed or (
                 row.name == "width-two-energy-equality" and row.detail.endswith("is inverted")
@@ -251,8 +251,8 @@ def test_verify_scenario_never_raises():
 
 
 def test_sweep_is_deterministic_and_green():
-    first = exhaustive_consistency_sweep(8, seed=7, delta_denominator=30)
-    second = exhaustive_consistency_sweep(8, seed=7, delta_denominator=30)
+    first = exhaustive_consistency_sweep(8, seed=7)
+    second = exhaustive_consistency_sweep(8, seed=7)
     assert first == second == CheckResult("random-consistency-sweep(seed=7)", True, "8/8 random signals")
 
 
@@ -263,7 +263,7 @@ def test_random_spec_reproducible():
 
 
 def test_verify_scenario_green(running_spec):
-    results = verify_scenario(running_spec, delta_denominator=40)
+    results = verify_scenario(running_spec)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
     names = {r.name for r in results}
     assert "minimax-worst-case-equality" in names
@@ -272,7 +272,7 @@ def test_verify_scenario_green(running_spec):
 
 def test_verify_checks_the_scenario_observations(example6_spec):
     obs = ObservationSet.of([(3, 3, 2), (3, 3, 1)], example6_spec.g)
-    results = verify_scenario(example6_spec, obs, delta_denominator=8)
+    results = verify_scenario(example6_spec, obs)
     assert all(r.passed for r in results), results
     assert results[-1] == CheckResult(
         "scenario-observations", True,
@@ -285,7 +285,7 @@ def test_verify_checks_the_scenario_observations(example6_spec):
     assert truth_energies == [Fraction(11, 4), Fraction(35, 4), Fraction(41, 4), Fraction(21, 4)]
     # the chain at l = 0 is checked for containment only
     chain = validate_spec(SignalSpec.from_columns(g=[4, 2], n=[3, 2], f=["1/3", "1/4"]))
-    assert verify_scenario(chain, ObservationSet.of([(3, 1)], chain.g), delta_denominator=8)[-1] == CheckResult(
+    assert verify_scenario(chain, ObservationSet.of([(3, 1)], chain.g))[-1] == CheckResult(
         "scenario-observations", True,
         "truth inside every interval at all 3 references; truth energy = closed form at 2",
     )
@@ -293,16 +293,16 @@ def test_verify_checks_the_scenario_observations(example6_spec):
 
 def test_verify_scenario_observations_fail_rows(running_spec, monkeypatch):
     # a pattern of another signal places the truth outside its interval
-    results = verify_scenario(running_spec, ObservationSet.of([(3, 1)], running_spec.g), delta_denominator=8)
+    results = verify_scenario(running_spec, ObservationSet.of([(3, 1)], running_spec.g))
     assert results[-1] == CheckResult("scenario-observations", False, "l=0: truth D_1=7/4 outside (2, 4)")
     # a closed form off by one no longer matches the truth's energy
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "closed_form_energy", lambda model, g: closed_form_energy(model, g) + 1)
-        results = verify_scenario(running_spec, ObservationSet.of([(2, 3)], running_spec.g), delta_denominator=8)
+        results = verify_scenario(running_spec, ObservationSet.of([(2, 3)], running_spec.g))
     assert results[-1] == CheckResult("scenario-observations", False, "l=0: truth energy 4 != closed form 5")
     # a run anchored at the reference meets the known inverted forced-span defect
     spec = validate_spec(SignalSpec.from_columns(g=[-2, 4], n=[2, 2], f=["58/97", "40/97"]))
-    results = verify_scenario(spec, ObservationSet.of([(1, 1)], spec.g), delta_denominator=8)
+    results = verify_scenario(spec, ObservationSet.of([(1, 1)], spec.g))
     assert results[-1] == CheckResult("scenario-observations", False, "l=0: forced span for region 2 is inverted")
     assert all(r.passed for r in results[:-1])
 
@@ -879,7 +879,7 @@ def test_probe_of_a_cell_with_no_amplitude_jump_raises():
 
 
 _PASSED = {
-    "pattern-atlas-and-count-equivalence": "3 cells, 8 exact offsets, every region run",
+    "pattern-atlas-and-count-equivalence": "3 cells, 120 exact offsets, every region run",
     "full-set-round-trip-and-grid-agreement": "width-one intervals contain the truth; grid points reproduced",
     "best-reference-law": "argmin energy = largest jump",
     "minimax-worst-case-equality": "all 3 references, placement independent, perturbations strict",
@@ -1047,17 +1047,17 @@ def _zero_shift(real):
 def test_failing_checks_report_their_messages(running_spec, monkeypatch, name, patch, changed, sweep):
     monkeypatch.setattr(oracle, name, patch(getattr(oracle, name)))
     expected = [CheckResult(check, *changed.get(check, (True, detail))) for check, detail in _PASSED.items()]
-    assert verify_scenario(running_spec, delta_denominator=8) == expected
+    assert verify_scenario(running_spec) == expected
 
     if sweep is None:
-        assert exhaustive_consistency_sweep(3, seed=1, delta_denominator=8) == CheckResult(
+        assert exhaustive_consistency_sweep(3, seed=1) == CheckResult(
             "random-consistency-sweep(seed=1)", True, "3/3 random signals",
         )
         return
     trial, message = sweep
     rng = random.Random(1)
     spec = [random_spec(rng) for _ in range(3)][trial]
-    assert exhaustive_consistency_sweep(3, seed=1, delta_denominator=8) == CheckResult(
+    assert exhaustive_consistency_sweep(3, seed=1) == CheckResult(
         "random-consistency-sweep(seed=1)", False,
         f"trial {trial}: {message} (spec g={spec.g} n={spec.n} f={spec.f})",
     )
@@ -1076,7 +1076,7 @@ def test_sweep_stops_at_its_first_failing_signal(monkeypatch):
         drawn.append(random_spec(rng))
         return drawn[-1]
     monkeypatch.setattr(oracle, "random_spec", counted)
-    row = exhaustive_consistency_sweep(3, seed=1, delta_denominator=8)
+    row = exhaustive_consistency_sweep(3, seed=1)
     assert len(drawn) == 1
     spec = drawn[0]
     assert row == CheckResult(
@@ -1088,7 +1088,7 @@ def test_sweep_stops_at_its_first_failing_signal(monkeypatch):
 
 def test_verify_cost_does_not_grow_with_region_length():
     spec = validate_spec(SignalSpec.from_columns(g=[4, 2], n=[2, 10**9], f=["1/4", "1/2"]))
-    results = verify_scenario(spec, delta_denominator=8)
+    results = verify_scenario(spec)
     assert len(results) == 5 and all(r.passed for r in results), results
     # partial estimates whose last region is a forced span of length about
     # n_3: the chain (1, 2) of pattern (3, 1, n_3) at l = 0, and a pair with
@@ -1124,7 +1124,7 @@ def test_verify_derives_each_box_and_worst_case_once(running_spec, monkeypatch):
         count(module, "feasible_box")
         count(module, "estimate_partial")
     count(oracle, "_search")   # the one worst-case search, which the probe check runs too
-    results = verify_scenario(running_spec, delta_denominator=8)
+    results = verify_scenario(running_spec)
     assert all(r.passed for r in results), results
     pairs = int(results[-1].detail.split()[0])   # adjacent-pair sets, one worst case each
     assert calls["feasible_box"] == calls["estimate_partial"] == running_spec.m + 1 + pairs

@@ -181,25 +181,6 @@ def test_delta_chain_matches_fraction_recurrence():
                 assert all(type(o) is Fraction for o in offsets)
 
 
-def test_formula_equals_direct_counting_everywhere():
-    rng = random.Random(23)
-    for _ in range(25):
-        spec = random_spec(rng, m_range=(1, 6))
-        for j in range(101):
-            delta1 = Fraction(j, 101)
-            pattern = count_direct(spec, delta1)
-            for eta_i, n_i in zip(pattern.eta, spec.n):
-                assert eta_i in (n_i - 1, n_i)
-            offsets = delta_chain(spec, delta1)
-            cumulative = [0]
-            for eta_i in pattern.eta:
-                cumulative.append(cumulative[-1] + eta_i)
-            for i in range(1, spec.m + 1):
-                for span in range(spec.m - i + 1):
-                    direct = cumulative[i + span] - cumulative[i - 1]
-                    assert direct == cumulative_count(spec, i, span, offsets[i - 1])
-
-
 def _built_rows(spec):
     """Starting regions whose run-table row has been built."""
     return [i for i, row in enumerate(spec.run_table[1]) if row is not None]
