@@ -40,7 +40,7 @@ truth = truth_function(spec, 0)
 print(f"energy against the actual signal: {energy_between(truth, est.fn)}")
 
 worst = worst_case_energy(est, spec.g, est.box, resolution=12)
-print(f"oracle worst case over 11 placements per interval: {worst.value}")
+print(f"oracle worst case, placement independent: {worst.value}")
 for zone in worst.zones:
     print(f"  interval {zone.members}: max {zone.max_energy} = min {zone.min_energy}"
           "  (placement independent)")

@@ -137,6 +137,7 @@ def _build_cells(
     # one pass over the box's stretches, which come in order, so the cells do too
     cells, table = [], []
     bounds: dict[int, Fraction] = {}   # one Fraction per integer bound, shared by neighbouring cells
+    centres: dict[int, Fraction] = {}   # one Fraction per centre, over 2 D
     for z in box.stretches:
         for lo, hi, indices in z.cells:
             met = [scaled[i] for i in indices]
@@ -144,7 +145,10 @@ def _build_cells(
             for x in (lo, hi):
                 if x not in bounds:
                     bounds[x] = Fraction(x)
-            cells.append(EstimateCell(bounds[lo], bounds[hi], Fraction(twice, 2 * D), indices))
+            value = centres.get(twice)
+            if value is None:
+                value = centres[twice] = Fraction(twice, 2 * D)
+            cells.append(EstimateCell(bounds[lo], bounds[hi], value, indices))
             table.append((lo, hi, twice))
     return tuple(cells), table
 

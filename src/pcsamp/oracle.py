@@ -31,11 +31,15 @@ denominator, and every integral of (c - estimate)^2 one over N * D^2.
 The amplitudes are the estimator's checked, zero-padded table, rescaled
 onto D.  Fractions are built only for the results, and the records made
 per stretch and per probe, :class:`ZoneOutcome` and
-:class:`PerturbationProbe`, are NamedTuples.  Between the estimate's
-cuts the energy is linear in each discontinuity, and the constraints are
-integer bounds and differences, so every extreme sits at a vertex of the
-grid's feasible set.  The sweep visits only those candidate vertices, a
-few per member, and its cost does not grow with R.
+:class:`PerturbationProbe`, are NamedTuples.  Each call keeps value
+tables, an integer to its Fraction, for the stretch energies
+(:func:`_search`) and for the probes' shifts and worst cases, so equal
+values share one Fraction; the tables go when the call returns.
+Between the estimate's cuts the energy is linear in each discontinuity,
+and the constraints are integer bounds and differences, so every extreme
+sits at a vertex of the grid's feasible set.  The sweep visits only
+those candidate vertices, a few per member, and its cost does not grow
+with R.
 
 A probe sets unit cell C to gamma + s, gamma the value at C's midpoint.  At
 each placement y the zone's energy is then
@@ -44,13 +48,13 @@ J(y), the integral of (truth - gamma) over C, is (a_last - gamma) |C| plus
 one term per member k, (a_k - a_{k+1}) times the length of C left of it.
 So each probed cell's zone is searched once, with C at gamma and C's
 ends as cuts, and each of its four shifts reruns only the sweep: for a
-lone member, one max over its shifted weights, by the sweep's own rule
-(:func:`_lone`).  Where C's ends are already consecutive cuts of the
-zone, as on every zone of a full-atlas estimate, that search is the
-base's, and its table is reused.  The probes walk the cells of the box's
-zones (``Zone.cells``) and scale a cell's shifts to the spread of the
-amplitudes it meets, so the check reads an estimate only through its
-function and its box.  Forced spans are not probed: there the estimate
+lone member, one max over its shifted weights, the sweep's own rule
+(:func:`_lone`) without its minimum and witness.  Where C's ends are
+already consecutive cuts of the zone, as on every zone of a full-atlas
+estimate, that search is the base's, and its table is reused.  The
+probes walk the cells of the box's zones (``Zone.cells``) and scale a
+cell's shifts to the spread of the amplitudes it meets, so the check
+reads an estimate only through its function and its box.  Forced spans are not probed: there the estimate
 copies the known signal, so a shift s adds exactly s^2 per unit of
 length and cannot lower the worst case.
 
@@ -238,13 +242,14 @@ def _terms(cuts: Sequence[int], vals: Sequence[int], c: int, d: int, ys: Sequenc
 
 def _zone_terms(
     cuts: Sequence[int], vals: Sequence[int], amps: Sequence[int],
-    box: FeasibleBox, zone: Zone, resolution: int, N: int,
+    box: FeasibleBox, members: Sequence[int], resolution: int, N: int,
 ) -> tuple[int, list[list[int]], list[list[int]]]:
     """The zone's energy as (tail, candidates, weights): the energy is
     ``tail`` plus, for each member k, ``weights[k][i]`` at the member's
     grid index ``candidates[k][i]``, for the estimate's pieces on the zone
     (see :func:`_pieces`): ``cuts`` over N, ``vals`` and ``amps`` over D,
-    and energies over N * D^2.
+    and energies over N * D^2.  ``members`` are the zone's
+    (``Zone.members``), read once by the caller.
 
     Within a zone the truth takes the amplitudes of ``zone.regions`` in
     order, each up to the next member discontinuity.  A zone without
@@ -266,7 +271,6 @@ def _zone_terms(
     bound onto it, so its candidates are its own bounds.  A member's terms
     at all of its candidates cost one walk over the zone's pieces
     (:func:`_terms`)."""
-    members = zone.members
     tail = _integral(cuts, vals, amps[-1])
     if not members:
         return tail, [], []
@@ -275,7 +279,7 @@ def _zone_terms(
     grids, own = [], []
     for i in members:
         a, b = box.G[i]
-        if a < zone.lo or b > zone.hi:
+        if a * N < cuts[0] or b * N > cuts[-1]:   # the cuts run from the zone's lo to its hi
             raise ValueError("zone members must lie inside the zone")
         lo, hi = a * r + 1, b * r - 1
         ys = {lo, hi}
@@ -358,28 +362,37 @@ def _sweep(table: tuple, zone: Zone, resolution: int) -> tuple[int, int, tuple[i
     return hi_state[path[0]] + tail, min(lo_state.values()) + tail, tuple(reversed(path))
 
 
+_ZERO = Fraction(0)   # the reference's witness position, and the energy of a span the estimate copies
+
+
 def _search(lattice: tuple, box: FeasibleBox, resolution: int) -> tuple[WorstCase, list[tuple], int]:
     """The worst case over the grid, searched on ``lattice`` (see
     :func:`_lattice`); for each zone with measure, in order, what its
-    search built: (zone, pieces, table, top), its :func:`_pieces`, its
-    :func:`_zone_terms` table and its maximum over N * D^2; and the worst
-    case's value over N * D^2."""
+    search built: (zone, members, pieces, table, top), its members, its
+    :func:`_pieces`, its :func:`_zone_terms` table and its maximum over
+    N * D^2; and the worst case's value over N * D^2.  Equal energies share
+    one Fraction, built on first use in this call."""
     N, D = lattice[:2]
     scale = N * D * D
-    total, outcomes, searched, witness = 0, [], [], {box.l: Fraction(0)}
+    energies = {0: _ZERO}   # an energy over N * D^2 -> its Fraction
+    total, outcomes, searched, witness = 0, [], [], {box.l: _ZERO}
     for z in box.stretches:
         if z.lo < z.hi:
+            members = z.regions[:-1]   # Zone.members, read once
             pieces = _pieces(lattice, z)
-            table = _zone_terms(*pieces, box, z, resolution, N)
+            table = _zone_terms(*pieces, box, members, resolution, N)
             top, bottom, path = _sweep(table, z, resolution)
-            high = Fraction(top, scale)
-            members = z.members
+            high = energies.get(top)
+            if high is None:
+                high = energies[top] = Fraction(top, scale)
             if members:
-                low = high if bottom == top else Fraction(bottom, scale)
+                low = energies.get(bottom)
+                if low is None:
+                    low = energies[bottom] = Fraction(bottom, scale)
                 argmax = tuple([Fraction(y, resolution) for y in path])
                 witness.update(zip(members, argmax))
                 outcomes.append(ZoneOutcome(members, high, low, argmax))
-                searched.append((z, pieces, table, top))
+                searched.append((z, members, pieces, table, top))
             else:   # a forced span: one energy and no witness
                 outcomes.append(ZoneOutcome(members, high, high, ()))
             total += top
@@ -454,12 +467,13 @@ def perturbation_minimax_check(
     the cell at its midpoint value gamma, and a shift s adds
     s^2 |C| - 2 s J(y), J(y) the integral of (truth - gamma) over the cell
     (see the module docstring), so each shift reruns only :func:`_sweep`,
-    and a shift of a lone member's cell only its one max (:func:`_lone`).
-    Where the cell's ends are consecutive cuts of the zone, its pieces are
-    the zone's own, and it reads the base search's table instead.  The
-    shifts are read from the lattice's amplitudes, and the probes compare
-    integers.  A worst case that decreases is recorded as a violation, not
-    raised.  ``est`` and ``box`` are checked as for
+    and a shift of a lone member's cell only its one max over the shifted
+    weights.  Where the cell's ends are consecutive cuts of the zone, its
+    pieces are the zone's own, and it reads the base search's table
+    instead.  The shifts are read from the lattice's amplitudes, and the
+    probes compare integers; equal shifts and equal worst cases share one
+    Fraction.  A worst case that decreases is recorded as a violation,
+    not raised.  ``est`` and ``box`` are checked as for
     :func:`worst_case_energy`: a bare function is probed on any box.
     """
     lattice = _lattice(est, amplitudes, box, resolution)
@@ -467,8 +481,10 @@ def perturbation_minimax_check(
     base, searched, total = _search(lattice, box, resolution)
     scale, step = N * D * D, N // resolution
     deltas: dict[int, Fraction] = {}   # one Fraction per shift
+    worsts: dict[int, Fraction] = {}   # one Fraction per worst case, over N * D^2
     probes: list[PerturbationProbe] = []
-    for z, (cuts, vals, amps), table, own in searched:
+    for z, members, (cuts, vals, amps), table, own in searched:
+        rest = total - own   # the other stretches' energy, which no probe of this zone moves
         for cell in z.cells:
             shifts = _auto_deltas(padded, cell)
             for n in range(cell[0] + 1, cell[1] + 1):
@@ -484,24 +500,29 @@ def perturbation_minimax_check(
                     gamma = vals[bisect_right(cuts, (lo + hi) // 2) - 1]
                     tail, candidates, weights = _zone_terms(
                         (*cuts[:a], lo, hi, *cuts[b:]), (*vals[:a], gamma, *vals[b - 1:]),
-                        amps, box, z, resolution, N,
+                        amps, box, members, resolution, N,
                     )
                 inside = [   # member k's part of J: its jump times the cell's length left of it
                     [(amps[k] - amps[k + 1]) * min(max(y * step - lo, 0), N) for y in ys]
                     for k, ys in enumerate(candidates)
                 ]
+                jump = amps[-1] - gamma   # J's constant part, over the cell's length
                 for shift in shifts:
                     t = 2 * shift
-                    fixed = tail + (shift * shift - t * (amps[-1] - gamma)) * N   # s^2 N and J's constant part
+                    fixed = tail + (shift * shift - t * jump) * N   # s^2 N and J's constant part
                     if len(candidates) == 1:   # a lone member: no sweep, one max over its shifted weights
-                        top = _lone(fixed, candidates[0], [w - t * j for w, j in zip(weights[0], inside[0])])[0]
+                        top = fixed + max([w - t * j for w, j in zip(weights[0], inside[0])])
                     else:
                         moved = [[w - t * j for w, j in zip(ws, js)] for ws, js in zip(weights, inside)]
                         top = _sweep((fixed, candidates, moved), z, resolution)[0]
-                    if shift not in deltas:
-                        deltas[shift] = Fraction(shift, D)
-                    worst = Fraction(total - own + top, scale)
-                    probes.append(PerturbationProbe(n, deltas[shift], worst, top >= own, top > own))
+                    delta = deltas.get(shift)
+                    if delta is None:
+                        delta = deltas[shift] = Fraction(shift, D)
+                    energy = rest + top
+                    worst = worsts.get(energy)
+                    if worst is None:
+                        worst = worsts[energy] = Fraction(energy, scale)
+                    probes.append(PerturbationProbe(n, delta, worst, top >= own, top > own))
     return PerturbationReport(worst=base, probes=tuple(probes))
 
 
@@ -726,7 +747,11 @@ def _check_minimax(spec: SignalSpec, full: _FullSet) -> Optional[str]:
     return None
 
 
-def _check_width2_energy(spec: SignalSpec, atlas: PatternAtlas) -> tuple[Optional[str], str]:
+def _check_width2_energy(spec: SignalSpec, atlas: PatternAtlas) -> tuple[Optional[str], int]:
+    """Every adjacent pair of atlas patterns at l = 0 and l = m whose model
+    has width-two intervals and no chain: the oracle's worst case equals
+    the closed form.  Returns the first failure, or None, and the number
+    of observation sets checked before it."""
     checked = 0
     for k in range(spec.m):
         obs = ObservationSet.of(
@@ -740,14 +765,12 @@ def _check_width2_energy(spec: SignalSpec, atlas: PatternAtlas) -> tuple[Optiona
             try:
                 est = estimate_partial(model, spec.g)
             except AssertionError as exc:   # the known inverted forced-span defect
-                return f"pair at cell {k}, l={l}: {exc}", ""
+                return f"pair at cell {k}, l={l}: {exc}", checked
             worst = worst_case_energy(est, spec.g, est.box)
             if worst.value != closed:
-                return (
-                    f"pair at cell {k}, l={l}: oracle {worst.value} != closed {closed}", "",
-                )
+                return f"pair at cell {k}, l={l}: oracle {worst.value} != closed {closed}", checked
             checked += 1
-    return None, f"{checked} adjacent-pair observation sets"
+    return None, checked
 
 
 def _check_observations(spec: SignalSpec, obs: ObservationSet) -> tuple[Optional[str], str]:
@@ -785,11 +808,12 @@ def verify_scenario(spec: SignalSpec, obs: Optional[ObservationSet] = None) -> l
     spec = validate_spec(spec)
     atlas = enumerate_atlas(spec)
     full = _full_set(spec, atlas)
-    table = (   # (name, failure or None, detail when passed), run in this order
+    width2, pairs = _check_width2_energy(spec, atlas)
+    table = (   # (name, failure or None, detail when passed), in row order
         *_signal_checks(spec, atlas, full, SCENARIO_OFFSETS),
         ("minimax-worst-case-equality", _check_minimax(spec, full),
          f"all {spec.m + 1} references, placement independent, perturbations strict"),
-        ("width-two-energy-equality", *_check_width2_energy(spec, atlas)),
+        ("width-two-energy-equality", width2, f"{pairs} adjacent-pair observation sets"),
         *([("scenario-observations", *_check_observations(spec, obs))] if obs is not None else []),
     )
     return [CheckResult(name, failure is None, failure or detail) for name, failure, detail in table]

@@ -520,7 +520,7 @@ def _forced_outcome(fn, g, box, zone, resolution):
     N = math.lcm(resolution, *(x.denominator for x in cuts))
     D = math.lcm(*(v.denominator for v in (c, *vals)))
     table = oracle._zone_terms(
-        [int(x * N) for x in cuts], [int(v * D) for v in vals], [int(c * D)], box, zone, resolution, N
+        [int(x * N) for x in cuts], [int(v * D) for v in vals], [int(c * D)], box, zone.members, resolution, N
     )
     top, bottom, argmax = oracle._sweep(table, zone, resolution)
     got = oracle.ZoneOutcome(zone.members, Fraction(top, N * D * D), Fraction(bottom, N * D * D), argmax)
@@ -733,6 +733,36 @@ def test_probes_read_an_estimate_through_its_function_and_box():
             assert _outcome(lambda: perturbation_minimax_check(est.fn, g, box, resolution)) == _outcome(
                 lambda: perturbation_minimax_check(est, g, box, resolution)
             )
+
+
+def _shared(values):
+    """Every value is a Fraction, and equal values are one object."""
+    first = {}
+    return all(type(v) is Fraction and first.setdefault(v, v) is v for v in values)
+
+
+def test_each_call_builds_one_fraction_per_distinct_value():
+    # a report's worst values, its worst case's stretch energies and an
+    # estimate's cell values each come from a per-call table: an exact
+    # field built as an int, or built twice, fails here by name
+    walk, fractional = _probe_cases()
+    forced_zeros = 0
+    for est, g, box, resolutions in walk + fractional:
+        assert _shared(c.value for c in est.cells)
+        assert _shared(x for c in est.cells for x in (c.lo, c.hi))
+        for resolution in resolutions:
+            try:
+                report = perturbation_minimax_check(est, g, box, resolution)
+            except ValueError:   # an infeasible chain or a cell with no jump: no report
+                continue
+            worst = report.worst
+            assert _shared(p.worst for p in report.probes)
+            assert _shared(p.delta for p in report.probes)
+            assert _shared(e for o in worst.stretches for e in (o.max_energy, o.min_energy))
+            assert all(type(x) is Fraction for x in (worst.value, *worst.witness.values()))
+            assert all(type(y) is Fraction for o in worst.stretches for y in o.argmax)
+            forced_zeros += sum(not o.members and o.max_energy == 0 for o in worst.stretches)
+    assert forced_zeros > 0
 
 
 def test_a_built_estimate_is_searched_on_its_own_function(running_spec):
@@ -1110,6 +1140,9 @@ def test_verify_cost_does_not_grow_with_region_length():
 
 
 def test_verify_derives_each_box_and_worst_case_once(running_spec, monkeypatch):
+    # adjacent-pair sets, one worst case each; counted before the counters go in
+    failure, pairs = oracle._check_width2_energy(running_spec, enumerate_atlas(running_spec))
+    assert failure is None and pairs > 0
     calls = {"feasible_box": 0, "estimate_partial": 0, "_search": 0}
 
     def count(module, name):
@@ -1126,7 +1159,7 @@ def test_verify_derives_each_box_and_worst_case_once(running_spec, monkeypatch):
     count(oracle, "_search")   # the one worst-case search, which the probe check runs too
     results = verify_scenario(running_spec)
     assert all(r.passed for r in results), results
-    pairs = int(results[-1].detail.split()[0])   # adjacent-pair sets, one worst case each
+    assert results[-1].detail == f"{pairs} adjacent-pair observation sets"
     assert calls["feasible_box"] == calls["estimate_partial"] == running_spec.m + 1 + pairs
     assert calls["_search"] == running_spec.m + 1 + pairs
 
