@@ -8,6 +8,10 @@ or an aligned table.  JSON output keeps the layout of ``json.dumps``
 with ``indent=2``, one value per line, so it reads in a terminal and
 diffs line by line; :func:`_json_text` writes that text in one pass.
 
+:data:`COMMANDS` is the one place the subcommands are declared.  Each call
+builds its own parser, which lists every subcommand but adds arguments
+only to the one the call runs.
+
 Exit codes: 0 success, 1 verification failure, 2 invalid scenario,
 3 inconsistent observations.
 """
@@ -20,17 +24,19 @@ import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence, Union
+from typing import Container, Optional, Sequence, Union
 
 from .estimator import best_reference, closed_form_energies, closed_form_energy, estimate_partial
 from .inference import InconsistentObservations, ObservationSet, infer_model
-from .oracle import exhaustive_consistency_sweep, verify_scenario
+from .oracle import SCENARIO_OFFSETS, exhaustive_consistency_sweep, verify_scenario
 from .sampler import SamplingPattern, enumerate_atlas
 from .signal_core import SignalSpec, SpecViolation, as_rational, validate_spec
 
 DEFAULT_SEED = 0
-# ceiling on `verify`, refused up front: the random sweep's work grows with --trials
+# ceilings on `verify`, refused up front: the random sweep's work grows with --trials,
+# the scenario's own checks with m^2 (region runs x offsets + references x m)
 MAX_TRIALS = 10_000
+MAX_VERIFY_WORK = 2_500_000
 
 
 class ScenarioError(ValueError):
@@ -367,6 +373,11 @@ def cmd_verify(args) -> int:
         raise ScenarioError("--trials must be at least 1")
     if args.trials > MAX_TRIALS:
         raise ScenarioError(f"--trials must be at most {MAX_TRIALS}")
+    m = spec.m
+    work = m * (m + 1) // 2 * SCENARIO_OFFSETS + (m + 1) * m
+    if work > MAX_VERIFY_WORK:
+        raise ScenarioError(f"verify work for m = {m} is {work} (region runs x {SCENARIO_OFFSETS} offsets"
+                            f" + references x m), above the limit of {MAX_VERIFY_WORK}")
     # the full atlas is checked at every reference already; explicit observations add a row
     obs = None if scenario_obs == "all" else _resolve_observations(spec, scenario_obs, None)
     results = [*verify_scenario(spec, obs), exhaustive_consistency_sweep(args.trials, seed=args.seed)]
@@ -422,52 +433,66 @@ def _add_common(sub) -> None:
                      help="render rationals as 12-significant-digit decimals")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pcsamp",
-        description="Exact grid-sampling analysis of piecewise constant signals",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("validate", help="check a scenario file")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_validate)
-
-    sub = subs.add_parser("patterns", help="list every achievable count pattern")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_patterns)
-
-    sub = subs.add_parser("infer", help="locate discontinuities from observed patterns")
+def _add_infer(sub) -> None:
     _add_common(sub)
     sub.add_argument("--ref", type=int, required=True, help="reference discontinuity index")
     sub.add_argument("--observations", help='"all" or a JSON/CSV observations file')
-    sub.set_defaults(func=cmd_infer)
 
-    sub = subs.add_parser("estimate", help="build the piecewise constant estimate")
+
+def _add_estimate(sub) -> None:
     _add_common(sub)
     ref_or_sweep = sub.add_mutually_exclusive_group()
     ref_or_sweep.add_argument("--ref", type=int, help="reference discontinuity index")
     ref_or_sweep.add_argument("--sweep", action="store_true", help="tabulate energies for every reference")
     sub.add_argument("--observations", help='"all" or a JSON/CSV observations file')
-    sub.set_defaults(func=cmd_estimate)
 
-    sub = subs.add_parser("verify", help="run the property suite against a scenario")
+
+def _add_verify(sub) -> None:
     _add_common(sub)
     sub.add_argument("--trials", type=int, default=25,
                      help=f"random signals in the sweep (1..{MAX_TRIALS})")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"sweep seed (default {DEFAULT_SEED})")
-    sub.set_defaults(func=cmd_verify)
 
-    sub = subs.add_parser("demo", help="built-in worked demonstrations")
+
+def _add_demo(sub) -> None:
     sub.add_argument("name", help="demo name (example6)")
-    sub.set_defaults(func=cmd_demo)
 
+
+# the one place the subcommands are declared: name -> (help, argument adder, handler)
+COMMANDS = {
+    "validate": ("check a scenario file", _add_common, cmd_validate),
+    "patterns": ("list every achievable count pattern", _add_common, cmd_patterns),
+    "infer": ("locate discontinuities from observed patterns", _add_infer, cmd_infer),
+    "estimate": ("build the piecewise constant estimate", _add_estimate, cmd_estimate),
+    "verify": ("run the property suite against a scenario", _add_verify, cmd_verify),
+    "demo": ("built-in worked demonstrations", _add_demo, cmd_demo),
+}
+
+
+def build_parser(filled: Container[str]) -> argparse.ArgumentParser:
+    """The ``pcsamp`` parser.  Every subcommand of :data:`COMMANDS` is listed,
+    so the top-level help and errors name them all, but only those in
+    ``filled`` get their arguments and handler."""
+    parser = argparse.ArgumentParser(
+        prog="pcsamp",
+        description="Exact grid-sampling analysis of piecewise constant signals",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, func) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if name in filled:
+            add_arguments(sub)
+            sub.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser has no option that takes a value, so the command
+    # is the first token that is not an option
+    command = next((token for token in argv if not token.startswith("-")), None)
+    args = build_parser((command,)).parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, SpecViolation) as exc:

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import wide_spec
 from pcsamp import cli, enumerate_atlas, random_spec
 from pcsamp.cli import main
 
@@ -230,6 +232,57 @@ def test_repeated_calls_in_one_process_leak_no_state(running_file, capsys):
     assert capsys.readouterr().out == swept
 
 
+def _outcomes(argv: list[str]) -> tuple[tuple, tuple]:
+    """(exit code, stdout, stderr) of ``main(argv)``, once as it runs and
+    once with a parser that gives every subcommand in ``cli.COMMANDS`` its
+    arguments."""
+    def run():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    one = run()
+    build = cli.build_parser
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda filled: build(cli.COMMANDS))
+        every = run()
+    return one, every
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], *([name, "-h"] for name in cli.COMMANDS),
+    [], ["nosuch", "FILE"], ["--", "estimate", "FILE", "--ref", "0"], ["-1", "estimate"],
+    ["--nope", "validate", "FILE"],
+    *([name, "example6" if name == "demo" else "FILE", "--nope"] for name in cli.COMMANDS),
+    ["infer", "FILE"],
+], ids=" ".join)
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(running_file, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "60")
+    argv = [running_file if token == "FILE" else token for token in argv]
+    one, every = _outcomes(argv)
+    assert one == every
+    assert one[0] in (0, 2) and (one[1] or one[2])
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "FILE", "--format", "csv"],
+    ["patterns", "FILE", "--float"],
+    ["infer", "FILE", "--ref", "1", "--observations", "all"],
+    ["estimate", "FILE", "--sweep", "--format", "json"],
+    ["verify", "FILE", "--trials", "3", "--seed", "5"],
+    ["demo", "example6"],
+], ids=lambda argv: argv[0])
+def test_one_subcommand_parser_parses_what_the_full_parser_parses(running_file, argv):
+    argv = [running_file if token == "FILE" else token for token in argv]
+    args = cli.build_parser(argv[:1]).parse_args(argv)
+    assert args == cli.build_parser(cli.COMMANDS).parse_args(argv)
+    assert args.func is cli.COMMANDS[argv[0]][2]
+
+
 def test_estimate_sweep(running_file, capsys):
     assert main(["estimate", running_file, "--sweep"]) == 0
     out = capsys.readouterr().out
@@ -429,6 +482,30 @@ def test_verify_ceilings_exit2_before_any_work(running_file, capsys, monkeypatch
     argv[argv.index(flag) + 1] = str(ceiling + 1)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"ScenarioError {flag} must be at most {ceiling}\n"
+
+
+def test_verify_work_ceiling_exit2_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify started work")
+    monkeypatch.setattr(cli, "verify_scenario", refuse)
+    monkeypatch.setattr(cli, "exhaustive_consistency_sweep", refuse)
+
+    def scenario(m):
+        spec = wide_spec(random.Random(3), m, 211)
+        regions = [{"g": str(g), "n": n, "f": str(f)} for g, n, f in zip(spec.g, spec.n, spec.f)]
+        path = tmp_path / f"wide{m}.json"
+        path.write_text(json.dumps({"T": "1", "regions": regions}))
+        return str(path)
+
+    # m (m + 1) / 2 runs x 120 offsets + (m + 1) x m first exceeds the cap at m = 202
+    with pytest.raises(AssertionError, match="verify started work"):
+        main(["verify", scenario(201)])
+    path = scenario(202)
+    start = time.perf_counter()
+    assert main(["verify", path]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "ScenarioError verify work for m = 202 is 2501366 (region runs"
+                                       f" x 120 offsets + references x m), above the limit of {cli.MAX_VERIFY_WORK}\n")
 
 
 def test_verify_seed_defaults_to_zero_whatever_the_environment(running_file, capsys, monkeypatch):
